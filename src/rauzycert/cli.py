@@ -23,7 +23,7 @@ from . import penner as penner_mod
 from .errors import RauzyError
 from .induction import Move, apply_move, edge_matrix
 from .jsonutil import bracket_json, decimal_str, rational_json
-from .linalg import IntMatrix, min_row_sum
+from .linalg import IntMatrix
 from .pa import certificate_to_json, certify, lc_lower_bound
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
@@ -183,7 +183,10 @@ def _cmd_fg(args) -> int:
         for g in range(args.gmin, args.gmax + 1):
             report = fg_mod.family_report(g, tol=args.tol)
             cert = report.certificate
-            exact = lc_lower_bound(report.path, mode="exact", matrix=report.matrix)
+            exact = lc_lower_bound(
+                report.path, mode="exact", matrix=report.matrix,
+                positive_power=cert.positive_power,
+            )
             rows.append(
                 [
                     g,
@@ -270,8 +273,8 @@ def _cmd_penner(args) -> int:
                 "d": matrices.d.to_json(),
             },
             "matrix": matrices.m.to_json(),
-            "power_identity": penner_mod.verify_power_identity(args.genus, args.n),
-            "min_row_sum_power": min_row_sum(matrices.m**args.genus),
+            "power_identity": report.checks["power_identity"],
+            "min_row_sum_power": report.power_min_row_sum,
             "rho": bracket_json(report.rho),
             "teich_length": list(report.teich_length),
             "lc_upper": rational_json(rotation.bound),
@@ -366,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     table = fg_sub.add_parser("table", help="CSV over a genus range")
     table.add_argument("--gmin", type=int, default=2)
     table.add_argument("--gmax", type=int, default=10)
-    table.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
+    # A subcommand's --tol has no default of its own, so that a --tol given
+    # before the subcommand is not overwritten.
+    table.add_argument("--tol", type=_tol, default=argparse.SUPPRESS)
     central_checks = fg_sub.add_parser(
         "central", help="central-component structural checks"
     )
@@ -383,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = penner_sub.add_parser("sweep", help="CSV over a (g, n) grid")
     sweep.add_argument("--gmax", type=int, default=6)
     sweep.add_argument("--nmax", type=int, default=20)
-    sweep.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
+    sweep.add_argument("--tol", type=_tol, default=argparse.SUPPRESS)
     diverge = penner_sub.add_parser("diverge", help="the n = g^g member")
     diverge.add_argument("--genus", type=int, required=True)
-    diverge.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
+    diverge.add_argument("--tol", type=_tol, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_penner, penner_mode=None)
 
     p = sub.add_parser("homology-check", help="block-triangular homology power identity")

@@ -26,4 +26,11 @@ class EnumerationCapError(RauzyError, RuntimeError):
 
 
 class ConvergenceError(RauzyError, RuntimeError):
-    """Iterative bracketing failed to reach the requested tolerance."""
+    """Iterative bracketing failed to reach the requested tolerance.
+
+    ``bracket`` is the best certified bracket reached before giving up,
+    with the number of iterations spent."""
+
+    def __init__(self, message: str, bracket=None):
+        super().__init__(message)
+        self.bracket = bracket

@@ -142,9 +142,9 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
     Check failures are collected per item rather than raised.
     """
     path = family_loop(g)
-    matrix = path_matrix(path)
     block = block_matrix(g)
     cert = certify(path, tol=tol, lower_mode="diagonal_cap")
+    matrix = cert.matrix
     surface = glue(path.start)
     upper = Fraction(1, g - 1)
     lower = Fraction(1, 16 * g - 12)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -73,9 +74,6 @@ class IntMatrix:
             if e:
                 base = base * base
         return result
-
-    def mul_vector(self, v: list[int]) -> list[int]:
-        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
 
     def is_positive(self) -> bool:
         return all(x > 0 for row in self.rows for x in row)
@@ -249,17 +247,34 @@ class SpectralBracket:
         return self.high - self.low
 
     def log_bounds(self) -> tuple[float, float]:
-        """Natural-log bracket, e.g. for translation lengths."""
-        return (_log_fraction(self.low), _log_fraction(self.high))
+        """Natural-log bracket, e.g. for translation lengths, rounded outward:
+        the first float is at most ln(low), the second at least ln(high)."""
+        return (_log_fraction(self.low, -math.inf), _log_fraction(self.high, math.inf))
 
 
-def _log_fraction(x: Fraction) -> float:
+_LOG_DIGITS = 40
+
+
+def _log_fraction(x: Fraction, toward: float) -> float:
+    """ln(x) as a float on the side of ``toward`` (-inf or inf) of the exact value."""
     if x <= 0:
         raise ValueError("log of non-positive bracket endpoint")
-    return math.log(x.numerator) - math.log(x.denominator)
+    with localcontext() as ctx:
+        ctx.prec = _LOG_DIGITS
+        value = (Decimal(x.numerator) / Decimal(x.denominator)).ln()
+        # The quotient and its log are each correctly rounded, so value is
+        # within 10^(1-prec) * (|ln x| + 1.02) / 2 of ln(x).  The bit count
+        # exceeds |ln x| + 1, so that is below 10^(1-prec) * bits, and the
+        # margin is a hundred times that.
+        bits = x.numerator.bit_length() + x.denominator.bit_length()
+        margin = bits * Decimal(10) ** (3 - _LOG_DIGITS)
+        bound = value + margin if toward > 0 else value - margin
+    result = float(bound)  # nearest float: at most one step on the wrong side
+    if (Decimal(result) < bound) if toward > 0 else (Decimal(result) > bound):
+        result = math.nextafter(result, toward)
+    return result
 
 
-_RENORM_BITS = 8192
 _SHIFT_WARMUP = 48
 
 
@@ -267,60 +282,90 @@ def spectral_radius(
     m: IntMatrix,
     tol: Fraction | str | float = Fraction(1, 10**9),
     max_iterations: int = 200_000,
+    positive_power: int | None = None,
 ) -> SpectralBracket:
     """Bracket the dominant eigenvalue of a primitive matrix.
 
     Iterates v <- M v from the all-ones vector; at each step the quotients
-    (Mv)_i / v_i bracket the spectral radius, and for a primitive matrix the
-    bracket tightens to any tolerance.  The iterate is kept as an exact
-    integer vector (renormalization only divides out common factors or, when
-    entries get huge, a power of two, which leaves the quotient bracket
-    valid).  Non-primitive input is rejected up front: its bracket need not
-    tighten at all.
+    (Mv)_i / v_i of the current positive integer vector bracket the spectral
+    radius (Collatz-Wielandt), and for a primitive matrix the bracket
+    tightens to any tolerance.  Non-primitive input is rejected up front:
+    its bracket need not tighten at all.  ``positive_power``, when given,
+    is a primitivity exponent of ``m`` already found by min_positive_power,
+    and the search is not repeated.
 
-    After a short warmup the iteration switches to M + s*I with s an integer
-    near the dominant eigenvalue, reporting quotients minus s.  The shift is
-    exact (a nonnegative matrix and its shift share Perron data) and pushes
-    complex subdominant eigenvalues off the dominant ray, which otherwise
-    make the quotients converge arbitrarily slowly on matrices with
-    near-rotational spectrum.
+    The quotients bracket the radius for *any* positive vector, so the
+    iterate is kept short: after each step one right shift truncates it so
+    that its smallest entry keeps 2 * bitlen(ceil(1/tol)) + 64 bits, plus
+    the bits of the largest row sum (an upper bound on the radius).  Every
+    quotient is then known to far better than ``tol``, so the bracket
+    cannot stall on precision, and the precision only sets how fast the
+    bracket shrinks, never whether it is valid.  Quotients are compared by
+    integer cross-multiplication; fractions are built only for the returned
+    bracket.
+
+    After a short warmup the iteration switches to M + s*I with s the floor
+    of the best lower bound so far, still reporting quotients of M itself.
+    The shift keeps the Perron vector and pushes complex subdominant
+    eigenvalues off the dominant ray, which otherwise make the quotients
+    converge arbitrarily slowly on matrices with near-rotational spectrum.
+    As s <= rho it never passes the dominant eigenvalue, so it cannot
+    flatten the spectral gap the way an overestimated shift would.
+
+    Raises ConvergenceError, carrying the best bracket reached, when the
+    bracket is still wider than ``tol`` after ``max_iterations`` steps.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if min_positive_power(m) is None:
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if positive_power is None and min_positive_power(m) is None:
         raise NotPrimitiveError("matrix is not primitive; spectral bracket may not tighten")
     n = m.order
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
+    # Truncating v changes a quotient by about rho * 2^-(precision-2); the
+    # largest row sum bounds rho, so its bits keep that error below tol^2.
+    precision = (
+        2 * (-(-tol.denominator // tol.numerator)).bit_length()
+        + 64
+        + max(sum(row) for row in m.rows).bit_length()
+    )
     v = [1] * n
-    best_low: Fraction | None = None
-    best_high: Fraction | None = None
-    matrix = m
-    offset = 0
+    shift = 0
+    # Best bracket so far as numerator/denominator pairs.
+    low_num, low_den, high_num, high_den = 0, 1, 1, 0
     for iteration in range(1, max_iterations + 1):
-        w = matrix.mul_vector(v)
-        low = min(Fraction(w[i], v[i]) for i in range(n)) - offset
-        high = max(Fraction(w[i], v[i]) for i in range(n)) - offset
-        best_low = low if best_low is None else max(best_low, low)
-        best_high = high if best_high is None else min(best_high, high)
-        if best_high - best_low <= tol:
-            return SpectralBracket(best_low, best_high, iteration)
-        g = math.gcd(*w)
-        if g > 1:
-            w = [x // g for x in w]
-        bits = max(x.bit_length() for x in w)
-        if bits > _RENORM_BITS:
-            shift = bits - _RENORM_BITS // 2
-            w = [max(1, x >> shift) for x in w]
+        w = [sum(a * v[j] for j, a in row) for row in rows]
+        lo = hi = 0
+        for i in range(1, n):
+            if w[i] * v[lo] < w[lo] * v[i]:
+                lo = i
+            elif w[i] * v[hi] > w[hi] * v[i]:
+                hi = i
+        if w[lo] * low_den > low_num * v[lo]:
+            low_num, low_den = w[lo], v[lo]
+        if w[hi] * high_den < high_num * v[hi]:
+            high_num, high_den = w[hi], v[hi]
+        if (high_num * low_den - low_num * high_den) * tol.denominator <= (
+            tol.numerator * high_den * low_den
+        ):
+            return SpectralBracket(
+                Fraction(low_num, low_den), Fraction(high_num, high_den), iteration
+            )
+        if shift:
+            w = [x + shift * y for x, y in zip(w, v)]
+        excess = min(w).bit_length() - precision
+        if excess > 0:
+            w = [x >> excess for x in w]
         v = w
         if iteration == _SHIFT_WARMUP:
-            s = int((best_low + best_high + 1) / 2)
-            if s >= 1:
-                matrix = m + _scalar(n, s)
-                offset = s
-    raise ConvergenceError(
-        "spectral bracket did not reach width %s in %d iterations" % (tol, max_iterations)
+            shift = low_num // low_den
+    best = SpectralBracket(
+        Fraction(low_num, low_den), Fraction(high_num, high_den), max_iterations
     )
-
-
-def _scalar(n: int, s: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n)))
+    raise ConvergenceError(
+        "spectral bracket did not reach width %s in %d iterations; best bracket [%s, %s]"
+        % (tol, max_iterations, best.low, best.high),
+        best,
+    )

@@ -284,13 +284,15 @@ def lc_lower_bound(
     mode: str = "diagonal_cap",
     surface: GluedSurface | None = None,
     matrix: IntMatrix | None = None,
+    positive_power: int | None = None,
 ) -> LowerBound | None:
     """Stable translation-length lower bound 1/(6(2g-2) + p), or None.
 
     ``mode="exact"`` uses the true primitivity exponent p; ``mode="diagonal_cap"``
     uses p = 2n, which covers any primitive n x n matrix with a positive
     diagonal entry (and refuses when the diagonal is all zero).  Returns None
-    on non-primitive matrices.
+    on non-primitive matrices.  ``positive_power`` is the primitivity
+    exponent of the path matrix when the caller already searched for it.
     """
     if mode not in ("diagonal_cap", "exact"):
         raise ValueError("mode must be 'diagonal_cap' or 'exact', got %r" % mode)
@@ -302,7 +304,7 @@ def lc_lower_bound(
         raise ValueError("curve-graph lower bound needs genus >= 2, got %d" % surface.genus)
     if matrix is None:
         matrix = path_matrix(path)
-    exponent = min_positive_power(matrix)
+    exponent = positive_power if positive_power is not None else min_positive_power(matrix)
     if exponent is None:
         return None
     if mode == "diagonal_cap":
@@ -341,7 +343,7 @@ def certify(
     lam = None
     teich = None
     if primitive:
-        lam = spectral_radius(matrix, tol)
+        lam = spectral_radius(matrix, tol, positive_power=power)
         teich = lam.log_bounds()
 
     lc_upper = None
@@ -357,7 +359,10 @@ def certify(
                     "sides skipped as non-closed or homologically unverified: %s"
                     % ", ".join(orbit.skipped_sides)
                 )
-        lower = lc_lower_bound(path, mode=lower_mode, surface=surface, matrix=matrix)
+        if primitive:
+            lower = lc_lower_bound(
+                path, mode=lower_mode, surface=surface, matrix=matrix, positive_power=power
+            )
         if lower is not None:
             assumptions.append(ASSUMPTION_DIAGONAL_EXTENSION)
     else:

@@ -115,9 +115,13 @@ def power_closed_form(g: int, n: int) -> IntMatrix:
     return _assemble(g, blocks)
 
 
-def verify_power_identity(g: int, n: int) -> bool:
-    """Exact equality of the g-th matrix power with its block closed form."""
-    return build(g, n).m ** g == power_closed_form(g, n)
+def verify_power_identity(g: int, n: int, power: IntMatrix | None = None) -> bool:
+    """Exact equality of the g-th matrix power with its block closed form.
+
+    ``power`` is that g-th power when the caller has already computed it."""
+    if power is None:
+        power = build(g, n).m ** g
+    return power == power_closed_form(g, n)
 
 
 @dataclass
@@ -148,10 +152,11 @@ def stretch_bounds(
     """
     p = build(g, n)
     rho = spectral_radius(p.m, tol)
-    mrs = min_row_sum(p.m**g)
+    power = p.m**g
+    mrs = min_row_sum(power)
     slack = Fraction(slack)
     checks = {
-        "power_identity": verify_power_identity(g, n),
+        "power_identity": verify_power_identity(g, n, power),
         "min_row_sum_is_n_plus_1": mrs == n + 1,
         "rho_power_at_least_n_plus_1": rho.low**g >= n + 1 - slack,
     }

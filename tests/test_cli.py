@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +171,12 @@ class TestFg:
         assert code == 0
         assert data["passed"] is True and data["lc_lower"]["den"] == "22"
 
+    def test_tol_before_subcommand(self, capsys):
+        _, before, _ = run(capsys, "fg", "--tol", "1/1000", "table", "--gmax", "3")
+        _, after, _ = run(capsys, "fg", "table", "--tol", "1/1000", "--gmax", "3")
+        _, default, _ = run(capsys, "fg", "table", "--gmax", "3")
+        assert before == after != default
+
     def test_genus_required_without_subcommand(self, capsys):
         code, _, err = run(capsys, "fg")
         assert code == 1
@@ -197,6 +204,17 @@ class TestPenner:
         data = json.loads(out)
         assert code == 0
         assert data["n"] == 27 and data["passed"] is True
+
+
+    def test_tol_before_subcommand(self, capsys):
+        _, loose, _ = run(capsys, "penner", "--tol", "1/10", "diverge", "--genus", "3")
+        _, default, _ = run(capsys, "penner", "diverge", "--genus", "3")
+        loose, default = json.loads(loose)["rho"], json.loads(default)["rho"]
+        width = Fraction(int(loose["high"]["num"]), int(loose["high"]["den"])) - Fraction(
+            int(loose["low"]["num"]), int(loose["low"]["den"])
+        )
+        assert width <= Fraction(1, 10)
+        assert loose["iterations"] < default["iterations"]
 
 
 class TestHomologyCheck:

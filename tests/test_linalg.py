@@ -1,14 +1,17 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
 from rauzycert.diagram import AllowedPath, build_path
-from rauzycert.errors import NotAllowedError, NotPrimitiveError
+from rauzycert.errors import ConvergenceError, NotAllowedError, NotPrimitiveError
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
+    SpectralBracket,
     det,
     min_positive_power,
     min_row_sum,
@@ -184,6 +187,130 @@ class TestSpectralRadius:
         a = spectral_radius(GAMMA2_MATRIX)
         b = spectral_radius(GAMMA2_MATRIX)
         assert (a.low, a.high, a.iterations) == (b.low, b.high, b.iterations)
+
+    def test_convergence_error_carries_best_bracket(self):
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**40), max_iterations=5)
+        bracket = info.value.bracket
+        assert bracket.iterations == 5
+        root_low, root_high = bisect_largest_root([1, -1, -1, -1, 1], 1.5, 2)
+        assert bracket.low <= root_low and root_high <= bracket.high
+        message = str(info.value)
+        assert str(bracket.low) in message and str(bracket.high) in message
+        assert "in 5 iterations" in message
+
+    def test_given_positive_power_skips_the_search(self):
+        power = min_positive_power(GAMMA2_MATRIX)
+        assert spectral_radius(GAMMA2_MATRIX, positive_power=power) == spectral_radius(
+            GAMMA2_MATRIX
+        )
+
+
+def contains_perron_root(m: IntMatrix, bracket: SpectralBracket) -> bool:
+    """Exact oracle: the characteristic polynomial has a root in
+    [low, high] and none above high (the Perron root is the largest real
+    eigenvalue, and it is simple)."""
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sympy.Matrix(m.rows).charpoly(x).as_expr(), x)
+    low = sympy.Rational(bracket.low.numerator, bracket.low.denominator)
+    high = sympy.Rational(bracket.high.numerator, bracket.high.denominator)
+    at_or_above_high = 1 if poly.eval(high) == 0 else 0
+    return poly.count_roots(low, high) >= 1 and poly.count_roots(high, None) == at_or_above_high
+
+
+def random_primitive(rng: random.Random, n: int) -> IntMatrix:
+    while True:
+        m = IntMatrix.from_rows(
+            [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        )
+        if min_positive_power(m) is not None:
+            return m
+
+
+def wide_range_matrix(rng: random.Random, n: int, step: int = 35) -> IntMatrix:
+    """u w^T plus small noise, u = (1, 2^step, 2^(2 step), ...): the Perron
+    vector is close to u and spans about (n - 1) * step bits."""
+    u = [1 << (step * i) for i in range(n)]
+    w = [1 << (step * (n - 1 - j)) for j in range(n)]
+    return IntMatrix.from_rows([[u[i] * w[j] + rng.randint(0, 3) for j in range(n)]
+                                for i in range(n)])
+
+
+class TestBoundedPrecisionEngine:
+    TOL = Fraction(1, 10**9)
+
+    def check(self, m):
+        bracket = spectral_radius(m, self.TOL)
+        assert bracket.width <= self.TOL
+        assert contains_perron_root(m, bracket)
+
+    def test_random_dense_and_sparse_primitive(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            self.check(random_primitive(rng, rng.randint(2, 7)))
+
+    def test_block_companion_twist_matrices(self):
+        from rauzycert.penner import build
+
+        rng = random.Random(12)
+        for g in (3, 4, 5):
+            for n in (1, rng.randint(2, 50), rng.randint(500, 3000)):
+                self.check(build(g, n).m)
+
+    def test_perron_vector_spanning_more_than_sixty_bits(self):
+        rng = random.Random(13)
+        for n in (3, 4, 5):
+            self.check(wide_range_matrix(rng, n))
+
+    def test_family_loop_at_genus_100_against_numpy(self):
+        # 200 x 200, Perron vector spanning about 99 bits; float oracle with
+        # a slack of 1e-12, far above float64 rounding on 0/1/2 entries.
+        from rauzycert.fg import block_matrix
+
+        m = block_matrix(100)
+        bracket = spectral_radius(m, self.TOL)
+        values = np.linalg.eigvals(np.array(m.rows, dtype=float))
+        root = Fraction(float(values[np.argmax(values.real)].real))
+        slack = Fraction(1, 10**12)
+        assert bracket.width <= self.TOL
+        assert bracket.low - slack <= root <= bracket.high + slack
+
+    def test_iterate_precision_bounds_bracket_size(self):
+        from rauzycert.penner import build
+
+        bracket = spectral_radius(build(5, 3125).m, self.TOL)
+        limit = 2 * (1 / self.TOL).numerator.bit_length() + 64 + 64
+        for end in (bracket.low, bracket.high):
+            assert end.numerator.bit_length() < limit
+            assert end.denominator.bit_length() < limit
+
+
+def _ln60(x: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
+
+
+class TestLogBounds:
+    def test_rounded_outward_on_family_and_twist_brackets(self):
+        from rauzycert.fg import family_report
+        from rauzycert.penner import stretch_bounds
+
+        brackets = [family_report(g).certificate.lam for g in range(2, 12)]
+        brackets += [stretch_bounds(g, n).rho for g in (3, 4) for n in range(1, 8)]
+        for bracket in brackets:
+            low, high = bracket.log_bounds()
+            assert Decimal(low) <= _ln60(bracket.low)
+            assert Decimal(high) >= _ln60(bracket.high)
+            assert high - low < 1e-6
+
+    def test_rounded_outward_on_random_rationals(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            den = rng.randint(1, 1 << rng.choice((2, 20, 64, 200)))
+            x = Fraction(den + rng.randint(-den + 1, 3 * den), den)
+            low, high = SpectralBracket(x, x, 1).log_bounds()
+            assert Decimal(low) <= _ln60(x) <= Decimal(high)
 
 
 class TestMinRowSum:

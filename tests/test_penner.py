@@ -143,6 +143,13 @@ class TestDivergingSequence:
         assert report.n == 256
         assert report.rho.low >= 4
 
+    @pytest.mark.parametrize("g", [6, 7])
+    def test_genus_six_and_seven(self, g):
+        report = diverging_sequence(g)
+        assert report.n == g**g
+        assert report.passed
+        assert report.rho.width <= Fraction(1, 10**9)
+
     def test_lc_upper_reported(self):
         assert diverging_sequence(3).lc_upper == Fraction(1, 2)
 
