@@ -18,13 +18,12 @@ factors through.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import AllowedPath, RauzyDiagram, explore
 from .induction import Move, apply_flip, apply_top
-from .linalg import IntMatrix, min_positive_power, path_matrix, relabel_matrix
+from .linalg import IntMatrix, _column_product, _relabeling, min_positive_power
 from .pa import PACertificate, certify, diagonal_extension_steps
 from .perm import (
     LabeledPermutation,
@@ -230,38 +229,82 @@ class CentralComponentReport:
 
 
 def _move_tables(diagram: RauzyDiagram):
-    step = {
-        Move.TOP: [diagram.successor(i, Move.TOP) for i in range(len(diagram))],
-        Move.BOTTOM: [diagram.successor(i, Move.BOTTOM) for i in range(len(diagram))],
-    }
-    winner = {}
-    for i, v in enumerate(diagram.vertices):
-        winner[(i, Move.TOP)] = v.alphabet[v.top[-1]]
-        winner[(i, Move.BOTTOM)] = v.alphabet[v.bottom[-1]]
-    return step, winner
+    """Integer tables of the t and b moves, each indexed [move][vertex]: the
+    successor vertex, and the winner and loser letter indices.  Move index 0
+    is t and 1 is b, so t < b in every enumeration order below."""
+    step = tuple(
+        [diagram.successor(i, move) for i in range(len(diagram))]
+        for move in (Move.TOP, Move.BOTTOM)
+    )
+    top_last = [v.top[-1] for v in diagram.vertices]
+    bottom_last = [v.bottom[-1] for v in diagram.vertices]
+    # t: the top-last letter beats the bottom-last one; b: the reverse.
+    return step, (top_last, bottom_last), (bottom_last, top_last)
 
 
 def _closed_words(step, start: int, end: int, max_len: int):
-    """Words over {t, b} of length 1..max_len leading from vertex ``start``
-    to vertex ``end``, in order of length then lexicographic (t < b)."""
-    for length in range(1, max_len + 1):
-        for word in itertools.product((Move.TOP, Move.BOTTOM), repeat=length):
-            state = start
-            for move in word:
-                state = step[move][state]
-            if state == end:
-                yield word
+    """Words over {t, b}, as tuples of move indices, of length 1..max_len
+    leading from vertex ``start`` to vertex ``end``, in order of length then
+    lexicographic (t < b).
+
+    Each length is one depth-first search in t, b order that drops every
+    prefix whose vertex is farther from ``end`` than the moves it has left,
+    with distances from a breadth-first search backwards from ``end``.
+    """
+    far = max_len + 1
+    dist = [far] * len(step[0])
+    dist[end] = 0
+    preds: list[list[int]] = [[] for _ in dist]
+    for table in step:
+        for u, v in enumerate(table):
+            preds[v].append(u)
+    frontier = [end]
+    for d in range(1, max_len + 1):
+        nxt = []
+        for v in frontier:
+            for u in preds[v]:
+                if dist[u] == far:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    # moves[d] is the move last tried at depth d (-1 before the first) and
+    # states[d] the vertex it leaves from.
+    moves = [0] * max_len
+    states = [start] * max_len
+    for length in range(max(1, dist[start]), max_len + 1):
+        depth = 0
+        moves[0] = -1
+        while depth >= 0:
+            move = moves[depth] + 1
+            if move == 2:
+                depth -= 1
+                continue
+            moves[depth] = move
+            state = step[move][states[depth]]
+            left = length - depth - 1
+            if dist[state] > left:
+                continue
+            if left == 0:
+                yield tuple(moves[:length])
+            else:
+                depth += 1
+                states[depth] = state
+                moves[depth] = -1
 
 
-def _shortest_word(step, src: int, dst: int) -> list[Move]:
+def _word_text(word) -> str:
+    return "".join("tb"[move] for move in word)
+
+
+def _shortest_word(step, src: int, dst: int) -> list[int]:
     if src == dst:
         return []
-    prev: dict[int, tuple[int, Move] | None] = {src: None}
+    prev: dict[int, tuple[int, int] | None] = {src: None}
     frontier = [src]
     while frontier:
         nxt = []
         for u in frontier:
-            for move in (Move.TOP, Move.BOTTOM):
+            for move in (0, 1):
                 v = step[move][u]
                 if v in prev:
                     continue
@@ -269,7 +312,7 @@ def _shortest_word(step, src: int, dst: int) -> list[Move]:
                 if v == dst:
                     out = []
                     while prev[v] is not None:
-                        v, move = prev[v][0], prev[v][1]
+                        v, move = prev[v]
                         out.append(move)
                     return list(reversed(out))
                 nxt.append(v)
@@ -277,23 +320,23 @@ def _shortest_word(step, src: int, dst: int) -> list[Move]:
     raise RuntimeError("component is not strongly connected")
 
 
-def _cover_loop(step, winner, base: int, letter_order) -> tuple[Move, ...]:
+def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     """A closed loop at ``base`` on which every letter wins at least once.
 
     Greedily walks to the nearest edge winning each still-uncovered letter
     (in the given order) and returns to base.  Short closed loops rarely
     cover every letter, so this is the workhorse behind primitive samples.
     """
-    word: list[Move] = []
+    word: list[int] = []
     current = base
-    covered: set[str] = set()
+    covered: set[int] = set()
     for letter in letter_order:
         if letter in covered:
             continue
-        best: tuple[list[Move], int, Move] | None = None
-        for i in range(len(step[Move.TOP])):
-            for move in (Move.TOP, Move.BOTTOM):
-                if winner[(i, move)] != letter:
+        best: tuple[list[int], int, int] | None = None
+        for i in range(len(step[0])):
+            for move in (0, 1):
+                if winner[move][i] != letter:
                     continue
                 approach = _shortest_word(step, current, i)
                 if best is None or len(approach) < len(best[0]):
@@ -304,9 +347,9 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[Move, ...]:
         word.append(move)
         state = current
         for mv in approach:
-            covered.add(winner[(state, mv)])
+            covered.add(winner[mv][state])
             state = step[mv][state]
-        covered.add(winner[(vertex, move)])
+        covered.add(winner[move][vertex])
         current = step[move][vertex]
     word.extend(_shortest_word(step, current, base))
     return tuple(word)
@@ -346,26 +389,39 @@ def central_component_checks(
 
     # Each flipped loop vertex has exactly one unlabeled partner in the
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
-    # the two path endpoints fixes the last top position.
+    # the two path endpoints fixes the last letter.  The endpoint and the
+    # relabeling of a shape-2 path depend on m only, not on its word.
     partner_ok = True
     corner_ok = True
+    flip_paths = []
     for m in range(1, n):
         vertex = central_after_t(n, m)
         flipped = apply_flip(vertex).target
         matches = [v for v in diagram.vertices if equal_unlabeled(v, flipped)]
         partner = central_after_t(n, n - m - 1)
         partner_ok = partner_ok and matches == [partner]
-        relabel = relabel_matrix(vertex, apply_flip(partner).target)
-        corner_ok = corner_ok and relabel.rows[n - 1][n - 1] == 1
+        relabel = _relabeling(vertex, apply_flip(partner).target)
+        corner_ok = corner_ok and relabel[n - 1] == n - 1
+        flip_paths.append((vertex, partner, relabel))
     checks["flip_partner_identity"] = partner_ok
     checks["relabel_corner_entry"] = corner_ok
 
     sampled: list[SampledPath] = []
-    step, winner = _move_tables(diagram)
+    step, winner, loser = _move_tables(diagram)
+
+    def matrix_of(start: int, word, relabel) -> IntMatrix:
+        updates = []
+        state = start
+        for move in word:
+            updates.append((winner[move][state], loser[move][state]))
+            state = step[move][state]
+        return _column_product(n, updates, relabel)
+
+    start_index = diagram.vertex_index(seed)
+    identity = tuple(range(n))
 
     def try_family1(word) -> bool:
-        path = AllowedPath(seed, word)
-        matrix = path_matrix(path)
+        matrix = matrix_of(start_index, word, identity)
         exponent = min_positive_power(matrix)
         if exponent is None:
             return False
@@ -373,7 +429,7 @@ def central_component_checks(
             SampledPath(
                 family=1,
                 start_display=seed.display(),
-                word=path.word,
+                word=_word_text(word),
                 primitive_exponent=exponent,
                 diagonal_positive=all(x >= 1 for x in matrix.diagonal()),
                 power_positive=(matrix**power).is_positive(),
@@ -386,7 +442,6 @@ def central_component_checks(
     # enumerated first; since a primitive loop needs every letter to win at
     # least once, which rarely happens below length 2n, deterministic cover
     # loops (one per rotation of the alphabet) fill the remaining quota.
-    start_index = diagram.vertex_index(seed)
     quota1 = samples
     for word in _closed_words(step, start_index, start_index, loop_len):
         if quota1 == 0:
@@ -396,28 +451,22 @@ def central_component_checks(
     seen_words = {s.word for s in sampled}
     rotation = 0
     while quota1 > 0 and rotation < n:
-        order = seed.alphabet[rotation:] + seed.alphabet[:rotation]
+        order = list(range(rotation, n)) + list(range(rotation))
         word = _cover_loop(step, winner, start_index, order)
         rotation += 1
-        if "".join(m.value for m in word) in seen_words:
+        if _word_text(word) in seen_words:
             continue
         if try_family1(word):
             seen_words.add(sampled[-1].word)
             quota1 -= 1
 
     # Shape 2: from a loop vertex to its unlabeled partner, then one flip.
-    for m in range(1, n):
+    for vertex, partner, relabel in flip_paths:
         if len([s for s in sampled if s.family == 2]) >= samples:
             break
-        vertex = central_after_t(n, m)
-        partner = central_after_t(n, n - m - 1)
-        for word in _closed_words(
-            step, diagram.vertex_index(vertex), diagram.vertex_index(partner), loop_len
-        ):
-            path = AllowedPath(vertex, tuple(word) + (Move.FLIP,))
-            if not path.allowed:
-                continue
-            matrix = path_matrix(path)
+        src = diagram.vertex_index(vertex)
+        for word in _closed_words(step, src, diagram.vertex_index(partner), loop_len):
+            matrix = matrix_of(src, word, relabel)
             exponent = min_positive_power(matrix)
             if exponent is None:
                 continue
@@ -425,7 +474,7 @@ def central_component_checks(
                 SampledPath(
                     family=2,
                     start_display=vertex.display(),
-                    word=path.word,
+                    word=_word_text(word) + "f",
                     primitive_exponent=exponent,
                     diagonal_positive=matrix.rows[n - 1][n - 1] >= 1,
                     power_positive=(matrix**power).is_positive(),

@@ -125,13 +125,10 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
-    """Permutation matrix of the relabeling between two unlabeled-equal vertices.
-
-    The relabeling sends a letter b to the letter occupying, in the end top
-    row, the position b has in the start top row; the matrix has a 1 in
-    position (relabel(b), b).
-    """
+def _relabeling(start: LabeledPermutation, end: LabeledPermutation) -> tuple[int, ...]:
+    """The relabeling between two unlabeled-equal vertices as a letter map:
+    entry b is the index of the letter occupying, in the end top row, the
+    position letter b has in the start top row."""
     if set(start.alphabet) != set(end.alphabet):
         raise NotAllowedError("relabeling needs matching letter sets")
     if not equal_unlabeled(start, end):
@@ -139,25 +136,49 @@ def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMat
             "endpoints do not define the same unlabeled permutation: %s vs %s"
             % (start.display(), end.display())
         )
-    n = start.n
     index = {letter: i for i, letter in enumerate(start.alphabet)}
     end_top = end.top_letters()
-    rows = [[0] * n for _ in range(n)]
+    relabel = [0] * start.n
     for position, letter in enumerate(start.top_letters()):
-        rows[index[end_top[position]]][index[letter]] = 1
+        relabel[index[letter]] = index[end_top[position]]
+    return tuple(relabel)
+
+
+def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
+    """Permutation matrix of the relabeling between two unlabeled-equal vertices.
+
+    The relabeling sends a letter b to the letter occupying, in the end top
+    row, the position b has in the start top row; the matrix has a 1 in
+    position (relabel(b), b).
+    """
+    n = start.n
+    rows = [[0] * n for _ in range(n)]
+    for letter, image in enumerate(_relabeling(start, end)):
+        rows[image][letter] = 1
     return IntMatrix.from_rows(rows)
+
+
+def _column_product(n: int, updates, relabel: tuple[int, ...]) -> IntMatrix:
+    """(Id + E(w1, l1)) ... (Id + E(wk, lk)) P for ``updates`` = ((w1, l1), ...),
+    with P the permutation matrix that has a 1 at (relabel[b], b).
+
+    Right-multiplying by Id + E(w, l) adds column w to column l, and by P
+    puts column relabel[b] in place b, so the product costs O(n) additions
+    per update instead of a dense n^3 multiply.
+    """
+    cols = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    for w, l in updates:
+        cols[l] = [x + y for x, y in zip(cols[l], cols[w])]
+    return IntMatrix(tuple(zip(*(cols[source] for source in relabel))))
 
 
 def path_matrix(path: "AllowedPath") -> IntMatrix:
     """Product of the per-edge matrices, first edge leftmost, relabeling last."""
-    from .induction import edge_matrix
-
     if not path.allowed:
         raise NotAllowedError("path is not allowed: %s -> %s" % (path.start, path.end))
-    result = IntMatrix.identity(path.start.n)
-    for edge in path.edges:
-        result = result * edge_matrix(edge)
-    return result * relabel_matrix(path.start, path.end)
+    index = {letter: i for i, letter in enumerate(path.start.alphabet)}
+    updates = [(index[e.winner], index[e.loser]) for e in path.edges if e.winner is not None]
+    return _column_product(path.start.n, updates, _relabeling(path.start, path.end))
 
 
 def _bool_rows(m: IntMatrix) -> list[int]:
@@ -175,20 +196,6 @@ def _bool_mul(a: list[int], b: list[int]) -> list[int]:
             rest &= rest - 1
         out.append(acc)
     return out
-
-
-def _bool_pow(base: list[int], exponent: int) -> list[int]:
-    result = None
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = b if result is None else _bool_mul(result, b)
-        e >>= 1
-        if e:
-            b = _bool_mul(b, b)
-    assert result is not None
-    return result
 
 
 def wielandt_bound(n: int) -> int:
@@ -219,19 +226,21 @@ def min_positive_power(m: IntMatrix, cap: int | None = None) -> int | None:
         union |= r
     if union != full:
         return None  # likewise a zero column
-    # With no zero row, positivity is monotone in the exponent: any positive
-    # power stays positive after one more multiplication.  Binary-search the
-    # first positive power.
-    if not all(r == full for r in _bool_pow(rows, cap)):
-        return None
-    lo, hi = 1, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if all(r == full for r in _bool_pow(rows, mid)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # With no zero row or column, positivity is monotone in the exponent:
+    # any positive power stays positive after one more multiplication.
+    # Square up a ladder M^(2^k) until it passes cap or turns positive, then
+    # descend it to the largest p <= cap with M^p not positive.
+    ladder = [rows]
+    while 1 << len(ladder) <= cap and not all(r == full for r in ladder[-1]):
+        ladder.append(_bool_mul(ladder[-1], ladder[-1]))
+    below: list[int] | None = None  # M^p, None standing for p = 0
+    p = 0
+    for k in range(len(ladder) - 1, -1, -1):
+        if p + (1 << k) <= cap:
+            trial = ladder[k] if below is None else _bool_mul(below, ladder[k])
+            if not all(r == full for r in trial):
+                below, p = trial, p + (1 << k)
+    return None if p == cap else p + 1
 
 
 @dataclass(frozen=True)

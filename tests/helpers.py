@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import assume, strategies as st
+
 from rauzycert.diagram import AllowedPath
-from rauzycert.induction import Move, apply_move
+from rauzycert.induction import Move, apply_move, edge_matrix
+from rauzycert.linalg import IntMatrix, relabel_matrix, wielandt_bound
 from rauzycert.perm import LabeledPermutation, default_alphabet, equal_unlabeled, is_irreducible
 
 
@@ -33,6 +37,46 @@ def bisect_largest_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
         else:
             hi, fhi = mid, fmid
     return lo, hi
+
+
+def dense_path_matrix(path: AllowedPath) -> IntMatrix:
+    """The path matrix as the dense product of the edge matrices, first edge
+    leftmost, times the relabeling matrix."""
+    result = IntMatrix.identity(path.start.n)
+    for edge in path.edges:
+        result = result * edge_matrix(edge)
+    return result * relabel_matrix(path.start, path.end)
+
+
+def brute_force_closed_words(step, start: int, max_len: int) -> dict[int, list[tuple]]:
+    """Every word of move indices of length 1..max_len from ``start``, in
+    order of length then lexicographic, grouped by the vertex it ends at."""
+    words: dict[int, list[tuple]] = {}
+    for length in range(1, max_len + 1):
+        for word in itertools.product(range(len(step)), repeat=length):
+            state = start
+            for move in word:
+                state = step[move][state]
+            words.setdefault(state, []).append(word)
+    return words
+
+
+def linear_min_positive_power(m: IntMatrix, cap: int | None = None) -> int | None:
+    """Smallest p <= cap (default the Wielandt bound) with m**p positive,
+    trying p = 1, 2, ... on the 0/1 pattern of the powers."""
+    if cap is None:
+        cap = wielandt_bound(m.order)
+
+    def pattern(a: IntMatrix) -> IntMatrix:
+        return IntMatrix.from_rows([[1 if x else 0 for x in row] for row in a.rows])
+
+    base = pattern(m)
+    power = base
+    for p in range(1, cap + 1):
+        if power.is_positive():
+            return p
+        power = pattern(power * base)
+    return None
 
 
 def random_labeled_permutation(rng: random.Random, n: int) -> LabeledPermutation:
@@ -80,6 +124,26 @@ def random_allowed_paths(
                 paths.append(AllowedPath(start, moves))
                 break
     return paths
+
+
+@st.composite
+def allowed_paths(draw, max_n: int = 6, max_moves: int = 400) -> AllowedPath:
+    """Hypothesis strategy: an irreducible start, then t, b and f moves drawn
+    one at a time until the walk reaches an unlabeled-equal vertex."""
+    n = draw(st.integers(2, max_n))
+    top = draw(st.permutations(range(n)))
+    bottom = draw(st.permutations(range(n)))
+    start = LabeledPermutation(default_alphabet(n), tuple(top), tuple(bottom))
+    assume(is_irreducible(start))
+    moves: list[Move] = []
+    current = start
+    while len(moves) < max_moves:
+        move = draw(st.sampled_from((Move.TOP, Move.BOTTOM, Move.FLIP)))
+        moves.append(move)
+        current = apply_move(current, move).target
+        if equal_unlabeled(start, current):
+            return AllowedPath(start, moves)
+    assume(False)
 
 
 def all_standard_permutations(n: int):

@@ -4,6 +4,8 @@ import pytest
 
 from rauzycert.diagram import explore
 from rauzycert.fg import (
+    _closed_words,
+    _move_tables,
     FamilyReport,
     block_matrix,
     family_loop,
@@ -18,7 +20,7 @@ from rauzycert.induction import apply_top
 from rauzycert.linalg import path_matrix
 from rauzycert.perm import central, fg_start
 
-from helpers import bisect_largest_root
+from helpers import bisect_largest_root, brute_force_closed_words
 
 
 class TestGamma:
@@ -73,10 +75,25 @@ class TestBlockMatrix:
     def test_matches_path_matrix(self, g):
         assert block_matrix(g) == path_matrix(family_loop(g))
 
+    def test_matches_path_matrix_at_genus_100(self):
+        # 200 x 200: the column-update path matrix makes this a fast check
+        assert block_matrix(100) == path_matrix(family_loop(100))
+
     @pytest.mark.parametrize("g", range(2, 8))
     def test_row_after_first_block_is_first_unit_vector(self, g):
         row = block_matrix(g).rows[g]
         assert row == tuple(1 if j == 0 else 0 for j in range(2 * g))
+
+
+class TestClosedWords:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_pruned_search_matches_brute_force(self, n):
+        step = _move_tables(explore(central(n)))[0]
+        for start in range(len(step[0])):
+            expected = brute_force_closed_words(step, start, 2 * n)
+            for end in range(len(step[0])):
+                words = list(_closed_words(step, start, end, 2 * n))
+                assert words == expected.get(end, [])
 
 
 class TestTheorem11:

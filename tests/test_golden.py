@@ -1,0 +1,67 @@
+"""Golden corpus: CLI stdout bytes and exit codes, compared byte for byte.
+
+Each case in ``CASES`` has its captured stdout in ``tests/golden/<name>.out``
+and its exit code in ``tests/golden/exits.json``.  A change that is meant
+to alter an output regenerates the corpus with
+
+    PYTHONPATH=src python tests/test_golden.py --capture
+
+and the diff of ``tests/golden/`` then shows every altered byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from rauzycert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
+
+CASES: dict[str, tuple[str, ...]] = {
+    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 9)},
+    **{"fg_genus_%d" % g: ("fg", "--genus", str(g)) for g in range(2, 13)},
+    "fg_table_gmax12": ("fg", "table", "--gmax", "12"),
+    "certify_readme": ("certify", "--start", FG_START_2, "--moves", "ftbb"),
+    "certify_inconclusive": ("certify", "--start", FG_START_2, "--moves", "bb"),
+    "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
+    "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
+    "penner_g3_n5": ("penner", "--genus", "3", "--n", "5"),
+}
+
+
+def run_case(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue().encode("utf-8")
+
+
+def capture() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    for name, argv in CASES.items():
+        code, stdout = run_case(argv)
+        (GOLDEN / (name + ".out")).write_bytes(stdout)
+        exits[name] = code
+    (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_and_exit_match_golden(name):
+    code, stdout = run_case(CASES[name])
+    assert code == json.loads((GOLDEN / "exits.json").read_text())[name]
+    assert stdout == (GOLDEN / (name + ".out")).read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: python tests/test_golden.py --capture")
+    capture()

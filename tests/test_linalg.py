@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from rauzycert.diagram import AllowedPath, build_path
 from rauzycert.errors import ConvergenceError, NotAllowedError, NotPrimitiveError
@@ -22,7 +23,13 @@ from rauzycert.linalg import (
 )
 from rauzycert.perm import central, fg_start, parse
 
-from helpers import bisect_largest_root
+from helpers import (
+    allowed_paths,
+    bisect_largest_root,
+    dense_path_matrix,
+    linear_min_positive_power,
+    random_allowed_paths,
+)
 
 GAMMA2_MATRIX = IntMatrix.from_rows(
     [[0, 1, 0, 0], [1, 0, 2, 1], [1, 0, 0, 0], [0, 0, 1, 1]]
@@ -108,6 +115,20 @@ class TestPathMatrix:
         assert path_matrix(combined) == path_matrix(first) * path_matrix(second)
 
 
+class TestColumnUpdatesAgainstDenseProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(allowed_paths())
+    def test_random_allowed_path(self, path):
+        assert path_matrix(path) == dense_path_matrix(path)
+
+    def test_corpus_with_flips_and_relabelings(self):
+        paths = random_allowed_paths(random.Random(11), 100, max_n=7)
+        assert any(Move.FLIP in path.moves for path in paths)
+        assert any(path.end != path.start for path in paths)  # a relabeling other than Id
+        for path in paths:
+            assert path_matrix(path) == dense_path_matrix(path)
+
+
 class TestMinPositivePower:
     def test_identity_never_positive(self):
         assert min_positive_power(IntMatrix.identity(3)) is None
@@ -146,6 +167,27 @@ class TestMinPositivePower:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             min_positive_power(IntMatrix.from_rows([[1, -1], [1, 1]]))
+
+    def test_matches_linear_search_on_random_patterns(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            density = rng.choice((0.2, 0.35, 0.5, 0.7))
+            m = IntMatrix.from_rows(
+                [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            )
+            for cap in (None, rng.randint(0, 30)):
+                assert min_positive_power(m, cap) == linear_min_positive_power(m, cap)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_wielandt_matrix_reaches_the_bound(self, n):
+        # the n-cycle plus one chord has the largest exponent (n-1)^2 + 1
+        rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        rows[n - 1][0] = rows[n - 1][1] = 1
+        m = IntMatrix.from_rows(rows)
+        bound = wielandt_bound(n)
+        assert min_positive_power(m) == linear_min_positive_power(m) == bound
+        assert min_positive_power(m, cap=bound - 1) is None
 
 
 class TestSpectralRadius:
