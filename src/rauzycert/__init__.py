@@ -2,7 +2,15 @@
 certification via primitive path matrices, and bounds on stretch-factor
 and curve-graph translation lengths."""
 
-from .diagram import AllowedPath, RauzyDiagram, build_path, explore, injectivity_check, to_dot
+from .diagram import (
+    AllowedPath,
+    RauzyDiagram,
+    build_path,
+    explore,
+    injectivity_check,
+    to_dot,
+    to_json,
+)
 from .errors import (
     ConvergenceError,
     EnumerationCapError,
@@ -81,5 +89,6 @@ __all__ = [
     "spectral_radius",
     "stratum_of_central",
     "to_dot",
+    "to_json",
     "unlabeled",
 ]

@@ -14,7 +14,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram as diagram_mod
@@ -27,20 +26,6 @@ from .linalg import IntMatrix
 from .pa import certificate_to_json, certify, lc_lower_bound
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
-
-
-@dataclass
-class RunConfig:
-    tolerance: Fraction = Fraction(1, 10**9)
-    enumeration_cap: int = 10**6
-    reading: str = "paper"
-    output: str = "json"
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.enumeration_cap <= 0:
-            raise ValueError("enumeration cap must be positive")
 
 
 def _tol(text: str) -> Fraction:
@@ -116,17 +101,12 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    config = RunConfig(enumeration_cap=args.cap, output=args.format)
+    if args.cap <= 0:
+        raise ValueError("enumeration cap must be positive")
     seed = _start_permutation(args)
-    component = diagram_mod.explore(seed, augmented=args.augmented, cap=config.enumeration_cap)
-    if args.format == "dot":
-        _emit(diagram_mod.to_dot(component))
-    else:
-        out = component.to_json_dict()
-        out["seed"] = seed.display()
-        out["size"] = len(component)
-        out["injective"] = diagram_mod.injectivity_check(component)
-        _emit_json(out)
+    component = diagram_mod.explore(seed, augmented=args.augmented, cap=args.cap)
+    render = diagram_mod.to_dot if args.format == "dot" else diagram_mod.to_json
+    _emit(render(component))
     return 0
 
 
@@ -150,13 +130,14 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    config = RunConfig(tolerance=args.tol, reading=args.reading)
+    if args.tol <= 0:
+        raise ValueError("tolerance must be positive")
     start = parse(args.start)
-    path = diagram_mod.build_path(start, args.moves, reading=config.reading)
-    cert = certify(path, tol=config.tolerance, lower_mode=args.lower_mode)
+    path = diagram_mod.build_path(start, args.moves, reading=args.reading)
+    cert = certify(path, tol=args.tol, lower_mode=args.lower_mode)
     out = certificate_to_json(cert)
     out["input_word"] = args.moves
-    out["reading"] = config.reading
+    out["reading"] = args.reading
     _emit_json(out)
     return 0 if cert.primitive else 2
 

@@ -2,7 +2,9 @@
 
 ``explore`` closes a seed permutation under the top and bottom moves (plus
 the flip when augmented) by breadth-first search with a fixed child order
-t, b, f; vertex numbering is therefore reproducible across runs.
+t, b, f; vertex numbering is therefore reproducible across runs.  A
+component is stored as integer tables: the index rows of each vertex and,
+per move, the successor, winner and loser of each vertex.
 
 A path is a start permutation plus a sequence of moves in execution order.
 It is *allowed* when its endpoints define the same unlabeled permutation;
@@ -14,63 +16,102 @@ right-to-left by default ("ftb" applies b, then t, then f); pass
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
 from .induction import EdgeRecord, Move, apply_move
-from .perm import LabeledPermutation, equal_unlabeled, is_irreducible, unlabeled
+from .perm import LabeledPermutation, _images, _irreducible, equal_unlabeled, is_irreducible
 
 DEFAULT_CAP = 10**6
 
+# The moves by their index in the diagram tables.
+MOVES = (Move.TOP, Move.BOTTOM, Move.FLIP)
 
-@dataclass
+
 class RauzyDiagram:
-    """A component: vertices in BFS order and outgoing edges per vertex."""
+    """A component as integer tables over ``alphabet``.
 
-    vertices: tuple[LabeledPermutation, ...]
-    edges: tuple[tuple[EdgeRecord, ...], ...]
-    augmented: bool
-    _index: dict[str, int] = field(repr=False, default_factory=dict)
+    ``rows[v]`` is the (top, bottom) pair of letter-index rows of vertex v,
+    in BFS order from the seed, vertex 0.  ``succ[move][v]`` is the vertex
+    the move leads to from v, with move index 0 = t, 1 = b and, when
+    augmented, 2 = f.  ``winner[move][v]`` and ``loser[move][v]`` are the
+    letter indices of the t and b edges; a flip has neither.  Vertex and
+    edge objects are views built from the tables on first use.
+    """
 
-    def __post_init__(self):
-        if not self._index:
-            self._index = {v.display(): i for i, v in enumerate(self.vertices)}
-
-    def vertex_index(self, p: LabeledPermutation) -> int:
-        return self._index[p.display()]
-
-    def __contains__(self, p: LabeledPermutation) -> bool:
-        return p.display() in self._index
+    def __init__(self, alphabet, rows, succ, augmented: bool):
+        self.alphabet: tuple[str, ...] = tuple(alphabet)
+        self.rows = rows
+        self.succ = succ
+        self.augmented = augmented
+        top_last = [top[-1] for top, _ in rows]
+        bottom_last = [bottom[-1] for _, bottom in rows]
+        # t: the top-last letter beats the bottom-last one; b: the reverse.
+        self.winner = (top_last, bottom_last)
+        self.loser = (bottom_last, top_last)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
+
+    @cached_property
+    def vertices(self) -> tuple[LabeledPermutation, ...]:
+        return tuple(LabeledPermutation(self.alphabet, top, bottom) for top, bottom in self.rows)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[EdgeRecord, ...], ...]:
+        """The out-edges of each vertex, in t, b(, f) order."""
+        vertices, names = self.vertices, self.alphabet
+        out = []
+        for v, source in enumerate(vertices):
+            edges = []
+            for move, table in enumerate(self.succ):
+                if move == 2:
+                    winner = loser = None
+                else:
+                    winner, loser = names[self.winner[move][v]], names[self.loser[move][v]]
+                edges.append(EdgeRecord(MOVES[move], source, vertices[table[v]], winner, loser))
+            out.append(tuple(edges))
+        return tuple(out)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {row: v for v, row in enumerate(self.rows)}
+
+    def _key(self, p: LabeledPermutation):
+        """The index rows of ``p`` over this alphabet, matched by letter name."""
+        if p.alphabet == self.alphabet:
+            return p.top, p.bottom
+        position = {letter: i for i, letter in enumerate(self.alphabet)}
+        return (
+            tuple(position.get(x) for x in p.top_letters()),
+            tuple(position.get(x) for x in p.bottom_letters()),
+        )
+
+    def vertex_index(self, p: LabeledPermutation) -> int:
+        try:
+            return self._index[self._key(p)]
+        except KeyError:
+            raise KeyError(p.display()) from None
+
+    def __contains__(self, p: LabeledPermutation) -> bool:
+        return self._key(p) in self._index
 
     def successor(self, index: int, move: Move) -> int:
         """Index of the target of the given move from vertex ``index``."""
-        for edge in self.edges[index]:
-            if edge.kind is move:
-                return self.vertex_index(edge.target)
-        raise KeyError("vertex %d has no %s edge" % (index, move.value))
+        table = MOVES.index(move)
+        if table >= len(self.succ):
+            raise KeyError("vertex %d has no %s edge" % (index, move.value))
+        return self.succ[table][index]
 
     def to_json_dict(self) -> dict:
-        edge_list = []
-        for i, out in enumerate(self.edges):
-            for edge in out:
-                edge_list.append(
-                    {
-                        "src": i,
-                        "dst": self.vertex_index(edge.target),
-                        "kind": edge.kind.value,
-                        "winner": edge.winner,
-                        "loser": edge.loser,
-                    }
-                )
-        return {
-            "augmented": self.augmented,
-            "vertices": [v.to_json_dict() for v in self.vertices],
-            "edges": edge_list,
-        }
+        """The document of ``to_json`` without its seed, size and
+        injective keys."""
+        doc = json.loads(to_json(self))
+        for key in ("seed", "size", "injective"):
+            del doc[key]
+        return doc
 
 
 def explore(
@@ -83,32 +124,49 @@ def explore(
     """
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
-    moves = (Move.TOP, Move.BOTTOM, Move.FLIP) if augmented else (Move.TOP, Move.BOTTOM)
-    vertices: list[LabeledPermutation] = [seed]
-    index: dict[str, int] = {seed.display(): 0}
-    out_edges: list[tuple[EdgeRecord, ...]] = []
-    frontier = 0
-    while frontier < len(vertices):
-        current = vertices[frontier]
-        edges = tuple(apply_move(current, move) for move in moves)
-        out_edges.append(edges)
-        for edge in edges:
-            key = edge.target.display()
-            if key not in index:
-                if len(vertices) >= cap:
+    rows = [(seed.top, seed.bottom)]
+    index = {rows[0]: 0}
+    succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
+    # The loop visits the rows appended while it runs, in BFS order.
+    for top, bottom in rows:
+        if not _irreducible(top, bottom):
+            # the precondition of apply_top and apply_bottom
+            raise ReducibleError(
+                "top move undefined on reducible permutation %s"
+                % LabeledPermutation(seed.alphabet, top, bottom).display()
+            )
+        # t reinserts the bottom-last letter right of the top-last one in
+        # the bottom row; b is the mirror image; f reverses and swaps.
+        k = bottom.index(top[-1]) + 1
+        targets = [(top, bottom[:k] + bottom[-1:] + bottom[k:-1])]
+        k = top.index(bottom[-1]) + 1
+        targets.append((top[:k] + top[-1:] + top[k:-1], bottom))
+        if augmented:
+            targets.append((bottom[::-1], top[::-1]))
+        for table, target in zip(succ, targets):
+            v = index.get(target)
+            if v is None:
+                if len(rows) >= cap:
                     raise EnumerationCapError(
                         "component exceeds the %d-vertex cap from %s" % (cap, seed.display())
                     )
-                index[key] = len(vertices)
-                vertices.append(edge.target)
-        frontier += 1
-    return RauzyDiagram(tuple(vertices), tuple(out_edges), augmented, index)
+                v = index[target] = len(rows)
+                rows.append(target)
+            table.append(v)
+    return RauzyDiagram(seed.alphabet, rows, succ, augmented)
+
+
+def unlabeled_classes(d: RauzyDiagram) -> dict[tuple[int, ...], list[int]]:
+    """The vertices grouped by the images of their unlabeled permutation."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, (top, bottom) in enumerate(d.rows):
+        classes.setdefault(_images(top, bottom), []).append(v)
+    return classes
 
 
 def injectivity_check(d: RauzyDiagram) -> bool:
     """No two distinct vertices define the same unlabeled permutation."""
-    seen = {unlabeled(v).images for v in d.vertices}
-    return len(seen) == len(d.vertices)
+    return len({_images(top, bottom) for top, bottom in d.rows}) == len(d)
 
 
 _TOKEN_RE = re.compile(r"([tbf])(?:\^(\d+))?|(\S)")
@@ -194,19 +252,76 @@ def build_path(
     return AllowedPath(start, execution)
 
 
-def _dot_label(p: LabeledPermutation) -> str:
-    return " ".join(p.top_letters()) + "\\n" + " ".join(p.bottom_letters())
+class _Fragments(dict):
+    """Rendered rows, each rendered once, on its first lookup."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, row):
+        text = self[row] = self.render(row)
+        return text
 
 
 def to_dot(d: RauzyDiagram) -> str:
     """Deterministic DOT rendering: vertices by BFS index, edges labeled t/b/f."""
-    lines = ["digraph rauzy {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
-    for i, v in enumerate(d.vertices):
-        lines.append('  v%d [label="%s"];' % (i, _dot_label(v)))
-    for i, out in enumerate(d.edges):
-        for edge in out:
-            lines.append(
-                '  v%d -> v%d [label="%s"];' % (i, d.vertex_index(edge.target), edge.kind.value)
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    spaced = _Fragments(lambda row: " ".join([d.alphabet[i] for i in row]))
+    parts = ['digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
+    for v, (top, bottom) in enumerate(d.rows):
+        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced[top], spaced[bottom]))
+    lines = ['  v%%d -> v%%d [label="%s"];\n' % move.value for move in MOVES]
+    for v in range(len(d.rows)):
+        for move, table in enumerate(d.succ):
+            parts.append(lines[move] % (v, table[v]))
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def _json_list(body: str, indent: str) -> list[str]:
+    """The pieces of a list whose items, joined by ",\\n", make ``body``,
+    laid out as ``json.dumps(..., indent=2)`` lays it out."""
+    return ["[\n", body, "\n" + indent + "]"] if body else ["[]"]
+
+
+def to_json(d: RauzyDiagram) -> str:
+    """The ``diagram`` command's document: ``to_json_dict()`` plus the seed
+    (vertex 0), the size and the injectivity verdict.  It is written from
+    the tables and reads exactly as ``json.dumps(document, indent=2)``."""
+    n = len(d.alphabet)
+    letters = [json.dumps(name) for name in d.alphabet]
+    listed = _Fragments(
+        lambda row: "".join(_json_list(",\n".join(["        " + letters[i] for i in row]), "      "))
+    )
+    alphabet = listed[tuple(range(n))]
+    vertex = '    {\n      "alphabet": %s,\n      "top": %s,\n      "bottom": %s\n    }'
+    vertices = ",\n".join(
+        [vertex % (alphabet, listed[top], listed[bottom]) for top, bottom in d.rows]
+    )
+    # The kind, winner and loser lines of an edge, by move, winner and loser.
+    tail = '"kind": "%s",\n      "winner": %s,\n      "loser": %s\n    }'
+    tails = [
+        [[tail % (kind, letters[w], letters[l]) for l in range(n)] for w in range(n)]
+        for kind in "tb"
+    ]
+    flip = tail % ("f", "null", "null")
+    edge = '    {\n      "src": %d,\n      "dst": %d,\n      %s'
+    winner, loser = d.winner, d.loser
+    edges = ",\n".join(
+        [
+            edge % (v, table[v], flip if move == 2 else tails[move][winner[move][v]][loser[move][v]])
+            for v in range(len(d))
+            for move, table in enumerate(d.succ)
+        ]
+    )
+    seed = " / ".join(" ".join([d.alphabet[i] for i in row]) for row in d.rows[0])
+    return "".join(
+        ['{\n  "augmented": %s,\n  "vertices": ' % json.dumps(d.augmented)]
+        + _json_list(vertices, "  ")
+        + [',\n  "edges": ']
+        + _json_list(edges, "  ")
+        + [
+            ',\n  "seed": %s,\n  "size": %d,\n  "injective": %s\n}'
+            % (json.dumps(seed), len(d), json.dumps(injectivity_check(d)))
+        ]
+    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import AllowedPath, RauzyDiagram, explore
+from .diagram import AllowedPath, explore, injectivity_check, unlabeled_classes
 from .induction import Move, apply_flip, apply_top
 from .linalg import IntMatrix, _column_product, _relabeling, min_positive_power
 from .pa import PACertificate, certify, diagonal_extension_steps
@@ -29,7 +29,6 @@ from .perm import (
     LabeledPermutation,
     central,
     default_alphabet,
-    equal_unlabeled,
     fg_start,
     unlabeled,
 )
@@ -228,20 +227,6 @@ class CentralComponentReport:
         return all(self.checks.values())
 
 
-def _move_tables(diagram: RauzyDiagram):
-    """Integer tables of the t and b moves, each indexed [move][vertex]: the
-    successor vertex, and the winner and loser letter indices.  Move index 0
-    is t and 1 is b, so t < b in every enumeration order below."""
-    step = tuple(
-        [diagram.successor(i, move) for i in range(len(diagram))]
-        for move in (Move.TOP, Move.BOTTOM)
-    )
-    top_last = [v.top[-1] for v in diagram.vertices]
-    bottom_last = [v.bottom[-1] for v in diagram.vertices]
-    # t: the top-last letter beats the bottom-last one; b: the reverse.
-    return step, (top_last, bottom_last), (bottom_last, top_last)
-
-
 def _closed_words(step, start: int, end: int, max_len: int):
     """Words over {t, b}, as tuples of move indices, of length 1..max_len
     leading from vertex ``start`` to vertex ``end``, in order of length then
@@ -377,7 +362,7 @@ def central_component_checks(
     bound = Fraction(1, diagonal_extension_steps(g) + power)
 
     checks: dict[str, bool] = {}
-    checks["injective"] = len({unlabeled(v).images for v in diagram.vertices}) == len(diagram)
+    checks["injective"] = injectivity_check(diagram)
 
     # Closed forms of the loop of top moves, walked move by move.
     loop_ok = True
@@ -391,15 +376,16 @@ def central_component_checks(
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
     # the two path endpoints fixes the last letter.  The endpoint and the
     # relabeling of a shape-2 path depend on m only, not on its word.
+    classes = unlabeled_classes(diagram)
     partner_ok = True
     corner_ok = True
     flip_paths = []
     for m in range(1, n):
         vertex = central_after_t(n, m)
         flipped = apply_flip(vertex).target
-        matches = [v for v in diagram.vertices if equal_unlabeled(v, flipped)]
+        matches = classes.get(unlabeled(flipped).images, [])
         partner = central_after_t(n, n - m - 1)
-        partner_ok = partner_ok and matches == [partner]
+        partner_ok = partner_ok and matches == [diagram.vertex_index(partner)]
         relabel = _relabeling(vertex, apply_flip(partner).target)
         corner_ok = corner_ok and relabel[n - 1] == n - 1
         flip_paths.append((vertex, partner, relabel))
@@ -407,7 +393,7 @@ def central_component_checks(
     checks["relabel_corner_entry"] = corner_ok
 
     sampled: list[SampledPath] = []
-    step, winner, loser = _move_tables(diagram)
+    step, winner, loser = diagram.succ, diagram.winner, diagram.loser
 
     def matrix_of(start: int, word, relabel) -> IntMatrix:
         updates = []

@@ -153,10 +153,15 @@ def parse(text: str) -> LabeledPermutation:
     return from_rows(top_row, top_row, bottom_row)
 
 
+def _images(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of the unlabeled permutation of a pair of index rows."""
+    bottom_pos = _invert(bottom)
+    return tuple([bottom_pos[letter] + 1 for letter in top])
+
+
 def unlabeled(p: LabeledPermutation) -> UnlabeledPermutation:
     """The underlying permutation of {1..n}: bottom order after inverse top order."""
-    bottom_pos = p.bottom_positions()
-    return UnlabeledPermutation(tuple(bottom_pos[letter] + 1 for letter in p.top))
+    return UnlabeledPermutation(_images(p.top, p.bottom))
 
 
 def equal_unlabeled(p: LabeledPermutation, q: LabeledPermutation) -> bool:
@@ -175,11 +180,17 @@ def is_irreducible(p: LabeledPermutation) -> bool:
     >>> is_irreducible(parse("A B / A B"))
     False
     """
-    images = unlabeled(p).images
-    running_max = 0
-    for k, image in enumerate(images[:-1], start=1):
-        running_max = max(running_max, image)
-        if running_max == k:
+    return _irreducible(p.top, p.bottom)
+
+
+def _irreducible(top: tuple[int, ...], bottom: tuple[int, ...]) -> bool:
+    """``is_irreducible`` on index rows, in O(n): {1..k} is invariant exactly
+    when the first k letters of the top and bottom rows are the same set."""
+    seen_top = seen_bottom = 0
+    for a, b in zip(top[:-1], bottom):
+        seen_top |= 1 << a
+        seen_bottom |= 1 << b
+        if seen_top == seen_bottom:
             return False
     return True
 

@@ -9,9 +9,16 @@ from fractions import Fraction
 from hypothesis import assume, strategies as st
 
 from rauzycert.diagram import AllowedPath
-from rauzycert.induction import Move, apply_move, edge_matrix
+from rauzycert.errors import EnumerationCapError, ReducibleError
+from rauzycert.induction import EdgeRecord, Move, apply_move, edge_matrix
 from rauzycert.linalg import IntMatrix, relabel_matrix, wielandt_bound
-from rauzycert.perm import LabeledPermutation, default_alphabet, equal_unlabeled, is_irreducible
+from rauzycert.perm import (
+    LabeledPermutation,
+    default_alphabet,
+    equal_unlabeled,
+    is_irreducible,
+    unlabeled,
+)
 
 
 def bisect_largest_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
@@ -46,6 +53,74 @@ def dense_path_matrix(path: AllowedPath) -> IntMatrix:
     for edge in path.edges:
         result = result * edge_matrix(edge)
     return result * relabel_matrix(path.start, path.end)
+
+
+def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int = 10**6):
+    """Breadth-first closure of ``seed`` with one permutation object and one
+    edge record per vertex and edge, keyed by display strings: the vertices
+    in BFS order and the out-edges of each vertex in t, b(, f) order."""
+    if not is_irreducible(seed):
+        raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
+    moves = (Move.TOP, Move.BOTTOM, Move.FLIP) if augmented else (Move.TOP, Move.BOTTOM)
+    vertices: list[LabeledPermutation] = [seed]
+    index: dict[str, int] = {seed.display(): 0}
+    out_edges: list[tuple[EdgeRecord, ...]] = []
+    frontier = 0
+    while frontier < len(vertices):
+        edges = tuple(apply_move(vertices[frontier], move) for move in moves)
+        out_edges.append(edges)
+        for edge in edges:
+            key = edge.target.display()
+            if key not in index:
+                if len(vertices) >= cap:
+                    raise EnumerationCapError(
+                        "component exceeds the %d-vertex cap from %s" % (cap, seed.display())
+                    )
+                index[key] = len(vertices)
+                vertices.append(edge.target)
+        frontier += 1
+    return vertices, out_edges
+
+
+def oracle_diagram_doc(seed: LabeledPermutation, augmented: bool = False) -> dict:
+    """The ``diagram`` command's JSON document, built as nested dicts."""
+    vertices, out_edges = oracle_explore(seed, augmented)
+    index = {v.display(): i for i, v in enumerate(vertices)}
+    return {
+        "augmented": augmented,
+        "vertices": [v.to_json_dict() for v in vertices],
+        "edges": [
+            {
+                "src": i,
+                "dst": index[edge.target.display()],
+                "kind": edge.kind.value,
+                "winner": edge.winner,
+                "loser": edge.loser,
+            }
+            for i, out in enumerate(out_edges)
+            for edge in out
+        ],
+        "seed": seed.display(),
+        "size": len(vertices),
+        "injective": len({unlabeled(v).images for v in vertices}) == len(vertices),
+    }
+
+
+def oracle_dot(seed: LabeledPermutation, augmented: bool = False) -> str:
+    """The DOT rendering, one formatted line per vertex and per edge."""
+    vertices, out_edges = oracle_explore(seed, augmented)
+    index = {v.display(): i for i, v in enumerate(vertices)}
+    lines = ["digraph rauzy {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
+    for i, v in enumerate(vertices):
+        label = " ".join(v.top_letters()) + "\\n" + " ".join(v.bottom_letters())
+        lines.append('  v%d [label="%s"];' % (i, label))
+    for i, out in enumerate(out_edges):
+        for edge in out:
+            lines.append(
+                '  v%d -> v%d [label="%s"];' % (i, index[edge.target.display()], edge.kind.value)
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_closed_words(step, start: int, max_len: int) -> dict[int, list[tuple]]:

@@ -66,6 +66,12 @@ class TestDiagram:
         assert code == 1
         assert err.startswith("cap error:")
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_cap_rejected(self, capsys, cap):
+        # checked before the start permutation is parsed
+        code, out, err = run(capsys, "diagram", "--start", "A B / A B", "--cap", cap)
+        assert (code, out, err) == (1, "", "error: enumeration cap must be positive\n")
+
     def test_arbitrary_start(self, capsys):
         code, out, _ = run(capsys, "diagram", "--start", "A B C D / D A C B")
         data = json.loads(out)
@@ -125,6 +131,13 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--start", "A B C / C B A", "--moves", "b")
         assert code == 1
         assert err.startswith("path error:")
+
+    @pytest.mark.parametrize("tol", ["0", "-1/2"])
+    def test_nonpositive_tol_rejected(self, capsys, tol):
+        # checked before the start permutation is parsed
+        code, out, err = run(capsys, "certify", "--start", "A B / A B", "--moves", "t",
+                             "--tol=" + tol)
+        assert (code, out, err) == (1, "", "error: tolerance must be positive\n")
 
     def test_exact_lower_mode(self, capsys):
         code, out, _ = run(

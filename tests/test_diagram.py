@@ -1,5 +1,9 @@
+import json
+import random
+
 import pytest
 
+from helpers import oracle_diagram_doc, oracle_dot, oracle_explore, random_irreducible
 from rauzycert.diagram import (
     AllowedPath,
     RauzyDiagram,
@@ -8,10 +12,12 @@ from rauzycert.diagram import (
     injectivity_check,
     parse_move_word,
     to_dot,
+    to_json,
+    unlabeled_classes,
 )
 from rauzycert.errors import EnumerationCapError, PermutationParseError, ReducibleError
 from rauzycert.induction import Move
-from rauzycert.perm import central, fg_start, parse
+from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, parse, unlabeled
 
 
 class TestExplore:
@@ -91,8 +97,8 @@ class TestInjectivity:
     def test_fake_diagram_with_duplicate_unlabeled(self):
         # both vertices define the unlabeled permutation (3, 2, 1)
         p = parse("A B C / C B A")
-        q = parse("B C A / A C B")
-        fake = RauzyDiagram(vertices=(p, q), edges=((), ()), augmented=False)
+        q = from_rows(p.alphabet, "B C A".split(), "A C B".split())
+        fake = RauzyDiagram(p.alphabet, [(p.top, p.bottom), (q.top, q.bottom)], (), False)
         assert not injectivity_check(fake)
 
     def test_unlabeled_equality_forces_vertex_equality(self):
@@ -186,3 +192,87 @@ class TestDot:
         first = to_dot(explore(central(4)))
         second = to_dot(explore(central(4)))
         assert first == second
+
+
+def _oracle_cases():
+    rng = random.Random(20261018)
+    cases = [(central(n), False) for n in range(3, 10)]
+    cases += [(central(n), True) for n in range(3, 6)]
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        cases.append((random_irreducible(rng, n), n <= 4 and rng.random() < 0.5))
+    for n, augmented in ((6, False), (8, False), (4, True)):
+        cases.append((rng.choice(oracle_explore(central(n))[0]), augmented))
+    # letter names that JSON has to escape
+    p = random_irreducible(rng, 4)
+    cases.append((LabeledPermutation(('x"', "é", "b\\", "%s"), p.top, p.bottom), True))
+    return cases
+
+
+def _case_id(value) -> str:
+    if isinstance(value, LabeledPermutation):
+        return value.display(sep="/").replace(" ", "")
+    return "augmented" if value else "plain"
+
+
+@pytest.mark.parametrize("seed,augmented", _oracle_cases(), ids=_case_id)
+class TestAgainstObjectOracle:
+    """The table diagram against the one-object-per-vertex exploration."""
+
+    def test_vertex_order_and_edges(self, seed, augmented):
+        component = explore(seed, augmented=augmented)
+        vertices, out_edges = oracle_explore(seed, augmented)
+        assert list(component.vertices) == vertices
+        assert list(component.edges) == out_edges
+        for v, out in enumerate(out_edges):
+            for edge in out:
+                assert component.successor(v, edge.kind) == vertices.index(edge.target)
+
+    def test_dot_bytes(self, seed, augmented):
+        assert to_dot(explore(seed, augmented=augmented)) == oracle_dot(seed, augmented)
+
+    def test_json_text(self, seed, augmented):
+        expected = json.dumps(oracle_diagram_doc(seed, augmented), indent=2)
+        assert to_json(explore(seed, augmented=augmented)) == expected
+
+    def test_json_dict_view(self, seed, augmented):
+        expected = oracle_diagram_doc(seed, augmented)
+        for key in ("seed", "size", "injective"):
+            del expected[key]
+        assert explore(seed, augmented=augmented).to_json_dict() == expected
+
+
+class TestTables:
+    def test_lookup_by_letter_names(self):
+        component = explore(central(4, ("A", "B", "C", "D")))
+        # the same rows of letters over another alphabet order
+        other = from_rows(("D", "C", "B", "A"), "A B C D".split(), "D A C B".split())
+        assert other in component
+        assert component.vertices[component.vertex_index(other)].display() == other.display()
+        assert parse("A B C E / E C B A") not in component
+        with pytest.raises(KeyError):
+            component.vertex_index(parse("A B C E / E C B A"))
+
+    def test_successor_reads_the_tables(self):
+        component = explore(central(5), augmented=True)
+        for v in range(len(component)):
+            for index, move in enumerate((Move.TOP, Move.BOTTOM, Move.FLIP)):
+                assert component.successor(v, move) == component.succ[index][v]
+
+    def test_no_flip_edge_unaugmented(self):
+        with pytest.raises(KeyError):
+            explore(central(4)).successor(0, Move.FLIP)
+
+    def test_cap_counts_vertices(self):
+        assert len(explore(central(6), cap=31)) == 31
+        with pytest.raises(EnumerationCapError):
+            explore(central(6), cap=30)
+
+    def test_unlabeled_classes(self):
+        component = explore(central(4), augmented=True)
+        classes = unlabeled_classes(component)
+        assert sorted(v for members in classes.values() for v in members) == list(
+            range(len(component))
+        )
+        for images, members in classes.items():
+            assert all(unlabeled(component.vertices[v]).images == images for v in members)

@@ -5,7 +5,6 @@ import pytest
 from rauzycert.diagram import explore
 from rauzycert.fg import (
     _closed_words,
-    _move_tables,
     FamilyReport,
     block_matrix,
     family_loop,
@@ -88,7 +87,7 @@ class TestBlockMatrix:
 class TestClosedWords:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_pruned_search_matches_brute_force(self, n):
-        step = _move_tables(explore(central(n)))[0]
+        step = explore(central(n)).succ
         for start in range(len(step[0])):
             expected = brute_force_closed_words(step, start, 2 * n)
             for end in range(len(step[0])):

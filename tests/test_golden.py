@@ -34,6 +34,28 @@ CASES: dict[str, tuple[str, ...]] = {
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
     "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
     "penner_g3_n5": ("penner", "--genus", "3", "--n", "5"),
+    **{
+        "diagram_central_n%d_%s" % (n, fmt): ("diagram", "--central", str(n), "--format", fmt)
+        for n in (3, 5, 9)
+        for fmt in ("json", "dot")
+    },
+    **{
+        "diagram_central_n4_augmented_%s" % fmt: (
+            "diagram", "--central", "4", "--augmented", "--format", fmt
+        )
+        for fmt in ("json", "dot")
+    },
+    **{
+        "diagram_start_abcd_%s" % fmt: ("diagram", "--start", "A B C D / D A C B", "--format", fmt)
+        for fmt in ("json", "dot")
+    },
+    "diagram_start_augmented_json": (
+        "diagram", "--start", "W X Y Z / Z X W Y", "--augmented"
+    ),
+    "diagram_reducible": ("diagram", "--start", "A B / A B"),
+    "diagram_cap_exceeded": ("diagram", "--central", "6", "--cap", "10"),
+    "diagram_cap_zero": ("diagram", "--central", "3", "--cap", "0"),
+    "certify_tol_zero": ("certify", "--start", FG_START_2, "--moves", "ftbb", "--tol", "0"),
 }
 
 
