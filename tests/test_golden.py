@@ -56,13 +56,37 @@ CASES: dict[str, tuple[str, ...]] = {
     "diagram_cap_exceeded": ("diagram", "--central", "6", "--cap", "10"),
     "diagram_cap_zero": ("diagram", "--central", "3", "--cap", "0"),
     "certify_tol_zero": ("certify", "--start", FG_START_2, "--moves", "ftbb", "--tol", "0"),
+    "penner_sweep_default": ("penner", "sweep"),
+    "penner_diverge_g3": ("penner", "diverge", "--genus", "3"),
+    "homology_check_single": (
+        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "5"
+    ),
+    "homology_check_random50": ("homology-check", "--random", "50", "--seed", "1"),
+    # exit 1: errors raised by the program
+    "perm_parse_error": ("perm", "--perm", "A B / A C"),
+    "move_reducible": ("move", "--start", "A B / A B", "--kind", "t"),
+    "path_bad_move_letter": ("path", "--start", "A B C / C B A", "--moves", "x"),
+    "fg_bare": ("fg",),
+    "penner_genus_without_n": ("penner", "--genus", "3"),
+    "homology_check_n_only": ("homology-check", "--n", "3"),
 }
+
+# exit 2: argparse rejects the command line by raising SystemExit
+ARGPARSE_ERROR_CASES: dict[str, tuple[str, ...]] = {
+    "certify_missing_moves": ("certify", "--start", "A B C / C B A"),
+    "certify_bad_tol": ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),
+    "fg_central_missing_n": ("fg", "central"),
+}
+CASES.update(ARGPARSE_ERROR_CASES)
 
 
 def run_case(argv) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue().encode("utf-8")
 
 
