@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -148,8 +149,8 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
         "start": report.path.start.to_json_dict(),
         "execution_word": report.path.word,
         "matrix": report.matrix.to_json(),
-        "block_form_matches": report.block_form_matches,
-        "intermediate_forms_match": report.intermediate_forms_match,
+        "block_form_matches": report.checks["block_form"],
+        "intermediate_forms_match": report.checks["intermediate_closed_forms"],
         "upper_bound": rational_json(report.upper_bound),
         "lower_bound": rational_json(report.lower_bound),
         "certificate": certificate_to_json(report.certificate),
@@ -298,7 +299,16 @@ def _cmd_homology_check(args) -> int:
     return 0 if equal else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not mutate it.
+
+    Reuse is safe: ``parse_args`` returns a fresh ``Namespace`` on every
+    call, every default is immutable (``Fraction``, ``None``,
+    ``argparse.SUPPRESS``), ``prog`` is fixed, and the help width is read
+    when help is formatted, not when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="rauzycert",
         description="Rauzy-Veech induction, pseudo-Anosov certification and "
@@ -389,30 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_PREFIXES = (
-    ("PermutationParseError", "parse error"),
-    ("ReducibleError", "reducible error"),
-    ("NotAllowedError", "path error"),
-    ("NotPrimitiveError", "matrix error"),
-    ("EnumerationCapError", "cap error"),
-    ("ConvergenceError", "convergence error"),
-)
-
-
-def _error_prefix(exc: Exception) -> str:
-    for name, prefix in _ERROR_PREFIXES:
-        if type(exc).__name__ == name:
-            return prefix
-    return "error"
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (RauzyError, ValueError, json.JSONDecodeError) as exc:
-        print("%s: %s" % (_error_prefix(exc), exc), file=sys.stderr)
+        print("%s: %s" % (getattr(exc, "prefix", "error"), exc), file=sys.stderr)
         return 1
 
 

@@ -122,8 +122,6 @@ class FamilyReport:
     g: int
     path: AllowedPath
     matrix: IntMatrix
-    block_form_matches: bool
-    intermediate_forms_match: bool
     certificate: PACertificate
     upper_bound: Fraction
     lower_bound: Fraction
@@ -175,8 +173,6 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
         g=g,
         path=path,
         matrix=matrix,
-        block_form_matches=checks["block_form"],
-        intermediate_forms_match=checks["intermediate_closed_forms"],
         certificate=cert,
         upper_bound=upper,
         lower_bound=lower,

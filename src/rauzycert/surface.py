@@ -10,9 +10,8 @@ union-find.  With E = n sides and one face,
     euler_char = vertex_count - n + 1,    genus = (2 - euler_char) / 2.
 
 A side is closed when its two endpoints land in the same corner class.
-Homological nontriviality of a closed side is decided in the CW chain
-complex (vertex classes, n side edges, one face whose abelianized boundary
-word counts each top traversal +1 and each bottom traversal -1).
+In the CW chain complex (vertex classes, n side edges, one face) every
+closed side is nontrivial in homology, because the face's boundary is zero.
 """
 
 from __future__ import annotations
@@ -114,18 +113,13 @@ def glue(p: LabeledPermutation) -> GluedSurface:
         i = top_pos[letter]
         side_closed[p.alphabet[letter]] = uf.find(i) == uf.find(i + 1)
 
-    relation = _boundary_relation(p)
-    side_homology_nonzero: dict[str, bool | None] = {}
-    for letter in range(n):
-        name = p.alphabet[letter]
-        if not side_closed[name]:
-            side_homology_nonzero[name] = None
-            continue
-        # The side's cycle class vanishes only if the basis vector e_letter
-        # lies in the rank-<=1 lattice spanned by the boundary relation.
-        unit = [1 if k == letter else 0 for k in range(n)]
-        neg_unit = [-x for x in unit]
-        side_homology_nonzero[name] = relation != unit and relation != neg_unit
+    # A closed side's class vanishes only if its basis vector lies in the
+    # lattice spanned by the face's abelianized boundary word.  That word
+    # counts each top traversal +1 and each bottom traversal -1, and each
+    # letter occurs once in each row, so it is zero.
+    side_homology_nonzero: dict[str, bool | None] = {
+        name: True if closed else None for name, closed in side_closed.items()
+    }
 
     return GluedSurface(
         corner_classes=corner_classes,
@@ -135,17 +129,6 @@ def glue(p: LabeledPermutation) -> GluedSurface:
         side_closed=side_closed,
         side_homology_nonzero=side_homology_nonzero,
     )
-
-
-def _boundary_relation(p: LabeledPermutation) -> list[int]:
-    """Abelianized boundary word of the single face: +1 per top traversal,
-    -1 per bottom traversal of each side."""
-    relation = [0] * p.n
-    for letter in p.top:
-        relation[letter] += 1
-    for letter in p.bottom:
-        relation[letter] -= 1
-    return relation
 
 
 def side_homology_nonzero(s: GluedSurface, letter: str) -> bool:

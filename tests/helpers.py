@@ -229,3 +229,16 @@ def all_standard_permutations(n: int):
     alphabet = default_alphabet(n)
     for images in itertools.permutations(range(n)):
         yield LabeledPermutation(alphabet, tuple(range(n)), tuple(images))
+
+
+def face_boundary_relation(p: LabeledPermutation) -> list[int]:
+    """Abelianized boundary word of the single face of the glued 2n-gon:
+    +1 per top traversal, -1 per bottom traversal of each side.  A closed
+    side's cycle bounds only if its basis vector lies in the lattice this
+    relation spans."""
+    relation = [0] * p.n
+    for letter in p.top:
+        relation[letter] += 1
+    for letter in p.bottom:
+        relation[letter] -= 1
+    return relation

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from rauzycert import cli
 from rauzycert.cli import main
+from rauzycert.errors import ConvergenceError, NotPrimitiveError
 
 
 def run(capsys, *argv):
@@ -270,3 +272,53 @@ class TestDeterminism:
     def test_no_ansi_escapes(self, capsys):
         _, out, err = run(capsys, "fg", "--genus", "2")
         assert "\x1b" not in out and "\x1b" not in err
+
+
+class TestErrorPrefixes:
+    """One input per error class, with the exact stderr line it prints."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("perm", "--perm", "A B / A C"), "parse error: rows use different letter sets"),
+            (
+                ("move", "--start", "A B / A B", "--kind", "t"),
+                "reducible error: top move undefined on reducible permutation A B / A B",
+            ),
+            (
+                ("certify", "--start", "A B C / C B A", "--moves", "b"),
+                "path error: cannot certify: endpoints differ as unlabeled permutations"
+                " (A B C / C B A vs A C B / C B A)",
+            ),
+            (
+                ("diagram", "--central", "6", "--cap", "3"),
+                "cap error: component exceeds the 3-vertex cap from"
+                " a1 a2 a3 a4 a5 a6 / a6 a5 a4 a3 a2 a1",
+            ),
+            (("fg",), "error: fg needs --genus (or the table / central subcommand)"),
+            (
+                ("homology-check", "--a", "[[1", "--b", "[1]", "--n", "2"),
+                "error: Expecting ',' delimiter: line 1 column 4 (char 3)",
+            ),
+        ],
+    )
+    def test_cli_input(self, capsys, argv, line):
+        assert run(capsys, *argv) == (1, "", line + "\n")
+
+    # No known command line raises these two: certify brackets only primitive
+    # matrices, and no known path matrix exhausts the bracket loop's
+    # iteration cap.  They are raised from inside the command instead.
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (NotPrimitiveError("not primitive"), "matrix error: not primitive"),
+            (ConvergenceError("no bracket"), "convergence error: no bracket"),
+        ],
+    )
+    def test_raised_in_command(self, capsys, monkeypatch, exc, line):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "certify", fail)
+        argv = ("certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb")
+        assert run(capsys, *argv) == (1, "", line + "\n")

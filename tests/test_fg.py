@@ -131,7 +131,7 @@ class TestTheorem11:
     def test_report_shape(self):
         report = family_report(3)
         assert isinstance(report, FamilyReport)
-        assert report.block_form_matches and report.intermediate_forms_match
+        assert report.checks["block_form"] and report.checks["intermediate_closed_forms"]
 
 
 class TestCentralLoop:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from rauzycert.cli import main
+from rauzycert.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +105,23 @@ def test_stdout_and_exit_match_golden(name):
     code, stdout = run_case(CASES[name])
     assert code == json.loads((GOLDEN / "exits.json").read_text())[name]
     assert stdout == (GOLDEN / (name + ".out")).read_bytes()
+
+
+def test_shared_parser_leaks_no_state():
+    """Every case in one process, forwards then backwards, with argparse
+    rejections and a non-default --tol in between, matches the corpus."""
+    assert build_parser() is build_parser()
+    exits = json.loads((GOLDEN / "exits.json").read_text())
+
+    def check(names):
+        for name in names:
+            code, stdout = run_case(CASES[name])
+            assert (code, stdout) == (exits[name], (GOLDEN / (name + ".out")).read_bytes()), name
+
+    check(sorted(CASES))
+    check(sorted(ARGPARSE_ERROR_CASES))
+    assert run_case(("fg", "--tol", "1/1000", "table", "--gmax", "3"))[0] == 0
+    check(sorted(CASES, reverse=True))
 
 
 if __name__ == "__main__":

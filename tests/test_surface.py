@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import networkx
@@ -7,7 +8,11 @@ from rauzycert.diagram import explore
 from rauzycert.perm import central, fg_start, parse
 from rauzycert.surface import glue, side_homology_nonzero, stratum_of_central
 
-from helpers import all_standard_permutations
+from helpers import (
+    all_standard_permutations,
+    face_boundary_relation,
+    random_labeled_permutation,
+)
 
 
 def reference_vertex_count(p):
@@ -117,6 +122,15 @@ class TestSideHomology:
                     for letter, closed in s.side_closed.items():
                         if closed:
                             assert s.side_homology_nonzero[letter] is True
+
+    def test_face_relation_is_zero(self):
+        # Each letter occurs once in each row, so the relation cancels and
+        # every closed side is nonzero in homology; glue() relies on this.
+        rng = random.Random(20251018)
+        perms = [central(n) for n in range(2, 13)]
+        perms += [random_labeled_permutation(rng, rng.randint(2, 12)) for _ in range(200)]
+        for p in perms:
+            assert face_boundary_relation(p) == [0] * p.n
 
 
 class TestStratum:
