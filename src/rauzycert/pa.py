@@ -213,13 +213,12 @@ def lc_upper_bound(
 ) -> tuple[Fraction, OrbitReport] | None:
     """Best orbit bound 2/k over admissible starting sides, or None.
 
-    Admissible starts are closed sides (each is homologically nontrivial,
-    see ``surface``) that are never winners along the path.  From each,
-    sigma is applied while the current letter stays outside the winner set
-    and unvisited; the longest such run of k applications yields the bound
-    2/k.  Needs genus >= 2 for the distance-two step (the regular
-    neighbourhood of two once-meeting curves has essential boundary only
-    then).
+    Admissible starts are closed, homologically nontrivial sides that are
+    never winners along the path.  From each, sigma is applied while the
+    current letter stays outside the winner set and unvisited; the longest
+    such run of k applications yields the bound 2/k.  Needs genus >= 2 for
+    the distance-two step (the regular neighbourhood of two once-meeting
+    curves has essential boundary only then).
     """
     if not path.allowed:
         raise NotAllowedError("upper bound needs an allowed path")
@@ -241,7 +240,7 @@ def lc_upper_bound(
     for letter in path.start.alphabet:
         if letter in winners:
             continue
-        if not surface.side_closed[letter]:
+        if not surface.side_closed[letter]:  # closed sides are nonzero in homology
             skipped.append(letter)
             continue
         trajectory = [letter]
