@@ -144,16 +144,17 @@ def _cmd_certify(args) -> int:
 
 
 def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
+    cert = report.certificate
     return {
         "g": report.g,
-        "start": report.path.start.to_json_dict(),
-        "execution_word": report.path.word,
-        "matrix": report.matrix.to_json(),
+        "start": cert.path.start.to_json_dict(),
+        "execution_word": cert.path.word,
+        "matrix": cert.matrix.to_json(),
         "block_form_matches": report.checks["block_form"],
         "intermediate_forms_match": report.checks["intermediate_closed_forms"],
         "upper_bound": rational_json(report.upper_bound),
         "lower_bound": rational_json(report.lower_bound),
-        "certificate": certificate_to_json(report.certificate),
+        "certificate": certificate_to_json(cert),
         "checks": {k: report.checks[k] for k in sorted(report.checks)},
         "passed": report.passed,
     }
@@ -166,7 +167,7 @@ def _cmd_fg(args) -> int:
             report = fg_mod.family_report(g, tol=args.tol)
             cert = report.certificate
             exact = lc_lower_bound(
-                report.path, mode="exact", matrix=report.matrix,
+                cert.path, mode="exact", matrix=cert.matrix,
                 positive_power=cert.positive_power,
             )
             rows.append(

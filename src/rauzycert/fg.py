@@ -18,10 +18,11 @@ factors through.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import AllowedPath, explore, injectivity_check, unlabeled_classes
+from .diagram import AllowedPath, explore, unlabeled_classes
 from .induction import Move, apply_flip, apply_top
 from .linalg import IntMatrix, _column_product, _relabeling, min_positive_power
 from .pa import PACertificate, certify, diagonal_extension_steps
@@ -32,7 +33,6 @@ from .perm import (
     fg_start,
     unlabeled,
 )
-from .surface import glue
 
 
 def family_loop(g: int) -> AllowedPath:
@@ -120,8 +120,6 @@ def expected_orbit_trajectory(g: int) -> tuple[str, ...]:
 @dataclass
 class FamilyReport:
     g: int
-    path: AllowedPath
-    matrix: IntMatrix
     certificate: PACertificate
     upper_bound: Fraction
     lower_bound: Fraction
@@ -140,8 +138,6 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
     path = family_loop(g)
     block = block_matrix(g)
     cert = certify(path, tol=tol, lower_mode="diagonal_cap")
-    matrix = cert.matrix
-    surface = glue(path.start)
     upper = Fraction(1, g - 1)
     lower = Fraction(1, 16 * g - 12)
 
@@ -152,9 +148,9 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
         (e.winner, e.loser) for e in path.edges if e.winner is not None
     ] == expected_winner_losers(g)
     checks["intermediate_closed_forms"] = intermediate_check(g)
-    checks["block_form"] = matrix == block
-    checks["single_vertex_class"] = surface.vertex_count == 1
-    checks["genus_is_g"] = surface.genus == g
+    checks["block_form"] = cert.matrix == block
+    checks["single_vertex_class"] = cert.vertex_count == 1
+    checks["genus_is_g"] = cert.genus == g
     checks["primitive"] = cert.primitive
     checks["exact_exponent_at_most_4g_minus_4"] = (
         cert.positive_power is not None and cert.positive_power <= 4 * g - 4
@@ -171,8 +167,6 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
 
     return FamilyReport(
         g=g,
-        path=path,
-        matrix=matrix,
         certificate=cert,
         upper_bound=upper,
         lower_bound=lower,
@@ -277,36 +271,39 @@ def _word_text(word) -> str:
     return "".join("tb"[move] for move in word)
 
 
-def _shortest_word(step, src: int, dst: int) -> list[int]:
-    if src == dst:
-        return []
+def _nearest(step, src: int, is_target) -> tuple[int, list[int]]:
+    """The lowest-index vertex satisfying ``is_target`` among those nearest
+    to ``src``, and the moves of its path in the breadth-first tree that
+    tries t before b from each vertex in turn."""
     prev: dict[int, tuple[int, int] | None] = {src: None}
-    frontier = [src]
-    while frontier:
+    layer = [src]
+    while layer:
+        hits = [v for v in layer if is_target(v)]
+        if hits:
+            v = target = min(hits)
+            word = []
+            while prev[v] is not None:
+                v, move = prev[v]
+                word.append(move)
+            return target, word[::-1]
         nxt = []
-        for u in frontier:
+        for u in layer:
             for move in (0, 1):
                 v = step[move][u]
-                if v in prev:
-                    continue
-                prev[v] = (u, move)
-                if v == dst:
-                    out = []
-                    while prev[v] is not None:
-                        v, move = prev[v]
-                        out.append(move)
-                    return list(reversed(out))
-                nxt.append(v)
-        frontier = nxt
-    raise RuntimeError("component is not strongly connected")
+                if v not in prev:
+                    prev[v] = (u, move)
+                    nxt.append(v)
+        layer = nxt
+    raise RuntimeError("no target reachable from vertex %d" % src)
 
 
 def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     """A closed loop at ``base`` on which every letter wins at least once.
 
     Greedily walks to the nearest edge winning each still-uncovered letter
-    (in the given order) and returns to base.  Short closed loops rarely
-    cover every letter, so this is the workhorse behind primitive samples.
+    (in the given order; ties go to the lowest vertex index, then t before
+    b) and returns to base.  Short closed loops rarely cover every letter,
+    so this is the workhorse behind primitive samples.
     """
     word: list[int] = []
     current = base
@@ -314,25 +311,18 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     for letter in letter_order:
         if letter in covered:
             continue
-        best: tuple[list[int], int, int] | None = None
-        for i in range(len(step[0])):
-            for move in (0, 1):
-                if winner[move][i] != letter:
-                    continue
-                approach = _shortest_word(step, current, i)
-                if best is None or len(approach) < len(best[0]):
-                    best = (approach, i, move)
-        assert best is not None, "every letter wins somewhere in the component"
-        approach, vertex, move = best
+        vertex, approach = _nearest(
+            step, current, lambda v, x=letter: x in (winner[0][v], winner[1][v])
+        )
+        move = 0 if winner[0][vertex] == letter else 1
         word.extend(approach)
         word.append(move)
-        state = current
         for mv in approach:
-            covered.add(winner[mv][state])
-            state = step[mv][state]
-        covered.add(winner[move][vertex])
+            covered.add(winner[mv][current])
+            current = step[mv][current]
+        covered.add(letter)
         current = step[move][vertex]
-    word.extend(_shortest_word(step, current, base))
+    word.extend(_nearest(step, current, base.__eq__)[1])
     return tuple(word)
 
 
@@ -349,6 +339,8 @@ def central_component_checks(
     """
     if n < 3:
         raise ValueError("need n >= 3, got %d" % n)
+    if samples < 0:
+        raise ValueError("need samples >= 0, got %d" % samples)
     if loop_len is None:
         loop_len = 2 * n
     g = n // 2
@@ -357,8 +349,9 @@ def central_component_checks(
     power = 4 * g + 2
     bound = Fraction(1, diagonal_extension_steps(g) + power)
 
-    checks: dict[str, bool] = {}
-    checks["injective"] = injectivity_check(diagram)
+    # Distinct vertices have distinct unlabeled permutations.
+    classes = unlabeled_classes(diagram)
+    checks: dict[str, bool] = {"injective": len(classes) == len(diagram)}
 
     # Closed forms of the loop of top moves, walked move by move.
     loop_ok = True
@@ -372,7 +365,6 @@ def central_component_checks(
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
     # the two path endpoints fixes the last letter.  The endpoint and the
     # relabeling of a shape-2 path depend on m only, not on its word.
-    classes = unlabeled_classes(diagram)
     partner_ok = True
     corner_ok = True
     flip_paths = []
@@ -381,89 +373,70 @@ def central_component_checks(
         flipped = apply_flip(vertex).target
         matches = classes.get(unlabeled(flipped).images, [])
         partner = central_after_t(n, n - m - 1)
-        partner_ok = partner_ok and matches == [diagram.vertex_index(partner)]
+        dst = diagram.vertex_index(partner)
+        partner_ok = partner_ok and matches == [dst]
         relabel = _relabeling(vertex, apply_flip(partner).target)
         corner_ok = corner_ok and relabel[n - 1] == n - 1
-        flip_paths.append((vertex, partner, relabel))
+        flip_paths.append((vertex, diagram.vertex_index(vertex), dst, relabel))
     checks["flip_partner_identity"] = partner_ok
     checks["relabel_corner_entry"] = corner_ok
 
     sampled: list[SampledPath] = []
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
 
-    def matrix_of(start: int, word, relabel) -> IntMatrix:
+    def sample(family: int, start: LabeledPermutation, src: int, word, relabel) -> bool:
+        """Record the path of ``word`` from vertex ``src`` when its matrix is
+        primitive.  A shape-2 path ends in a flip, whose diagonal entry of
+        interest is the (n, n) one."""
         updates = []
-        state = start
+        state = src
         for move in word:
             updates.append((winner[move][state], loser[move][state]))
             state = step[move][state]
-        return _column_product(n, updates, relabel)
-
-    start_index = diagram.vertex_index(seed)
-    identity = tuple(range(n))
-
-    def try_family1(word) -> bool:
-        matrix = matrix_of(start_index, word, identity)
+        matrix = _column_product(n, updates, relabel)
         exponent = min_positive_power(matrix)
         if exponent is None:
             return False
+        diagonal = matrix.diagonal()
         sampled.append(
             SampledPath(
-                family=1,
-                start_display=seed.display(),
-                word=_word_text(word),
+                family=family,
+                start_display=start.display(),
+                word=_word_text(word) + ("f" if family == 2 else ""),
                 primitive_exponent=exponent,
-                diagonal_positive=all(x >= 1 for x in matrix.diagonal()),
-                power_positive=(matrix**power).is_positive(),
+                diagonal_positive=min(diagonal if family == 1 else diagonal[-1:]) >= 1,
+                # a primitive matrix has no zero row, so every power past the
+                # first positive one is positive too
+                power_positive=exponent <= power,
                 bound=bound,
             )
         )
         return True
 
-    # Shape 1: closed loops at the central vertex.  Short closed loops are
-    # enumerated first; since a primitive loop needs every letter to win at
-    # least once, which rarely happens below length 2n, deterministic cover
-    # loops (one per rotation of the alphabet) fill the remaining quota.
-    quota1 = samples
-    for word in _closed_words(step, start_index, start_index, loop_len):
-        if quota1 == 0:
-            break
-        if try_family1(word):
-            quota1 -= 1
-    seen_words = {s.word for s in sampled}
-    rotation = 0
-    while quota1 > 0 and rotation < n:
-        order = list(range(rotation, n)) + list(range(rotation))
-        word = _cover_loop(step, winner, start_index, order)
-        rotation += 1
-        if _word_text(word) in seen_words:
-            continue
-        if try_family1(word):
-            seen_words.add(sampled[-1].word)
-            quota1 -= 1
+    # Shape 1: closed loops at the central vertex, which is vertex 0.  Short
+    # closed loops are enumerated first; since a primitive loop needs every
+    # letter to win at least once, which rarely happens below length 2n,
+    # deterministic cover loops (one per rotation of the alphabet) fill the
+    # remaining quota.
+    covers = (
+        _cover_loop(step, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
+    )
+    words = itertools.chain(_closed_words(step, 0, 0, loop_len), covers)
+    identity = tuple(range(n))
+    tried: set[tuple[int, ...]] = set()
+    found = 0
+    while found < samples and (word := next(words, None)) is not None:
+        if word not in tried:
+            tried.add(word)
+            found += sample(1, seed, 0, word, identity)
 
     # Shape 2: from a loop vertex to its unlabeled partner, then one flip.
-    for vertex, partner, relabel in flip_paths:
-        if len([s for s in sampled if s.family == 2]) >= samples:
+    found = 0
+    for vertex, src, dst, relabel in flip_paths:
+        if found == samples:
             break
-        src = diagram.vertex_index(vertex)
-        for word in _closed_words(step, src, diagram.vertex_index(partner), loop_len):
-            matrix = matrix_of(src, word, relabel)
-            exponent = min_positive_power(matrix)
-            if exponent is None:
-                continue
-            sampled.append(
-                SampledPath(
-                    family=2,
-                    start_display=vertex.display(),
-                    word=_word_text(word) + "f",
-                    primitive_exponent=exponent,
-                    diagonal_positive=matrix.rows[n - 1][n - 1] >= 1,
-                    power_positive=(matrix**power).is_positive(),
-                    bound=bound,
-                )
-            )
-            break
+        candidates = _closed_words(step, src, dst, loop_len)
+        found += any(sample(2, vertex, src, word, relabel) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)
     checks["family2_samples_found"] = any(s.family == 2 for s in sampled)

@@ -207,9 +207,7 @@ def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix | None = None) 
 
 
 def lc_upper_bound(
-    path: AllowedPath,
-    surface: GluedSurface | None = None,
-    matrix: IntMatrix | None = None,
+    path: AllowedPath, surface: GluedSurface | None = None
 ) -> tuple[Fraction, OrbitReport] | None:
     """Best orbit bound 2/k over admissible starting sides, or None.
 
@@ -226,9 +224,6 @@ def lc_upper_bound(
         surface = glue(path.start)
     if surface.genus < 2:
         raise ValueError("curve-graph upper bound needs genus >= 2, got %d" % surface.genus)
-    if matrix is None:
-        matrix = path_matrix(path)
-    check_never_winner_rows(path, matrix)
 
     winners = path.winners()
     sigma = orbit_map(path.start, path.end)
@@ -350,7 +345,8 @@ def certify(
     orbit = None
     lower = None
     if surface.genus >= 2:
-        upper = lc_upper_bound(path, surface=surface, matrix=matrix)
+        check_never_winner_rows(path, matrix)
+        upper = lc_upper_bound(path, surface=surface)
         if upper is not None:
             lc_upper, orbit = upper
             assumptions.append(ASSUMPTION_SIDE_ESSENTIALITY)

@@ -170,26 +170,11 @@ def stretch_bounds(
     )
 
 
-# Pairwise disjointness facts for the labeled curve system {a_i, b_i, c_i},
-# indices mod g: the twisted triple lives in rotor 0, every other rotor's
-# curves are disjoint from it, and the b curves are pairwise disjoint.
-# Asserted inputs transcribed from the rotor picture, not derived here.
-def _disjoint_from_twisted_triple(curve: tuple[str, int]) -> bool:
-    return curve[1] != 0
-
-
-def _b_curves_disjoint(i: int, j: int) -> bool:
-    return i != j
-
-
 @dataclass
 class RotationOrbitReport:
     g: int
     bound: Fraction
     orbit: tuple[str, ...]
-    endpoints_disjoint: bool
-    numerator: int
-    disjointness_source: str = "asserted curve table"
 
 
 def lc_upper_rotation(g: int) -> RotationOrbitReport:
@@ -197,27 +182,17 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
 
     The curve b_1 avoids the twisted triple, so the map just rotates it:
     b_1 -> b_2 -> ... -> b_0 in g-1 steps, and b_0 is disjoint from b_1,
-    giving distance 1 after g-1 iterates.
+    giving distance 1 after g-1 iterates.  Both disjointness facts (every
+    rotor other than rotor 0 avoids the twisted triple; distinct b curves
+    are disjoint) are asserted inputs read off the rotor picture, not
+    derived here.
     """
     if g < 3:
         raise ValueError("rotation orbit needs g >= 3, got %d" % g)
-    orbit = []
-    index = 1
-    for _ in range(g):
-        orbit.append(("b", index))
-        if index == 0:
-            break
-        assert _disjoint_from_twisted_triple(("b", index))
-        index = (index + 1) % g
-    assert orbit[-1] == ("b", 0) and len(orbit) == g
-    endpoints_disjoint = _b_curves_disjoint(1, 0)
-    numerator = 1 if endpoints_disjoint else 2
     return RotationOrbitReport(
         g=g,
-        bound=Fraction(numerator, g - 1),
-        orbit=tuple("b%d" % i for _, i in orbit),
-        endpoints_disjoint=endpoints_disjoint,
-        numerator=numerator,
+        bound=Fraction(1, g - 1),
+        orbit=tuple("b%d" % (i % g) for i in range(1, g + 1)),
     )
 
 

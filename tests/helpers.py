@@ -136,6 +136,62 @@ def brute_force_closed_words(step, start: int, max_len: int) -> dict[int, list[t
     return words
 
 
+def oracle_cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
+    """A closed loop at ``base`` on which every letter wins, found with one
+    breadth-first search per candidate vertex: for each uncovered letter,
+    the first vertex (by index, then t before b) whose edge wins it at a
+    strictly shorter distance than any earlier one."""
+
+    def shortest_word(src: int, dst: int) -> list[int]:
+        if src == dst:
+            return []
+        prev: dict[int, tuple[int, int] | None] = {src: None}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for move in (0, 1):
+                    v = step[move][u]
+                    if v in prev:
+                        continue
+                    prev[v] = (u, move)
+                    if v == dst:
+                        out = []
+                        while prev[v] is not None:
+                            v, move = prev[v]
+                            out.append(move)
+                        return list(reversed(out))
+                    nxt.append(v)
+            frontier = nxt
+        raise RuntimeError("component is not strongly connected")
+
+    word: list[int] = []
+    current = base
+    covered: set[int] = set()
+    for letter in letter_order:
+        if letter in covered:
+            continue
+        best = None
+        for i in range(len(step[0])):
+            for move in (0, 1):
+                if winner[move][i] != letter:
+                    continue
+                approach = shortest_word(current, i)
+                if best is None or len(approach) < len(best[0]):
+                    best = (approach, i, move)
+        approach, vertex, move = best
+        word.extend(approach)
+        word.append(move)
+        state = current
+        for mv in approach:
+            covered.add(winner[mv][state])
+            state = step[mv][state]
+        covered.add(winner[move][vertex])
+        current = step[move][vertex]
+    word.extend(shortest_word(current, base))
+    return tuple(word)
+
+
 def linear_min_positive_power(m: IntMatrix, cap: int | None = None) -> int | None:
     """Smallest p <= cap (default the Wielandt bound) with m**p positive,
     trying p = 1, 2, ... on the 0/1 pattern of the powers."""

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from rauzycert.diagram import explore
+from rauzycert.diagram import build_path, explore
 from rauzycert.fg import (
     _closed_words,
+    _cover_loop,
     FamilyReport,
     block_matrix,
     family_loop,
@@ -16,10 +17,10 @@ from rauzycert.fg import (
     central_component_checks,
 )
 from rauzycert.induction import apply_top
-from rauzycert.linalg import path_matrix
-from rauzycert.perm import central, fg_start
+from rauzycert.linalg import min_positive_power, path_matrix
+from rauzycert.perm import central, fg_start, parse
 
-from helpers import bisect_largest_root, brute_force_closed_words
+from helpers import bisect_largest_root, brute_force_closed_words, oracle_cover_loop
 
 
 class TestGamma:
@@ -179,6 +180,32 @@ class TestTheorem12:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             central_component_checks(2)
+
+    def test_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="samples >= 0"):
+            central_component_checks(4, loop_len=14, samples=-1)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_power_positive_is_exponent_at_most_4g_plus_2(self, n):
+        # rebuild each sampled matrix from its start and word and raise it
+        # to the power the bound uses
+        power = 4 * (n // 2) + 2
+        for s in central_component_checks(n).samples:
+            matrix = path_matrix(build_path(parse(s.start_display), s.word, reading="ltr"))
+            assert min_positive_power(matrix) == s.primitive_exponent
+            assert (matrix**power).is_positive() == (s.primitive_exponent <= power)
+            assert s.power_positive == (s.primitive_exponent <= power)
+
+
+class TestCoverLoop:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_per_target_search(self, n):
+        d = explore(central(n))
+        for base in range(len(d)):
+            for r in range(n):
+                order = list(range(r, n)) + list(range(r))
+                loop = _cover_loop(d.succ, d.winner, base, order)
+                assert loop == oracle_cover_loop(d.succ, d.winner, base, order)
 
 
 def test_family_start_is_a_distinct_vertex_of_the_central_component():

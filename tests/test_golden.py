@@ -6,7 +6,9 @@ to alter an output regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py --capture
 
-and the diff of ``tests/golden/`` then shows every altered byte.
+and the diff of ``tests/golden/`` then shows every altered byte.  Naming
+cases after ``--capture`` rewrites only those cases and their exit codes,
+so that a new case can be added without touching the captured ones.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ GOLDEN = Path(__file__).parent / "golden"
 FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
 
 CASES: dict[str, tuple[str, ...]] = {
-    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 9)},
+    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 11)},
+    "fg_central_n9_loop12_samples5": (
+        "fg", "central", "--n", "9", "--loop-len", "12", "--samples", "5"
+    ),
     **{"fg_genus_%d" % g: ("fg", "--genus", str(g)) for g in range(2, 13)},
     "fg_table_gmax12": ("fg", "table", "--gmax", "12"),
     "certify_readme": ("certify", "--start", FG_START_2, "--moves", "ftbb"),
@@ -67,6 +72,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "move_reducible": ("move", "--start", "A B / A B", "--kind", "t"),
     "path_bad_move_letter": ("path", "--start", "A B C / C B A", "--moves", "x"),
     "fg_bare": ("fg",),
+    "fg_central_negative_samples": (
+        "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"
+    ),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
 }
@@ -90,14 +98,19 @@ def run_case(argv) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
-def capture() -> None:
+def capture(names=()) -> None:
+    """Rewrite the named cases (all of them when none is named)."""
+    unknown = set(names) - set(CASES)
+    if unknown:
+        raise KeyError("unknown golden case(s): %s" % ", ".join(sorted(unknown)))
     GOLDEN.mkdir(exist_ok=True)
-    exits = {}
-    for name, argv in CASES.items():
-        code, stdout = run_case(argv)
+    exits_path = GOLDEN / "exits.json"
+    exits = json.loads(exits_path.read_text()) if names and exits_path.exists() else {}
+    for name in names or CASES:
+        code, stdout = run_case(CASES[name])
         (GOLDEN / (name + ".out")).write_bytes(stdout)
         exits[name] = code
-    (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
+    exits_path.write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -125,6 +138,6 @@ def test_shared_parser_leaks_no_state():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
-        sys.exit("usage: python tests/test_golden.py --capture")
-    capture()
+    if sys.argv[1:2] != ["--capture"]:
+        sys.exit("usage: python tests/test_golden.py --capture [NAME...]")
+    capture(sys.argv[2:])

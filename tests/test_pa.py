@@ -198,6 +198,16 @@ class TestNeverWinnerRows:
         with pytest.raises(RuntimeError):
             check_never_winner_rows(path, IntMatrix.from_rows(rows))
 
+    def test_certify_checks_its_matrix(self, monkeypatch):
+        import rauzycert.pa as pa
+
+        path = gamma(2)
+        rows = [list(r) for r in path_matrix(path).rows]
+        rows[0][0] += 1
+        monkeypatch.setattr(pa, "path_matrix", lambda p: IntMatrix.from_rows(rows))
+        with pytest.raises(RuntimeError, match="never-winner row 'a1'"):
+            certify(path)
+
 
 class TestLowerBound:
     @pytest.mark.parametrize("g", range(2, 9))
