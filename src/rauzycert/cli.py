@@ -46,6 +46,14 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
+def _emit_report(doc: dict, report) -> int:
+    """Emit ``doc`` plus the report's sorted checks and verdict; exit 0 or 2."""
+    doc["checks"] = {k: report.checks[k] for k in sorted(report.checks)}
+    doc["passed"] = report.passed
+    _emit_json(doc)
+    return 0 if report.passed else 2
+
+
 def _emit_csv(header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -155,8 +163,6 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
         "upper_bound": rational_json(report.upper_bound),
         "lower_bound": rational_json(report.lower_bound),
         "certificate": certificate_to_json(cert),
-        "checks": {k: report.checks[k] for k in sorted(report.checks)},
-        "passed": report.passed,
     }
 
 
@@ -189,23 +195,20 @@ def _cmd_fg(args) -> int:
         report = fg_mod.central_component_checks(
             args.n, loop_len=args.loop_len, samples=args.samples
         )
-        _emit_json(
+        return _emit_report(
             {
                 "n": report.n,
                 "g": report.g,
                 "component_size": report.component_size,
                 "lc_lower": rational_json(report.lc_lower),
                 "samples": [s.to_json_dict() for s in report.samples],
-                "checks": {k: report.checks[k] for k in sorted(report.checks)},
-                "passed": report.passed,
-            }
+            },
+            report,
         )
-        return 0 if report.passed else 2
     if args.genus is None:
         raise ValueError("fg needs --genus (or the table / central subcommand)")
     report = fg_mod.family_report(args.genus, tol=args.tol)
-    _emit_json(_fg_report_json(report))
-    return 0 if report.passed else 2
+    return _emit_report(_fg_report_json(report), report)
 
 
 def _cmd_penner(args) -> int:
@@ -228,24 +231,22 @@ def _cmd_penner(args) -> int:
         return 0
     if args.penner_mode == "diverge":
         report = penner_mod.diverging_sequence(args.genus, tol=args.tol)
-        _emit_json(
+        return _emit_report(
             {
                 "g": report.g,
                 "n": report.n,
                 "rho": bracket_json(report.rho),
                 "teich_low": report.teich_low,
                 "lc_upper": rational_json(report.lc_upper),
-                "checks": {k: report.checks[k] for k in sorted(report.checks)},
-                "passed": report.passed,
-            }
+            },
+            report,
         )
-        return 0 if report.passed else 2
     if args.genus is None or args.n is None:
         raise ValueError("penner needs --genus and --n (or the sweep / diverge subcommand)")
     matrices = penner_mod.build(args.genus, args.n)
     report = penner_mod.stretch_bounds(args.genus, args.n, tol=args.tol)
     rotation = penner_mod.lc_upper_rotation(args.genus)
-    _emit_json(
+    return _emit_report(
         {
             "g": args.genus,
             "n": args.n,
@@ -262,11 +263,9 @@ def _cmd_penner(args) -> int:
             "teich_length": list(report.teich_length),
             "lc_upper": rational_json(rotation.bound),
             "lc_upper_orbit": list(rotation.orbit),
-            "checks": {k: report.checks[k] for k in sorted(report.checks)},
-            "passed": report.passed,
-        }
+        },
+        report,
     )
-    return 0 if report.passed else 2
 
 
 def _cmd_homology_check(args) -> int:

@@ -21,13 +21,10 @@ import re
 from functools import cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
-from .induction import EdgeRecord, Move, apply_move
-from .perm import LabeledPermutation, _images, _irreducible, equal_unlabeled, is_irreducible
+from .induction import MOVES, EdgeRecord, Move, _step, apply_move
+from .perm import LabeledPermutation, _images, _irreducible, is_irreducible
 
 DEFAULT_CAP = 10**6
-
-# The moves by their index in the diagram tables.
-MOVES = (Move.TOP, Move.BOTTOM, Move.FLIP)
 
 
 class RauzyDiagram:
@@ -122,6 +119,10 @@ def explore(
     Raises ReducibleError for a reducible seed and EnumerationCapError when
     the component exceeds ``cap`` vertices.
     """
+    # The seed's check covers every vertex: t and b keep a permutation
+    # irreducible (acceptance criterion 9), and a flip maps the first k
+    # letters of both rows to the last k, so a flip of an irreducible
+    # permutation has no invariant prefix either.
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
     rows = [(seed.top, seed.bottom)]
@@ -129,21 +130,8 @@ def explore(
     succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
     # The loop visits the rows appended while it runs, in BFS order.
     for top, bottom in rows:
-        if not _irreducible(top, bottom):
-            # the precondition of apply_top and apply_bottom
-            raise ReducibleError(
-                "top move undefined on reducible permutation %s"
-                % LabeledPermutation(seed.alphabet, top, bottom).display()
-            )
-        # t reinserts the bottom-last letter right of the top-last one in
-        # the bottom row; b is the mirror image; f reverses and swaps.
-        k = bottom.index(top[-1]) + 1
-        targets = [(top, bottom[:k] + bottom[-1:] + bottom[k:-1])]
-        k = top.index(bottom[-1]) + 1
-        targets.append((top[:k] + top[-1:] + top[k:-1], bottom))
-        if augmented:
-            targets.append((bottom[::-1], top[::-1]))
-        for table, target in zip(succ, targets):
+        for move, table in enumerate(succ):
+            target = _step(top, bottom, move)[:2]
             v = index.get(target)
             if v is None:
                 if len(rows) >= cap:
@@ -187,24 +175,39 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
 
 
 class AllowedPath:
-    """A start permutation plus moves in execution order, with derived edges.
+    """A start permutation plus moves in execution order.
 
-    The edge sequence, endpoint and allowed/not-allowed verdict are derived
-    eagerly, so a path object is self-checking from birth.
+    The endpoint, the allowed/not-allowed verdict and ``updates``, the
+    (winner, loser) letter indices of the t and b moves in order, are
+    derived eagerly, so a path object is self-checking from birth.
     """
 
     def __init__(self, start: LabeledPermutation, moves):
         self.start = start
         self.moves: tuple[Move, ...] = tuple(moves)
-        edges: list[EdgeRecord] = []
-        current = start
+        # Every move keeps a permutation irreducible or reducible (see
+        # explore), so the start decides for every station.
+        irreducible = _irreducible(start.top, start.bottom)
+        top, bottom = start.top, start.bottom
+        updates = []
         for move in self.moves:
-            edge = apply_move(current, move)
-            edges.append(edge)
-            current = edge.target
-        self.edges: tuple[EdgeRecord, ...] = tuple(edges)
-        self.end: LabeledPermutation = current
-        self.allowed: bool = equal_unlabeled(start, current)
+            if not irreducible and move is not Move.FLIP:
+                # apply_move's precondition raises the error naming this station
+                apply_move(LabeledPermutation(start.alphabet, top, bottom), move)
+            top, bottom, duel = _step(top, bottom, MOVES.index(move))
+            if duel is not None:
+                updates.append(duel)
+        self.updates: tuple[tuple[int, int], ...] = tuple(updates)
+        self.end = LabeledPermutation(start.alphabet, top, bottom)
+        self.allowed: bool = _images(start.top, start.bottom) == _images(top, bottom)
+
+    @cached_property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """One edge record per move, built on first use."""
+        edges: list[EdgeRecord] = []
+        for move in self.moves:
+            edges.append(apply_move(edges[-1].target if edges else self.start, move))
+        return tuple(edges)
 
     @property
     def word(self) -> str:
@@ -217,7 +220,7 @@ class AllowedPath:
         return "".join(move.value for move in reversed(self.moves))
 
     def winners(self) -> frozenset[str]:
-        return frozenset(e.winner for e in self.edges if e.winner is not None)
+        return frozenset(self.start.alphabet[winner] for winner, _ in self.updates)
 
     def concat(self, other: "AllowedPath") -> "AllowedPath":
         if self.end != other.start:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import AllowedPath, explore, unlabeled_classes
-from .induction import Move, apply_flip, apply_top
+from .induction import MOVES, Move, _step, apply_flip
 from .linalg import IntMatrix, _column_product, _relabeling, min_positive_power
 from .pa import PACertificate, certify, diagonal_extension_steps
 from .perm import (
@@ -40,37 +40,43 @@ def family_loop(g: int) -> AllowedPath:
     return AllowedPath(fg_start(g), (Move.BOTTOM,) * g + (Move.TOP, Move.FLIP))
 
 
-def _perm(n: int, top, bottom) -> LabeledPermutation:
-    return LabeledPermutation(default_alphabet(n), tuple(top), tuple(bottom))
+# A (top, bottom) pair of letter-index rows.
+_Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _fg_after_b(g: int, k: int) -> LabeledPermutation:
+def _fg_after_b(g: int, k: int) -> _Rows:
     """Closed form after k bottom moves, 0 <= k <= g (k = g returns the start)."""
     n = 2 * g
-    top = tuple(range(g)) + tuple(range(n - k, n)) + tuple(range(g, n - k))
-    return _perm(n, top, fg_start(g).bottom)
+    return tuple(range(g)) + tuple(range(n - k, n)) + tuple(range(g, n - k)), fg_start(g).bottom
 
 
-def _fg_after_tb(g: int) -> LabeledPermutation:
+def _fg_after_tb(g: int) -> _Rows:
     """Closed form after the top move following the g bottom moves."""
     n = 2 * g
-    bottom = (n - 1,) + tuple(range(g - 1, -1, -1)) + tuple(range(n - 2, g - 1, -1))
-    return _perm(n, tuple(range(n)), bottom)
+    return tuple(range(n)), (n - 1,) + tuple(range(g - 1, -1, -1)) + tuple(range(n - 2, g - 1, -1))
 
 
-def _fg_end(g: int) -> LabeledPermutation:
+def _fg_end(g: int) -> _Rows:
     """Closed form of the loop endpoint, after the final flip."""
     n = 2 * g
-    top = tuple(range(g, n - 1)) + tuple(range(g)) + (n - 1,)
-    return _perm(n, top, tuple(range(n - 1, -1, -1)))
+    return tuple(range(g, n - 1)) + tuple(range(g)) + (n - 1,), tuple(range(n - 1, -1, -1))
+
+
+def _stations(path: AllowedPath) -> list[_Rows]:
+    """The index rows after each move of ``path``."""
+    rows = [(path.start.top, path.start.bottom)]
+    for move in path.moves:
+        rows.append(_step(*rows[-1], MOVES.index(move))[:2])
+    return rows[1:]
+
+
+def _closed_forms(g: int) -> list[_Rows]:
+    return [_fg_after_b(g, k) for k in range(1, g + 1)] + [_fg_after_tb(g), _fg_end(g)]
 
 
 def intermediate_check(g: int) -> bool:
     """Every intermediate permutation of the loop matches its closed form."""
-    path = family_loop(g)
-    stations = [edge.target for edge in path.edges]
-    expected = [_fg_after_b(g, k) for k in range(1, g + 1)] + [_fg_after_tb(g), _fg_end(g)]
-    return stations == expected
+    return _stations(family_loop(g)) == _closed_forms(g)
 
 
 def expected_winner_losers(g: int) -> list[tuple[str, str]]:
@@ -141,13 +147,14 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
     upper = Fraction(1, g - 1)
     lower = Fraction(1, 16 * g - 12)
 
+    stations, names = _stations(path), path.start.alphabet
     checks: dict[str, bool] = {}
     checks["path_allowed"] = path.allowed
-    checks["b_power_returns_to_start"] = path.edges[g - 1].target == path.start
+    checks["b_power_returns_to_start"] = stations[g - 1] == (path.start.top, path.start.bottom)
     checks["winner_loser_sequence"] = [
-        (e.winner, e.loser) for e in path.edges if e.winner is not None
+        (names[winner], names[loser]) for winner, loser in path.updates
     ] == expected_winner_losers(g)
-    checks["intermediate_closed_forms"] = intermediate_check(g)
+    checks["intermediate_closed_forms"] = stations == _closed_forms(g)
     checks["block_form"] = cert.matrix == block
     checks["single_vertex_class"] = cert.vertex_count == 1
     checks["genus_is_g"] = cert.genus == g
@@ -178,7 +185,7 @@ def central_after_t(n: int, m: int) -> LabeledPermutation:
     """Closed form of m top moves applied to the central permutation,
     0 <= m <= n-1 (both ends give the central permutation back)."""
     bottom = (n - 1,) + tuple(range(m - 1, -1, -1)) + tuple(range(n - 2, m - 1, -1))
-    return _perm(n, tuple(range(n)), bottom)
+    return LabeledPermutation(default_alphabet(n), tuple(range(n)), bottom)
 
 
 @dataclass
@@ -353,13 +360,15 @@ def central_component_checks(
     classes = unlabeled_classes(diagram)
     checks: dict[str, bool] = {"injective": len(classes) == len(diagram)}
 
-    # Closed forms of the loop of top moves, walked move by move.
+    # Closed forms of the loop of top moves, walked on the t table from the
+    # seed, vertex 0.
     loop_ok = True
-    current = seed
+    v = 0
     for m in range(1, n):
-        current = apply_top(current).target
-        loop_ok = loop_ok and current == central_after_t(n, m)
-    checks["central_loop_closed_forms"] = loop_ok and current == seed
+        v = diagram.succ[0][v]
+        expected = central_after_t(n, m)
+        loop_ok = loop_ok and diagram.rows[v] == (expected.top, expected.bottom)
+    checks["central_loop_closed_forms"] = loop_ok and v == 0
 
     # Each flipped loop vertex has exactly one unlabeled partner in the
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
@@ -442,9 +451,6 @@ def central_component_checks(
     checks["family2_samples_found"] = any(s.family == 2 for s in sampled)
     checks["sampled_diagonal_positive"] = all(s.diagonal_positive for s in sampled)
     checks["sampled_power_positive"] = all(s.power_positive for s in sampled)
-    checks["sampled_exponent_at_most_4g_plus_2"] = all(
-        s.primitive_exponent <= power for s in sampled
-    )
 
     return CentralComponentReport(
         n=n,

@@ -6,8 +6,8 @@ bottom row.  A bottom move is the mirror image: the bottom row is kept and
 the top-last letter is reinserted right of the bottom-last letter.  The
 flip reverses both rows and swaps them; it has no winner or loser.
 
-Top and bottom moves are only defined on irreducible permutations, which
-guarantees winner != loser.
+``_step`` is the one implementation of this rule, on index rows.  Top and
+bottom moves need irreducible rows, whose last top and bottom letters differ.
 """
 
 from __future__ import annotations
@@ -48,10 +48,32 @@ class EdgeRecord:
     loser: str | None
 
 
-def _reinsert_after(row: tuple[int, ...], moved: int, anchor: int) -> tuple[int, ...]:
-    out = [x for x in row if x != moved]
-    out.insert(out.index(anchor) + 1, moved)
-    return tuple(out)
+# The moves by their index in ``_step`` and in the diagram tables.
+MOVES = (Move.TOP, Move.BOTTOM, Move.FLIP)
+
+
+def _step(top: tuple[int, ...], bottom: tuple[int, ...], move: int):
+    """The index rows after move ``move`` (0 = t, 1 = b, 2 = f; t and b need
+    irreducible rows) and its (winner, loser) letter indices, None for f."""
+    if move == 0:
+        winner, loser = top[-1], bottom[-1]
+        k = bottom.index(winner) + 1
+        return top, bottom[:k] + bottom[-1:] + bottom[k:-1], (winner, loser)
+    if move == 1:
+        winner, loser = bottom[-1], top[-1]
+        k = top.index(winner) + 1
+        return top[:k] + top[-1:] + top[k:-1], bottom, (winner, loser)
+    return bottom[::-1], top[::-1], None
+
+
+def apply_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
+    """The edge of ``move`` from ``p``, with winner and loser by name."""
+    if move is not Move.FLIP and not is_irreducible(p):
+        text = "%s move undefined on reducible permutation %s"
+        raise ReducibleError(text % (move.name.lower(), p.display()))
+    top, bottom, duel = _step(p.top, p.bottom, MOVES.index(move))
+    winner, loser = (None, None) if duel is None else (p.alphabet[duel[0]], p.alphabet[duel[1]])
+    return EdgeRecord(move, p, LabeledPermutation(p.alphabet, top, bottom), winner, loser)
 
 
 def apply_top(p: LabeledPermutation) -> EdgeRecord:
@@ -61,11 +83,7 @@ def apply_top(p: LabeledPermutation) -> EdgeRecord:
     >>> apply_top(parse("A B C D / D C B A")).target.display()
     'A B C D / D A C B'
     """
-    if not is_irreducible(p):
-        raise ReducibleError("top move undefined on reducible permutation %s" % p.display())
-    winner, loser = p.top[-1], p.bottom[-1]
-    target = LabeledPermutation(p.alphabet, p.top, _reinsert_after(p.bottom, loser, winner))
-    return EdgeRecord(Move.TOP, p, target, p.alphabet[winner], p.alphabet[loser])
+    return apply_move(p, Move.TOP)
 
 
 def apply_bottom(p: LabeledPermutation) -> EdgeRecord:
@@ -75,11 +93,7 @@ def apply_bottom(p: LabeledPermutation) -> EdgeRecord:
     >>> apply_bottom(parse("A B C D / D C B A")).target.display()
     'A D B C / D C B A'
     """
-    if not is_irreducible(p):
-        raise ReducibleError("bottom move undefined on reducible permutation %s" % p.display())
-    winner, loser = p.bottom[-1], p.top[-1]
-    target = LabeledPermutation(p.alphabet, _reinsert_after(p.top, loser, winner), p.bottom)
-    return EdgeRecord(Move.BOTTOM, p, target, p.alphabet[winner], p.alphabet[loser])
+    return apply_move(p, Move.BOTTOM)
 
 
 def apply_flip(p: LabeledPermutation) -> EdgeRecord:
@@ -89,15 +103,7 @@ def apply_flip(p: LabeledPermutation) -> EdgeRecord:
     >>> apply_flip(parse("A C B / B A C")).target.display()
     'C A B / B C A'
     """
-    target = LabeledPermutation(p.alphabet, tuple(reversed(p.bottom)), tuple(reversed(p.top)))
-    return EdgeRecord(Move.FLIP, p, target, None, None)
-
-
-_APPLY = {Move.TOP: apply_top, Move.BOTTOM: apply_bottom, Move.FLIP: apply_flip}
-
-
-def apply_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
-    return _APPLY[move](p)
+    return apply_move(p, Move.FLIP)
 
 
 def edge_matrix(e: EdgeRecord) -> IntMatrix:
@@ -106,9 +112,8 @@ def edge_matrix(e: EdgeRecord) -> IntMatrix:
     Rows and columns follow the alphabet order of the source permutation.
     """
     n = e.source.n
-    if e.kind is Move.FLIP:
-        return IntMatrix.identity(n)
-    index = {letter: i for i, letter in enumerate(e.source.alphabet)}
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[index[e.winner]][index[e.loser]] += 1
+    if e.kind is not Move.FLIP:
+        index = e.source.alphabet.index
+        rows[index(e.winner)][index(e.loser)] += 1
     return IntMatrix.from_rows(rows)

@@ -176,9 +176,7 @@ def path_matrix(path: "AllowedPath") -> IntMatrix:
     """Product of the per-edge matrices, first edge leftmost, relabeling last."""
     if not path.allowed:
         raise NotAllowedError("path is not allowed: %s -> %s" % (path.start, path.end))
-    index = {letter: i for i, letter in enumerate(path.start.alphabet)}
-    updates = [(index[e.winner], index[e.loser]) for e in path.edges if e.winner is not None]
-    return _column_product(path.start.n, updates, _relabeling(path.start, path.end))
+    return _column_product(path.start.n, path.updates, _relabeling(path.start, path.end))
 
 
 def _bool_rows(m: IntMatrix) -> list[int]:

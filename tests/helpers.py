@@ -46,13 +46,40 @@ def bisect_largest_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
     return lo, hi
 
 
+def _reinsert_after(row: tuple[int, ...], moved: int, anchor: int) -> tuple[int, ...]:
+    out = [x for x in row if x != moved]
+    out.insert(out.index(anchor) + 1, moved)
+    return tuple(out)
+
+
+def oracle_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
+    """One move on permutation objects, written apart from the index-row
+    kernel: t takes the bottom-last letter (the loser) out of the bottom row
+    and puts it back right of the top-last letter (the winner), b does the
+    same with the rows exchanged, and f reverses both rows and swaps them.
+    ``p`` must be irreducible for t and b."""
+    if move is Move.FLIP:
+        target = LabeledPermutation(p.alphabet, tuple(reversed(p.bottom)), tuple(reversed(p.top)))
+        return EdgeRecord(move, p, target, None, None)
+    if move is Move.TOP:
+        winner, loser = p.top[-1], p.bottom[-1]
+        target = LabeledPermutation(p.alphabet, p.top, _reinsert_after(p.bottom, loser, winner))
+    else:
+        winner, loser = p.bottom[-1], p.top[-1]
+        target = LabeledPermutation(p.alphabet, _reinsert_after(p.top, loser, winner), p.bottom)
+    return EdgeRecord(move, p, target, p.alphabet[winner], p.alphabet[loser])
+
+
 def dense_path_matrix(path: AllowedPath) -> IntMatrix:
-    """The path matrix as the dense product of the edge matrices, first edge
-    leftmost, times the relabeling matrix."""
+    """The path matrix as the dense product of the edge matrices of
+    ``oracle_move``, first edge leftmost, times the relabeling matrix."""
     result = IntMatrix.identity(path.start.n)
-    for edge in path.edges:
+    current = path.start
+    for move in path.moves:
+        edge = oracle_move(current, move)
         result = result * edge_matrix(edge)
-    return result * relabel_matrix(path.start, path.end)
+        current = edge.target
+    return result * relabel_matrix(path.start, current)
 
 
 def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int = 10**6):
@@ -67,7 +94,7 @@ def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int =
     out_edges: list[tuple[EdgeRecord, ...]] = []
     frontier = 0
     while frontier < len(vertices):
-        edges = tuple(apply_move(vertices[frontier], move) for move in moves)
+        edges = tuple(oracle_move(vertices[frontier], move) for move in moves)
         out_edges.append(edges)
         for edge in edges:
             key = edge.target.display()

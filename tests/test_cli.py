@@ -300,6 +300,14 @@ class TestErrorPrefixes:
                 ("homology-check", "--a", "[[1", "--b", "[1]", "--n", "2"),
                 "error: Expecting ',' delimiter: line 1 column 4 (char 3)",
             ),
+            (
+                ("path", "--start", "A B / A B", "--moves", "tf"),
+                "reducible error: top move undefined on reducible permutation B A / B A",
+            ),
+            (
+                ("certify", "--start", "A B C / A C B", "--moves", "bf"),
+                "reducible error: bottom move undefined on reducible permutation B C A / C B A",
+            ),
         ],
     )
     def test_cli_input(self, capsys, argv, line):

@@ -71,6 +71,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "perm_parse_error": ("perm", "--perm", "A B / A C"),
     "move_reducible": ("move", "--start", "A B / A B", "--kind", "t"),
     "path_bad_move_letter": ("path", "--start", "A B C / C B A", "--moves", "x"),
+    "path_reducible_start": ("path", "--start", "A B / A B", "--moves", "tf"),
+    "path_reducible_flip_not_allowed": ("path", "--start", "A B C / A C B", "--moves", "f"),
     "fg_bare": ("fg",),
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"

@@ -1,12 +1,23 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rauzycert.errors import ReducibleError
-from rauzycert.induction import Move, apply_bottom, apply_flip, apply_move, apply_top, edge_matrix
+from rauzycert.induction import (
+    MOVES,
+    Move,
+    _step,
+    apply_bottom,
+    apply_flip,
+    apply_move,
+    apply_top,
+    edge_matrix,
+)
 from rauzycert.linalg import IntMatrix, det
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
-from helpers import all_standard_permutations
+from helpers import all_standard_permutations, oracle_explore, oracle_move, random_irreducible
 
 
 @st.composite
@@ -113,3 +124,33 @@ def test_moves_preserve_irreducibility_exhaustively():
                 continue
             assert is_irreducible(apply_top(p).target)
             assert is_irreducible(apply_bottom(p).target)
+
+
+def _kernel_cases():
+    """(permutation, moves) pairs: t and b on every vertex of the central
+    components n = 3..8, t, b and f on the augmented ones n = 3..6, and all
+    three on 200 seeded random irreducible permutations with n <= 10."""
+    for n in range(3, 9):
+        for p in oracle_explore(central(n))[0]:
+            yield p, MOVES[:2]
+    for n in range(3, 7):
+        for p in oracle_explore(central(n), augmented=True)[0]:
+            yield p, MOVES
+    rng = random.Random(20261018)
+    for _ in range(200):
+        yield random_irreducible(rng, rng.randint(2, 10)), MOVES
+
+
+def test_step_matches_object_oracle():
+    count = 0
+    for p, moves in _kernel_cases():
+        for move in moves:
+            edge = oracle_move(p, move)
+            duel = None
+            if edge.winner is not None:
+                duel = (p.alphabet.index(edge.winner), p.alphabet.index(edge.loser))
+            assert _step(p.top, p.bottom, MOVES.index(move)) == (
+                edge.target.top, edge.target.bottom, duel
+            ), (p.display(), move)
+            count += 1
+    assert count > 1000
