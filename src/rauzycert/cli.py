@@ -2,8 +2,10 @@
 
 One JSON / CSV / DOT document goes to stdout per invocation; diagnostics go
 to stderr.  Exit codes: 0 for success (certified, allowed, or all checks
-passing), 2 for an inconclusive certificate or failed checks, 1 for errors.
-Identical invocations produce byte-identical output.
+passing) and for ``--help``, 2 for an inconclusive certificate or failed
+checks, 1 for errors, a rejected command line included.  ``main`` returns
+the code in every case and raises no ``SystemExit``.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -155,11 +157,7 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
     cert = report.certificate
     return {
         "g": report.g,
-        "start": cert.path.start.to_json_dict(),
         "execution_word": cert.path.word,
-        "matrix": cert.matrix.to_json(),
-        "block_form_matches": report.checks["block_form"],
-        "intermediate_forms_match": report.checks["intermediate_closed_forms"],
         "upper_bound": rational_json(report.upper_bound),
         "lower_bound": rational_json(report.lower_bound),
         "certificate": certificate_to_json(cert),
@@ -257,7 +255,6 @@ def _cmd_penner(args) -> int:
                 "d": matrices.d.to_json(),
             },
             "matrix": matrices.m.to_json(),
-            "power_identity": report.checks["power_identity"],
             "min_row_sum_power": report.power_min_row_sum,
             "rho": bracket_json(report.rho),
             "teich_length": list(report.teich_length),
@@ -400,7 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage text or the help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (RauzyError, ValueError, json.JSONDecodeError) as exc:

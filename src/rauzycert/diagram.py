@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
 from .induction import MOVES, EdgeRecord, Move, _step, apply_move
-from .perm import LabeledPermutation, _images, _irreducible, is_irreducible
+from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
 DEFAULT_CAP = 10**6
 
@@ -177,9 +177,11 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
 class AllowedPath:
     """A start permutation plus moves in execution order.
 
-    The endpoint, the allowed/not-allowed verdict and ``updates``, the
-    (winner, loser) letter indices of the t and b moves in order, are
-    derived eagerly, so a path object is self-checking from birth.
+    The endpoint, the allowed/not-allowed verdict, ``updates``, the
+    (winner, loser) letter indices of the t and b moves in order, and, for
+    an allowed path, ``relabel``, the relabeling of its endpoints as a
+    letter-index map (None otherwise), are derived eagerly, so a path
+    object is self-checking from birth.
     """
 
     def __init__(self, start: LabeledPermutation, moves):
@@ -200,6 +202,7 @@ class AllowedPath:
         self.updates: tuple[tuple[int, int], ...] = tuple(updates)
         self.end = LabeledPermutation(start.alphabet, top, bottom)
         self.allowed: bool = _images(start.top, start.bottom) == _images(top, bottom)
+        self.relabel = _relabel(start.top, top) if self.allowed else None
 
     @cached_property
     def edges(self) -> tuple[EdgeRecord, ...]:

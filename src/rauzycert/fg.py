@@ -23,16 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import AllowedPath, explore, unlabeled_classes
-from .induction import MOVES, Move, _step, apply_flip
-from .linalg import IntMatrix, _column_product, _relabeling, min_positive_power
+from .induction import MOVES, Move, _step
+from .linalg import IntMatrix, _column_product, min_positive_power
 from .pa import PACertificate, certify, diagonal_extension_steps
-from .perm import (
-    LabeledPermutation,
-    central,
-    default_alphabet,
-    fg_start,
-    unlabeled,
-)
+from .perm import LabeledPermutation, _images, _relabel, central, default_alphabet, fg_start
 
 
 def family_loop(g: int) -> AllowedPath:
@@ -351,8 +345,7 @@ def central_component_checks(
     if loop_len is None:
         loop_len = 2 * n
     g = n // 2
-    seed = central(n)
-    diagram = explore(seed, augmented=False)
+    diagram = explore(central(n), augmented=False)
     power = 4 * g + 2
     bound = Fraction(1, diagonal_extension_steps(g) + power)
 
@@ -361,14 +354,15 @@ def central_component_checks(
     checks: dict[str, bool] = {"injective": len(classes) == len(diagram)}
 
     # Closed forms of the loop of top moves, walked on the t table from the
-    # seed, vertex 0.
+    # seed, vertex 0: walk[m] is the vertex after m top moves.
+    rows = diagram.rows
+    walk = [0]
     loop_ok = True
-    v = 0
     for m in range(1, n):
-        v = diagram.succ[0][v]
+        walk.append(diagram.succ[0][walk[-1]])
         expected = central_after_t(n, m)
-        loop_ok = loop_ok and diagram.rows[v] == (expected.top, expected.bottom)
-    checks["central_loop_closed_forms"] = loop_ok and v == 0
+        loop_ok = loop_ok and rows[walk[m]] == (expected.top, expected.bottom)
+    checks["central_loop_closed_forms"] = loop_ok and walk[-1] == 0
 
     # Each flipped loop vertex has exactly one unlabeled partner in the
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
@@ -378,22 +372,18 @@ def central_component_checks(
     corner_ok = True
     flip_paths = []
     for m in range(1, n):
-        vertex = central_after_t(n, m)
-        flipped = apply_flip(vertex).target
-        matches = classes.get(unlabeled(flipped).images, [])
-        partner = central_after_t(n, n - m - 1)
-        dst = diagram.vertex_index(partner)
-        partner_ok = partner_ok and matches == [dst]
-        relabel = _relabeling(vertex, apply_flip(partner).target)
+        src, dst = walk[m], walk[n - m - 1]
+        partner_ok = partner_ok and classes.get(_images(*_step(*rows[src], 2)[:2])) == [dst]
+        relabel = _relabel(rows[src][0], _step(*rows[dst], 2)[0])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
-        flip_paths.append((vertex, diagram.vertex_index(vertex), dst, relabel))
+        flip_paths.append((src, dst, relabel))
     checks["flip_partner_identity"] = partner_ok
     checks["relabel_corner_entry"] = corner_ok
 
     sampled: list[SampledPath] = []
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
 
-    def sample(family: int, start: LabeledPermutation, src: int, word, relabel) -> bool:
+    def sample(family: int, src: int, word, relabel) -> bool:
         """Record the path of ``word`` from vertex ``src`` when its matrix is
         primitive.  A shape-2 path ends in a flip, whose diagonal entry of
         interest is the (n, n) one."""
@@ -410,7 +400,7 @@ def central_component_checks(
         sampled.append(
             SampledPath(
                 family=family,
-                start_display=start.display(),
+                start_display=LabeledPermutation(diagram.alphabet, *rows[src]).display(),
                 word=_word_text(word) + ("f" if family == 2 else ""),
                 primitive_exponent=exponent,
                 diagonal_positive=min(diagonal if family == 1 else diagonal[-1:]) >= 1,
@@ -437,15 +427,15 @@ def central_component_checks(
     while found < samples and (word := next(words, None)) is not None:
         if word not in tried:
             tried.add(word)
-            found += sample(1, seed, 0, word, identity)
+            found += sample(1, 0, word, identity)
 
     # Shape 2: from a loop vertex to its unlabeled partner, then one flip.
     found = 0
-    for vertex, src, dst, relabel in flip_paths:
+    for src, dst, relabel in flip_paths:
         if found == samples:
             break
         candidates = _closed_words(step, src, dst, loop_len)
-        found += any(sample(2, vertex, src, word, relabel) for word in candidates)
+        found += any(sample(2, src, word, relabel) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)
     checks["family2_samples_found"] = any(s.family == 2 for s in sampled)

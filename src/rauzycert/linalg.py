@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, NotAllowedError, NotPrimitiveError
-from .perm import LabeledPermutation, equal_unlabeled
+from .perm import LabeledPermutation, _relabel, equal_unlabeled
 
 if TYPE_CHECKING:  # pragma: no cover
     from .diagram import AllowedPath
@@ -125,10 +125,14 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _relabeling(start: LabeledPermutation, end: LabeledPermutation) -> tuple[int, ...]:
-    """The relabeling between two unlabeled-equal vertices as a letter map:
-    entry b is the index of the letter occupying, in the end top row, the
-    position letter b has in the start top row."""
+def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
+    """Permutation matrix of the relabeling between two unlabeled-equal vertices.
+
+    The relabeling sends a letter b to the letter occupying, in the end top
+    row, the position b has in the start top row; the matrix has a 1 in
+    position (relabel(b), b).  Letters are matched by name, so the two
+    vertices may list one letter set in different alphabet orders.
+    """
     if set(start.alphabet) != set(end.alphabet):
         raise NotAllowedError("relabeling needs matching letter sets")
     if not equal_unlabeled(start, end):
@@ -137,23 +141,9 @@ def _relabeling(start: LabeledPermutation, end: LabeledPermutation) -> tuple[int
             % (start.display(), end.display())
         )
     index = {letter: i for i, letter in enumerate(start.alphabet)}
-    end_top = end.top_letters()
-    relabel = [0] * start.n
-    for position, letter in enumerate(start.top_letters()):
-        relabel[index[letter]] = index[end_top[position]]
-    return tuple(relabel)
-
-
-def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
-    """Permutation matrix of the relabeling between two unlabeled-equal vertices.
-
-    The relabeling sends a letter b to the letter occupying, in the end top
-    row, the position b has in the start top row; the matrix has a 1 in
-    position (relabel(b), b).
-    """
     n = start.n
     rows = [[0] * n for _ in range(n)]
-    for letter, image in enumerate(_relabeling(start, end)):
+    for letter, image in enumerate(_relabel(start.top, [index[x] for x in end.top_letters()])):
         rows[image][letter] = 1
     return IntMatrix.from_rows(rows)
 
@@ -176,7 +166,7 @@ def path_matrix(path: "AllowedPath") -> IntMatrix:
     """Product of the per-edge matrices, first edge leftmost, relabeling last."""
     if not path.allowed:
         raise NotAllowedError("path is not allowed: %s -> %s" % (path.start, path.end))
-    return _column_product(path.start.n, path.updates, _relabeling(path.start, path.end))
+    return _column_product(path.start.n, path.updates, path.relabel)
 
 
 def _bool_rows(m: IntMatrix) -> list[int]:

@@ -35,7 +35,7 @@ from .linalg import (
     path_matrix,
     spectral_radius,
 )
-from .perm import LabeledPermutation
+from .perm import LabeledPermutation, _invert, _relabel
 from .surface import GluedSurface, glue
 
 
@@ -179,30 +179,30 @@ def certificate_from_json(data: dict) -> PACertificate:
 
 def orbit_map(start: LabeledPermutation, end: LabeledPermutation) -> dict[str, str]:
     """The letter map sigma sending each side to its inverse image: the letter
-    in the start top row at the position the side occupies in the end top row."""
-    end_pos = end.top_positions()
-    return {
-        start.alphabet[x]: start.alphabet[start.top[end_pos[x]]] for x in range(start.n)
-    }
+    in the start top row at the position the side occupies in the end top
+    row.  It is the inverse of the relabeling, by letter name."""
+    sigma = _invert(_relabel(start.top, end.top))
+    return {start.alphabet[x]: start.alphabet[image] for x, image in enumerate(sigma)}
 
 
 def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix | None = None) -> None:
     """Every never-winner letter's matrix row must be the unit vector at its
     sigma image.  A violation is an internal inconsistency, not bad input."""
+    if not path.allowed:
+        raise NotAllowedError("never-winner rows need an allowed path")
     if matrix is None:
         matrix = path_matrix(path)
-    sigma = orbit_map(path.start, path.end)
-    winners = path.winners()
-    index = {letter: i for i, letter in enumerate(path.start.alphabet)}
-    for letter in path.start.alphabet:
+    winners = {winner for winner, _ in path.updates}
+    names = path.start.alphabet
+    # sigma sends letter x to the b with relabel[b] == x
+    for image, letter in enumerate(path.relabel):
         if letter in winners:
             continue
-        row = matrix.rows[index[letter]]
-        expected = index[sigma[letter]]
-        if sum(row) != 1 or row[expected] != 1:
+        row = matrix.rows[letter]
+        if sum(row) != 1 or row[image] != 1:
             raise RuntimeError(
                 "internal error: never-winner row %r is not the unit vector at %r"
-                % (letter, sigma[letter])
+                % (names[letter], names[image])
             )
 
 
@@ -225,49 +225,43 @@ def lc_upper_bound(
     if surface.genus < 2:
         raise ValueError("curve-graph upper bound needs genus >= 2, got %d" % surface.genus)
 
-    winners = path.winners()
-    sigma = orbit_map(path.start, path.end)
+    names = path.start.alphabet
+    winners = {winner for winner, _ in path.updates}
+    sigma = _invert(path.relabel)
     skipped: list[str] = []
     cycle_warnings: list[str] = []
     best_steps = 0
-    best_start = None
-    best_trajectory: tuple[str, ...] = ()
-    for letter in path.start.alphabet:
+    best_trajectory: list[int] = []
+    for letter in range(path.start.n):
         if letter in winners:
             continue
-        if not surface.side_closed[letter]:  # closed sides are nonzero in homology
-            skipped.append(letter)
+        if not surface.side_closed[names[letter]]:  # closed sides are nonzero in homology
+            skipped.append(names[letter])
             continue
         trajectory = [letter]
         visited = {letter}
         current = letter
-        steps = 0
-        hit_winner = False
         while True:
             current = sigma[current]
-            steps += 1
             trajectory.append(current)
             if current in winners:
-                hit_winner = True
+                if len(trajectory) - 1 > best_steps:
+                    best_steps, best_trajectory = len(trajectory) - 1, trajectory
                 break
             if current in visited:
                 # A sigma cycle avoiding every winner would give a periodic
                 # curve orbit; no bound is drawn from it.
-                cycle_warnings.append(letter)
+                cycle_warnings.append(names[letter])
                 break
             visited.add(current)
-        if hit_winner and steps > best_steps:
-            best_steps = steps
-            best_start = letter
-            best_trajectory = tuple(trajectory)
-    if best_start is None:
+    if not best_steps:
         return None
     report = OrbitReport(
-        winners=winners,
-        orbit_map=sigma,
-        best_start=best_start,
+        winners=frozenset(names[x] for x in winners),
+        orbit_map={names[x]: names[image] for x, image in enumerate(sigma)},
+        best_start=names[best_trajectory[0]],
         steps=best_steps,
-        trajectory=best_trajectory,
+        trajectory=tuple(names[x] for x in best_trajectory),
         skipped_sides=tuple(skipped),
         cycle_warnings=tuple(cycle_warnings),
     )

@@ -142,23 +142,21 @@ def stretch_bounds(
     g: int,
     n: int,
     tol: Fraction | str | float = Fraction(1, 10**9),
-    slack: Fraction | str | float = Fraction(1, 10**6),
 ) -> StretchReport:
     """Bracket the stretch factor and check it is at least (n+1)^(1/g).
 
-    The g-th power's minimum row sum is asserted to be exactly n + 1; by
-    Collatz-Wielandt this forces rho^g >= n + 1, checked on the bracket's
-    lower end up to ``slack``.
+    The g-th power's minimum row sum is asserted to be exactly n + 1.  By
+    Collatz-Wielandt rho^g is at least that sum, so the check on rho^g is
+    decided exactly from it, whatever the bracket's width.
     """
     p = build(g, n)
     rho = spectral_radius(p.m, tol)
     power = p.m**g
     mrs = min_row_sum(power)
-    slack = Fraction(slack)
     checks = {
         "power_identity": verify_power_identity(g, n, power),
         "min_row_sum_is_n_plus_1": mrs == n + 1,
-        "rho_power_at_least_n_plus_1": rho.low**g >= n + 1 - slack,
+        "rho_power_at_least_n_plus_1": mrs >= n + 1,
     }
     return StretchReport(
         g=g,
@@ -238,11 +236,14 @@ class DivergenceReport:
 def diverging_sequence(
     g: int,
     tol: Fraction | str | float = Fraction(1, 10**9),
-    slack: Fraction | str | float = Fraction(1, 10**6),
     n_cap: int = 10**8,
 ) -> DivergenceReport:
     """The n = g^g member: stretch translation length at least log g while the
-    curve-graph bound stays 1/(g-1).  ``n_cap`` guards runtime, not exactness."""
+    curve-graph bound stays 1/(g-1).  ``n_cap`` guards runtime, not exactness.
+
+    By Collatz-Wielandt rho^g is at least the minimum row sum of M^g, so
+    rho >= g is decided exactly from M^g applied to the all-ones vector.
+    """
     if g < 3:
         raise ValueError("sequence needs g >= 3, got %d" % g)
     n = g**g
@@ -250,10 +251,12 @@ def diverging_sequence(
         raise ValueError("g^g = %d exceeds the size cap %d" % (n, n_cap))
     p = build(g, n)
     rho = spectral_radius(p.m, tol)
-    slack = Fraction(slack)
+    row_sums = [1] * (3 * g)
+    for _ in range(g):
+        row_sums = [sum(a * x for a, x in zip(row, row_sums)) for row in p.m.rows]
     rotation = lc_upper_rotation(g)
     checks = {
-        "rho_at_least_g": rho.low >= g - slack,
+        "rho_at_least_g": min(row_sums) > n,
         "lc_upper_is_one_over_g_minus_1": rotation.bound == Fraction(1, g - 1),
     }
     return DivergenceReport(

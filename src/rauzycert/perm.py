@@ -159,6 +159,16 @@ def _images(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([bottom_pos[letter] + 1 for letter in top])
 
 
+def _relabel(start_top: tuple[int, ...], end_top: tuple[int, ...]) -> tuple[int, ...]:
+    """The relabeling between two unlabeled-equal vertices as a letter map on
+    index rows: entry b is the letter occupying, in the end top row, the
+    position letter b has in the start top row."""
+    relabel = [0] * len(start_top)
+    for letter, image in zip(start_top, end_top):
+        relabel[letter] = image
+    return tuple(relabel)
+
+
 def unlabeled(p: LabeledPermutation) -> UnlabeledPermutation:
     """The underlying permutation of {1..n}: bottom order after inverse top order."""
     return UnlabeledPermutation(_images(p.top, p.bottom))

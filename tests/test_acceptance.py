@@ -128,7 +128,7 @@ def test_criterion_6_twist_family_grid():
                 assert verify_power_identity(g, n)
                 p = build(g, n)
                 assert min_row_sum(p.m**g) == n + 1
-                report = stretch_bounds(g, n, tol=TOL, slack=SLACK)
+                report = stretch_bounds(g, n, tol=TOL)
                 assert report.rho.low**g >= n + 1 - SLACK
             assert lc_upper_rotation(g).bound == Fraction(1, g - 1)
 
@@ -136,10 +136,10 @@ def test_criterion_6_twist_family_grid():
 def test_criterion_7_diverging_stretch_sequence():
     with criterion(7, "diverging stretch with bounded curve-graph length"):
         for g in (3, 4):
-            report = diverging_sequence(g, tol=TOL, slack=SLACK)
+            report = diverging_sequence(g, tol=TOL)
             assert report.rho.low >= g - SLACK
         started = time.monotonic()
-        report = diverging_sequence(5, tol=TOL, slack=SLACK)
+        report = diverging_sequence(5, tol=TOL)
         elapsed = time.monotonic() - started
         assert report.rho.low >= 5 - SLACK
         assert elapsed <= 30.0, "g = 5 took %.2fs" % elapsed

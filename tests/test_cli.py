@@ -203,7 +203,7 @@ class TestPenner:
         code, out, _ = run(capsys, "penner", "--genus", "3", "--n", "2")
         data = json.loads(out)
         assert code == 0
-        assert data["power_identity"] is True
+        assert data["checks"]["power_identity"] is True
         assert data["min_row_sum_power"] == 3
         assert data["lc_upper"] == {"decimal": "0.5", "num": "1", "den": "2"}
 
@@ -230,6 +230,13 @@ class TestPenner:
         )
         assert width <= Fraction(1, 10)
         assert loose["iterations"] < default["iterations"]
+
+
+    def test_verdicts_exact_at_coarse_tolerance(self, capsys):
+        code, out, _ = run(capsys, "penner", "--genus", "5", "--n", "1000", "--tol", "1/10")
+        data = json.loads(out)
+        assert code == 0
+        assert data["passed"] is True and all(data["checks"].values())
 
 
 class TestHomologyCheck:
@@ -330,3 +337,25 @@ class TestErrorPrefixes:
         monkeypatch.setattr(cli, "certify", fail)
         argv = ("certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb")
         assert run(capsys, *argv) == (1, "", line + "\n")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "--start", "A B C / C B A"),
+            ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),
+            ("fg", "central"),
+            ("no-such-command",),
+            (),
+        ],
+    )
+    def test_rejected_command_line_returns_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)  # a SystemExit would fail the test
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: rauzycert")
+
+    def test_help_returns_zero(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: rauzycert")

@@ -81,7 +81,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "homology_check_n_only": ("homology-check", "--n", "3"),
 }
 
-# exit 2: argparse rejects the command line by raising SystemExit
+# exit 1: argparse rejects the command line, and main returns 1
 ARGPARSE_ERROR_CASES: dict[str, tuple[str, ...]] = {
     "certify_missing_moves": ("certify", "--start", "A B C / C B A"),
     "certify_bad_tol": ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),

@@ -21,7 +21,7 @@ from rauzycert.linalg import (
     spectral_radius,
     wielandt_bound,
 )
-from rauzycert.perm import central, fg_start, parse
+from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, parse
 
 from helpers import (
     allowed_paths,
@@ -83,6 +83,50 @@ class TestRelabelMatrix:
     def test_rejects_unlabeled_mismatch(self):
         with pytest.raises(NotAllowedError):
             relabel_matrix(parse("A B C / C B A"), parse("A C B / C B A"))
+
+
+class TestPathRelabelMap:
+    """``AllowedPath.relabel`` is the letter map of ``relabel_matrix`` of the
+    path's endpoints, and both follow the definition by letter name."""
+
+    @staticmethod
+    def read_off(matrix):
+        # relabel_matrix has its 1 at (relabel[b], b)
+        return tuple(column.index(1) for column in zip(*matrix.rows))
+
+    @staticmethod
+    def by_name(start, end):
+        # b goes to the letter at b's start top-row position in the end top row
+        image = dict(zip(start.top_letters(), end.top_letters()))
+        return tuple(start.alphabet.index(image[letter]) for letter in start.alphabet)
+
+    def test_random_paths(self):
+        paths = random_allowed_paths(random.Random(5), 100, max_n=7)
+        assert any(path.start.top != tuple(range(path.start.n)) for path in paths)
+        assert any(path.relabel != tuple(range(path.start.n)) for path in paths)
+        for path in paths:
+            expected = self.by_name(path.start, path.end)
+            assert path.relabel == expected
+            assert self.read_off(relabel_matrix(path.start, path.end)) == expected
+
+    def test_alphabets_out_of_name_order(self):
+        # rename the letters so that the alphabet is not in name order, and
+        # give relabel_matrix the end over the sorted alphabet, so that only
+        # the letter names tie its rows to the path's index rows
+        rng = random.Random(6)
+        for path in random_allowed_paths(rng, 60, max_n=7):
+            names = list("ZYXWVUT"[: path.start.n])
+            rng.shuffle(names)
+            start = LabeledPermutation(tuple(names), path.start.top, path.start.bottom)
+            renamed = AllowedPath(start, path.moves)
+            end = from_rows(
+                tuple(sorted(names)), renamed.end.top_letters(), renamed.end.bottom_letters()
+            )
+            assert renamed.relabel == path.relabel == self.by_name(start, end)
+            assert renamed.relabel == self.read_off(relabel_matrix(start, end))
+
+    def test_not_allowed_path_has_no_map(self):
+        assert build_path(central(3), "b").relabel is None
 
 
 class TestPathMatrix:

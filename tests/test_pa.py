@@ -148,6 +148,14 @@ class TestUpperBound:
         sigma = orbit_map(path.start, path.end)
         assert sigma == {"a1": "a2", "a2": "a3", "a3": "a1", "a4": "a4"}
 
+    def test_orbit_map_inverts_the_path_relabeling(self):
+        for path in random_allowed_paths(random.Random(3), 60):
+            names = path.start.alphabet
+            sigma = orbit_map(path.start, path.end)
+            assert sorted(sigma) == sorted(names)
+            for letter, image in enumerate(path.relabel):
+                assert sigma[names[image]] == names[letter]
+
     @pytest.mark.parametrize("g", range(2, 8))
     def test_best_steps_match_matrix_row_oracle(self, g):
         # independent oracle: read the image of each never-winner side off
@@ -190,6 +198,10 @@ class TestNeverWinnerRows:
         rng = random.Random(11)
         for path in random_allowed_paths(rng, 40):
             check_never_winner_rows(path)
+
+    def test_not_allowed_path_refused(self):
+        with pytest.raises(NotAllowedError):
+            check_never_winner_rows(build_path(central(3), "b"), IntMatrix.identity(3))
 
     def test_tampered_matrix_detected(self):
         path = gamma(2)

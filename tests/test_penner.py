@@ -76,6 +76,13 @@ class TestStretchBounds:
                 assert bracket.low > previous.high
             previous = bracket
 
+    def test_verdicts_do_not_depend_on_the_tolerance(self):
+        # a 1/10-wide bracket does not reach rho^5 >= 1001 on its own, but
+        # the minimum row sum of M^5 decides it exactly
+        report = stretch_bounds(5, 1000, tol=Fraction(1, 10))
+        assert report.rho.low ** 5 < 1001 <= report.rho.high ** 5
+        assert report.passed
+
     def test_power_bracket_starts_at_row_sums(self):
         from rauzycert.linalg import spectral_radius
 
@@ -148,6 +155,14 @@ class TestDivergingSequence:
         assert report.n == g**g
         assert report.passed
         assert report.rho.width <= Fraction(1, 10**9)
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_coarse_bracket_still_passes(self, g):
+        # the bracket's low end falls below g, but M^g applied to the
+        # all-ones vector decides rho >= g exactly
+        report = diverging_sequence(g, tol=Fraction(1, 10))
+        assert report.rho.low < g
+        assert report.passed
 
     def test_lc_upper_reported(self):
         assert diverging_sequence(3).lc_upper == Fraction(1, 2)
