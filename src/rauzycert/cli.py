@@ -3,9 +3,9 @@
 One JSON / CSV / DOT document goes to stdout per invocation; diagnostics go
 to stderr.  Exit codes: 0 for success (certified, allowed, or all checks
 passing) and for ``--help``, 2 for an inconclusive certificate or failed
-checks, 1 for errors, a rejected command line included.  ``main`` returns
-the code in every case and raises no ``SystemExit``.  Identical invocations
-produce byte-identical output.
+checks, 1 for errors, a rejected command line and a closed stdout pipe
+included.  ``main`` returns the code in every case and raises no
+``SystemExit``.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -242,7 +243,7 @@ def _cmd_penner(args) -> int:
     if args.genus is None or args.n is None:
         raise ValueError("penner needs --genus and --n (or the sweep / diverge subcommand)")
     matrices = penner_mod.build(args.genus, args.n)
-    report = penner_mod.stretch_bounds(args.genus, args.n, tol=args.tol)
+    report = penner_mod.stretch_bounds(args.genus, args.n, tol=args.tol, matrices=matrices)
     rotation = penner_mod.lc_upper_rotation(args.genus)
     return _emit_report(
         {
@@ -402,9 +403,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage text or the help
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
+        return code
     except (RauzyError, ValueError, json.JSONDecodeError) as exc:
         print("%s: %s" % (getattr(exc, "prefix", "error"), exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader has gone; send what is still buffered to devnull, so
+        # that the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

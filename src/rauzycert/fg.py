@@ -327,6 +327,45 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     return tuple(word)
 
 
+# Largest n that central_component_checks accepts: n = 18 (131,071 vertices)
+# takes about 20 s and 0.5 GiB, and each further letter doubles both.
+CENTRAL_N_MAX = 18
+
+
+def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycles of the letter map ``relabel``, each as a bit mask of letters."""
+    masks = []
+    seen = 0
+    for start in range(len(relabel)):
+        if seen >> start & 1:
+            continue
+        mask, letter = 0, start
+        while not mask >> letter & 1:
+            mask |= 1 << letter
+            letter = relabel[letter]
+        masks.append(mask)
+        seen |= mask
+    return tuple(masks)
+
+
+def _never_primitive(updates, cycles) -> bool:
+    """Whether some cycle of the relabeling (as ``_cycle_masks`` gives them)
+    never wins or never loses in ``updates``, which rules out a primitive
+    path matrix.
+
+    In the unipotent part (Id + E(w1, l1)) ... (Id + E(wk, lk)) a letter
+    that never wins keeps its unit row and one that never loses keeps its
+    unit column.  The relabeling P maps the unit rows (columns) of a whole
+    such cycle onto unit rows (columns) of the same cycle, so every power
+    of the path matrix keeps them, and none is positive.
+    """
+    won = lost = 0
+    for w, l in updates:
+        won |= 1 << w
+        lost |= 1 << l
+    return any(not (cycle & won and cycle & lost) for cycle in cycles)
+
+
 def central_component_checks(
     n: int, loop_len: int | None = None, samples: int = 3
 ) -> CentralComponentReport:
@@ -340,6 +379,10 @@ def central_component_checks(
     """
     if n < 3:
         raise ValueError("need n >= 3, got %d" % n)
+    if n > CENTRAL_N_MAX:
+        raise ValueError(
+            "need n <= %d (the component has 2^(n-1) - 1 vertices), got %d" % (CENTRAL_N_MAX, n)
+        )
     if samples < 0:
         raise ValueError("need samples >= 0, got %d" % samples)
     if loop_len is None:
@@ -376,22 +419,26 @@ def central_component_checks(
         partner_ok = partner_ok and classes.get(_images(*_step(*rows[src], 2)[:2])) == [dst]
         relabel = _relabel(rows[src][0], _step(*rows[dst], 2)[0])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
-        flip_paths.append((src, dst, relabel))
+        flip_paths.append((src, dst, relabel, _cycle_masks(relabel)))
     checks["flip_partner_identity"] = partner_ok
     checks["relabel_corner_entry"] = corner_ok
 
     sampled: list[SampledPath] = []
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
 
-    def sample(family: int, src: int, word, relabel) -> bool:
+    def sample(family: int, src: int, word, relabel, cycles) -> bool:
         """Record the path of ``word`` from vertex ``src`` when its matrix is
         primitive.  A shape-2 path ends in a flip, whose diagonal entry of
-        interest is the (n, n) one."""
+        interest is the (n, n) one.  Words that leave a cycle of the
+        relabeling never winning or never losing are rejected before any
+        matrix is built."""
         updates = []
         state = src
         for move in word:
             updates.append((winner[move][state], loser[move][state]))
             state = step[move][state]
+        if _never_primitive(updates, cycles):
+            return False
         matrix = _column_product(n, updates, relabel)
         exponent = min_positive_power(matrix)
         if exponent is None:
@@ -422,20 +469,21 @@ def central_component_checks(
     )
     words = itertools.chain(_closed_words(step, 0, 0, loop_len), covers)
     identity = tuple(range(n))
+    singletons = _cycle_masks(identity)
     tried: set[tuple[int, ...]] = set()
     found = 0
     while found < samples and (word := next(words, None)) is not None:
         if word not in tried:
             tried.add(word)
-            found += sample(1, 0, word, identity)
+            found += sample(1, 0, word, identity, singletons)
 
     # Shape 2: from a loop vertex to its unlabeled partner, then one flip.
     found = 0
-    for src, dst, relabel in flip_paths:
+    for src, dst, relabel, cycles in flip_paths:
         if found == samples:
             break
         candidates = _closed_words(step, src, dst, loop_len)
-        found += any(sample(2, src, word, relabel) for word in candidates)
+        found += any(sample(2, src, word, relabel, cycles) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)
     checks["family2_samples_found"] = any(s.family == 2 for s in sampled)

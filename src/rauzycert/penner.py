@@ -79,9 +79,11 @@ def build(g: int, n: int) -> PennerMatrices:
     return PennerMatrices(g=g, n=n, a=a, b=_BLOCK_B, c=_BLOCK_C, d=d, m=_assemble(g, blocks))
 
 
-def power_closed_form(g: int, n: int) -> IntMatrix:
-    """The expected block form of the g-th power of the companion matrix."""
-    p = build(g, n)
+def power_closed_form(g: int, n: int, matrices: PennerMatrices | None = None) -> IntMatrix:
+    """The expected block form of the g-th power of the companion matrix.
+
+    ``matrices`` is ``build(g, n)`` when the caller has already built it."""
+    p = matrices or build(g, n)
     a, b, c, d = p.a, p.b, p.c, p.d
     if g == 3:
         blocks = {
@@ -115,13 +117,17 @@ def power_closed_form(g: int, n: int) -> IntMatrix:
     return _assemble(g, blocks)
 
 
-def verify_power_identity(g: int, n: int, power: IntMatrix | None = None) -> bool:
+def verify_power_identity(
+    g: int, n: int, power: IntMatrix | None = None, matrices: PennerMatrices | None = None
+) -> bool:
     """Exact equality of the g-th matrix power with its block closed form.
 
-    ``power`` is that g-th power when the caller has already computed it."""
+    ``power`` is that g-th power and ``matrices`` is ``build(g, n)`` when the
+    caller has already computed them."""
+    matrices = matrices or build(g, n)
     if power is None:
-        power = build(g, n).m ** g
-    return power == power_closed_form(g, n)
+        power = matrices.m ** g
+    return power == power_closed_form(g, n, matrices)
 
 
 @dataclass
@@ -142,19 +148,21 @@ def stretch_bounds(
     g: int,
     n: int,
     tol: Fraction | str | float = Fraction(1, 10**9),
+    matrices: PennerMatrices | None = None,
 ) -> StretchReport:
     """Bracket the stretch factor and check it is at least (n+1)^(1/g).
 
     The g-th power's minimum row sum is asserted to be exactly n + 1.  By
     Collatz-Wielandt rho^g is at least that sum, so the check on rho^g is
-    decided exactly from it, whatever the bracket's width.
+    decided exactly from it, whatever the bracket's width.  ``matrices`` is
+    ``build(g, n)`` when the caller has already built it.
     """
-    p = build(g, n)
+    p = matrices or build(g, n)
     rho = spectral_radius(p.m, tol)
     power = p.m**g
     mrs = min_row_sum(power)
     checks = {
-        "power_identity": verify_power_identity(g, n, power),
+        "power_identity": verify_power_identity(g, n, power, p),
         "min_row_sum_is_n_plus_1": mrs == n + 1,
         "rho_power_at_least_n_plus_1": mrs >= n + 1,
     }

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rauzycert import cli
+from rauzycert import cli, penner
 from rauzycert.cli import main
 from rauzycert.errors import ConvergenceError, NotPrimitiveError
 
@@ -232,6 +236,18 @@ class TestPenner:
         assert loose["iterations"] < default["iterations"]
 
 
+    def test_matrices_built_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_build(g, n):
+            calls.append((g, n))
+            return build(g, n)
+
+        build = penner.build
+        monkeypatch.setattr(penner, "build", counting_build)
+        assert run(capsys, "penner", "--genus", "3", "--n", "5")[0] == 0
+        assert calls == [(3, 5)]
+
     def test_verdicts_exact_at_coarse_tolerance(self, capsys):
         code, out, _ = run(capsys, "penner", "--genus", "5", "--n", "1000", "--tol", "1/10")
         data = json.loads(out)
@@ -315,6 +331,10 @@ class TestErrorPrefixes:
                 ("certify", "--start", "A B C / A C B", "--moves", "bf"),
                 "reducible error: bottom move undefined on reducible permutation B C A / C B A",
             ),
+            (
+                ("fg", "central", "--n", "19"),
+                "error: need n <= 18 (the component has 2^(n-1) - 1 vertices), got 19",
+            ),
         ],
     )
     def test_cli_input(self, capsys, argv, line):
@@ -337,6 +357,24 @@ class TestErrorPrefixes:
         monkeypatch.setattr(cli, "certify", fail)
         argv = ("certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb")
         assert run(capsys, *argv) == (1, "", line + "\n")
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_one_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        script = "import sys; from rauzycert.cli import main; sys.exit(main(sys.argv[1:]))"
+        # about 1.7 MB of JSON, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "diagram", "--central", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 class TestUsageErrors:

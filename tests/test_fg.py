@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from rauzycert.diagram import build_path, explore
+from rauzycert.diagram import AllowedPath, build_path, explore
 from rauzycert.fg import (
+    CENTRAL_N_MAX,
     _closed_words,
     _cover_loop,
+    _cycle_masks,
+    _never_primitive,
     FamilyReport,
     block_matrix,
     family_loop,
@@ -16,8 +20,8 @@ from rauzycert.fg import (
     family_report,
     central_component_checks,
 )
-from rauzycert.induction import apply_top
-from rauzycert.linalg import min_positive_power, path_matrix
+from rauzycert.induction import Move, apply_top
+from rauzycert.linalg import _column_product, min_positive_power, path_matrix
 from rauzycert.perm import central, fg_start, parse
 
 from helpers import bisect_largest_root, brute_force_closed_words, oracle_cover_loop
@@ -181,6 +185,14 @@ class TestTheorem12:
         with pytest.raises(ValueError):
             central_component_checks(2)
 
+    def test_rejects_large_n_before_exploring(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("explore ran")
+
+        monkeypatch.setattr("rauzycert.fg.explore", fail)
+        with pytest.raises(ValueError, match="need n <= %d" % CENTRAL_N_MAX):
+            central_component_checks(CENTRAL_N_MAX + 1)
+
     def test_rejects_negative_samples(self):
         with pytest.raises(ValueError, match="samples >= 0"):
             central_component_checks(4, loop_len=14, samples=-1)
@@ -195,6 +207,70 @@ class TestTheorem12:
             assert min_positive_power(matrix) == s.primitive_exponent
             assert (matrix**power).is_positive() == (s.primitive_exponent <= power)
             assert s.power_positive == (s.primitive_exponent <= power)
+
+
+def _updates(d, src, word):
+    """The (winner, loser) pairs of ``word`` from vertex ``src`` of ``d``."""
+    updates = []
+    for move in word:
+        updates.append((d.winner[move][src], d.loser[move][src]))
+        src = d.succ[move][src]
+    return updates
+
+
+class TestNeverPrimitive:
+    """The rejection rule in ``central_component_checks`` only rejects words
+    whose path matrix has no positive power."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rejected_candidate_words_are_not_primitive(self, n):
+        # Every candidate word of both shapes up to length 2n: closed words at
+        # the central vertex, and the words from each loop vertex to its
+        # partner, whose relabeling comes from the path with the flip.
+        d = explore(central(n))
+        walk = [0]
+        for _ in range(1, n):
+            walk.append(d.succ[0][walk[-1]])
+        identity = tuple(range(n))
+        shapes = [(1, 0, 0, identity)]
+        for m in range(1, n):
+            src, dst = walk[m], walk[n - m - 1]
+            word = next(_closed_words(d.succ, src, dst, 2 * n))
+            moves = tuple(Move.from_letter("tb"[move]) for move in word) + (Move.FLIP,)
+            path = AllowedPath(d.vertices[src], moves)
+            assert path.allowed
+            shapes.append((2, src, dst, path.relabel))
+        rejected = {1: 0, 2: 0}
+        for family, src, dst, relabel in shapes:
+            cycles = _cycle_masks(relabel)
+            for word in _closed_words(d.succ, src, dst, 2 * n):
+                updates = _updates(d, src, word)
+                if _never_primitive(updates, cycles):
+                    assert min_positive_power(_column_product(n, updates, relabel)) is None
+                    rejected[family] += family == 1 or relabel != identity
+        assert rejected[1] > 0
+        assert rejected[2] > 0  # with a relabeling that is not the identity
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_updates_and_relabelings(self, seed):
+        rng = random.Random(seed)
+        rejected = 0
+        for _ in range(500):
+            n = rng.randint(2, 8)
+            relabel = list(range(n))
+            rng.shuffle(relabel)
+            updates = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            if _never_primitive(updates, _cycle_masks(tuple(relabel))):
+                rejected += 1
+                assert min_positive_power(_column_product(n, updates, tuple(relabel))) is None
+        assert rejected > 0
+
+    @pytest.mark.parametrize(
+        "relabel, cycles",
+        [((0, 1, 2), (1, 2, 4)), ((1, 2, 0), (7,)), ((2, 0, 1, 3), (7, 8)), ((1, 0, 3, 2), (3, 12))],
+    )
+    def test_cycle_masks(self, relabel, cycles):
+        assert _cycle_masks(relabel) == cycles
 
 
 class TestCoverLoop:

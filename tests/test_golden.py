@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
 
 CASES: dict[str, tuple[str, ...]] = {
-    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 11)},
+    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 13)},
     "fg_central_n9_loop12_samples5": (
         "fg", "central", "--n", "9", "--loop-len", "12", "--samples", "5"
     ),
@@ -77,6 +77,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"
     ),
+    "fg_central_n_above_cap": ("fg", "central", "--n", "19"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
 }
