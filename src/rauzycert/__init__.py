@@ -20,15 +20,13 @@ from .errors import (
     RauzyError,
     ReducibleError,
 )
-from .induction import EdgeRecord, Move, apply_bottom, apply_flip, apply_top, edge_matrix
+from .induction import EdgeRecord, Move, apply_move, edge_matrix
 from .linalg import (
     IntMatrix,
     SpectralBracket,
-    det,
     min_positive_power,
     min_row_sum,
     path_matrix,
-    relabel_matrix,
     spectral_radius,
 )
 from .pa import PACertificate, certify, lc_lower_bound, lc_upper_bound
@@ -36,13 +34,12 @@ from .perm import (
     LabeledPermutation,
     UnlabeledPermutation,
     central,
-    equal_unlabeled,
     fg_start,
     is_irreducible,
     parse,
     unlabeled,
 )
-from .surface import GluedSurface, glue, side_homology_nonzero, stratum_of_central
+from .surface import GluedSurface, glue, stratum_of_central
 
 __version__ = "0.1.0"
 
@@ -64,15 +61,11 @@ __all__ = [
     "ReducibleError",
     "SpectralBracket",
     "UnlabeledPermutation",
-    "apply_bottom",
-    "apply_flip",
-    "apply_top",
+    "apply_move",
     "build_path",
     "central",
     "certify",
-    "det",
     "edge_matrix",
-    "equal_unlabeled",
     "explore",
     "fg_start",
     "glue",
@@ -84,8 +77,6 @@ __all__ = [
     "min_row_sum",
     "parse",
     "path_matrix",
-    "relabel_matrix",
-    "side_homology_nonzero",
     "spectral_radius",
     "stratum_of_central",
     "to_dot",

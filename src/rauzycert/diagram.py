@@ -9,9 +9,9 @@ per move, the successor, winner and loser of each vertex.
 A path is a start permutation plus a sequence of moves in execution order.
 It is *allowed* when its endpoints define the same unlabeled permutation;
 only allowed paths induce a mapping class and a path matrix.  Move words
-are written over {t, b, f} with an optional ^k repeat, and are read
-right-to-left by default ("ftb" applies b, then t, then f); pass
-``reading="ltr"`` for left-to-right.
+are written over {t, b, f} with an optional ^k repeat, expand to at most
+``MAX_MOVES`` moves, and are read right-to-left by default ("ftb" applies
+b, then t, then f); pass ``reading="ltr"`` for left-to-right.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .induction import MOVES, EdgeRecord, Move, _step, apply_move
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
 DEFAULT_CAP = 10**6
+MAX_MOVES = 10**6
 
 
 class RauzyDiagram:
@@ -71,29 +72,6 @@ class RauzyDiagram:
                 edges.append(EdgeRecord(MOVES[move], source, vertices[table[v]], winner, loser))
             out.append(tuple(edges))
         return tuple(out)
-
-    @cached_property
-    def _index(self) -> dict:
-        return {row: v for v, row in enumerate(self.rows)}
-
-    def _key(self, p: LabeledPermutation):
-        """The index rows of ``p`` over this alphabet, matched by letter name."""
-        if p.alphabet == self.alphabet:
-            return p.top, p.bottom
-        position = {letter: i for i, letter in enumerate(self.alphabet)}
-        return (
-            tuple(position.get(x) for x in p.top_letters()),
-            tuple(position.get(x) for x in p.bottom_letters()),
-        )
-
-    def vertex_index(self, p: LabeledPermutation) -> int:
-        try:
-            return self._index[self._key(p)]
-        except KeyError:
-            raise KeyError(p.display()) from None
-
-    def __contains__(self, p: LabeledPermutation) -> bool:
-        return self._key(p) in self._index
 
     def successor(self, index: int, move: Move) -> int:
         """Index of the target of the given move from vertex ``index``."""
@@ -170,6 +148,8 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
         count = int(repeat) if repeat else 1
         if repeat and count < 1:
             raise PermutationParseError("repeat must be >= 1 in move word %r" % word)
+        if len(moves) + count > MAX_MOVES:
+            raise PermutationParseError("move word expands past %d moves" % MAX_MOVES)
         moves.extend([Move(letter)] * count)
     return tuple(moves)
 
@@ -216,24 +196,6 @@ class AllowedPath:
     def word(self) -> str:
         """The move word in execution order (left-to-right)."""
         return "".join(move.value for move in self.moves)
-
-    @property
-    def word_rtl(self) -> str:
-        """The move word in right-to-left composition order."""
-        return "".join(move.value for move in reversed(self.moves))
-
-    def winners(self) -> frozenset[str]:
-        return frozenset(self.start.alphabet[winner] for winner, _ in self.updates)
-
-    def concat(self, other: "AllowedPath") -> "AllowedPath":
-        if self.end != other.start:
-            raise ValueError("paths do not concatenate: endpoint mismatch")
-        return AllowedPath(self.start, self.moves + other.moves)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AllowedPath):
-            return NotImplemented
-        return self.start == other.start and self.moves == other.moves
 
     def __repr__(self) -> str:
         return "AllowedPath(%s, %r, allowed=%s)" % (self.start.display(), self.word, self.allowed)

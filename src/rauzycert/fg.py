@@ -68,11 +68,6 @@ def _closed_forms(g: int) -> list[_Rows]:
     return [_fg_after_b(g, k) for k in range(1, g + 1)] + [_fg_after_tb(g), _fg_end(g)]
 
 
-def intermediate_check(g: int) -> bool:
-    """Every intermediate permutation of the loop matches its closed form."""
-    return _stations(family_loop(g)) == _closed_forms(g)
-
-
 def expected_winner_losers(g: int) -> list[tuple[str, str]]:
     a = default_alphabet(2 * g)
     pairs = [(a[g - 1], a[2 * g - 1 - j]) for j in range(g)]

@@ -67,43 +67,22 @@ def _step(top: tuple[int, ...], bottom: tuple[int, ...], move: int):
 
 
 def apply_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
-    """The edge of ``move`` from ``p``, with winner and loser by name."""
+    """The edge of ``move`` from ``p``, with winner and loser by name.
+
+    >>> from .perm import parse
+    >>> apply_move(parse("A B C D / D C B A"), Move.TOP).target.display()
+    'A B C D / D A C B'
+    >>> apply_move(parse("A B C D / D C B A"), Move.BOTTOM).target.display()
+    'A D B C / D C B A'
+    >>> apply_move(parse("A C B / B A C"), Move.FLIP).target.display()
+    'C A B / B C A'
+    """
     if move is not Move.FLIP and not is_irreducible(p):
         text = "%s move undefined on reducible permutation %s"
         raise ReducibleError(text % (move.name.lower(), p.display()))
     top, bottom, duel = _step(p.top, p.bottom, MOVES.index(move))
     winner, loser = (None, None) if duel is None else (p.alphabet[duel[0]], p.alphabet[duel[1]])
     return EdgeRecord(move, p, LabeledPermutation(p.alphabet, top, bottom), winner, loser)
-
-
-def apply_top(p: LabeledPermutation) -> EdgeRecord:
-    """Top move: winner is the last top letter, loser the last bottom letter.
-
-    >>> from .perm import parse
-    >>> apply_top(parse("A B C D / D C B A")).target.display()
-    'A B C D / D A C B'
-    """
-    return apply_move(p, Move.TOP)
-
-
-def apply_bottom(p: LabeledPermutation) -> EdgeRecord:
-    """Bottom move: winner is the last bottom letter, loser the last top letter.
-
-    >>> from .perm import parse
-    >>> apply_bottom(parse("A B C D / D C B A")).target.display()
-    'A D B C / D C B A'
-    """
-    return apply_move(p, Move.BOTTOM)
-
-
-def apply_flip(p: LabeledPermutation) -> EdgeRecord:
-    """Flip: reverse both rows and swap them.  An involution on all inputs.
-
-    >>> from .perm import parse
-    >>> apply_flip(parse("A C B / B A C")).target.display()
-    'C A B / B C A'
-    """
-    return apply_move(p, Move.FLIP)
 
 
 def edge_matrix(e: EdgeRecord) -> IntMatrix:

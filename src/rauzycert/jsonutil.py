@@ -32,12 +32,6 @@ def rational_json(x: Fraction | None) -> dict | None:
     return {"decimal": decimal_str(x), "num": str(x.numerator), "den": str(x.denominator)}
 
 
-def rational_from_json(data: dict | None) -> Fraction | None:
-    if data is None:
-        return None
-    return Fraction(int(data["num"]), int(data["den"]))
-
-
 def bracket_json(b: SpectralBracket | None) -> dict | None:
     if b is None:
         return None
@@ -46,13 +40,3 @@ def bracket_json(b: SpectralBracket | None) -> dict | None:
         "high": rational_json(b.high),
         "iterations": b.iterations,
     }
-
-
-def bracket_from_json(data: dict | None) -> SpectralBracket | None:
-    if data is None:
-        return None
-    return SpectralBracket(
-        low=rational_from_json(data["low"]),
-        high=rational_from_json(data["high"]),
-        iterations=data["iterations"],
-    )

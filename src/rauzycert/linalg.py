@@ -1,4 +1,4 @@
-"""Exact integer matrices, relabeling matrices, primitivity and spectral brackets.
+"""Exact integer matrices, path matrices, primitivity and spectral brackets.
 
 Everything here is exact: matrices hold arbitrary-precision integers (path
 matrix entries grow like a power of the stretch factor and overflow any
@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, NotAllowedError, NotPrimitiveError
-from .perm import LabeledPermutation, _relabel, equal_unlabeled
 
 if TYPE_CHECKING:  # pragma: no cover
     from .diagram import AllowedPath
@@ -75,9 +74,6 @@ class IntMatrix:
                 base = base * base
         return result
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.rows for x in row)
 
@@ -88,64 +84,11 @@ class IntMatrix:
         """Row-major nested lists of decimal strings (entries may exceed 64 bits)."""
         return [[str(x) for x in row] for row in self.rows]
 
-    @staticmethod
-    def from_json(data) -> "IntMatrix":
-        return IntMatrix.from_rows(data)
-
-    def __str__(self) -> str:
-        width = max(len(str(x)) for row in self.rows for x in row)
-        return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.rows)
-
 
 def min_row_sum(m: IntMatrix) -> int:
     """Minimum over rows of the entry sum; a Collatz-Wielandt lower bound for
     the spectral radius of a nonnegative matrix."""
     return min(sum(row) for row in m.rows)
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in m.rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
-    """Permutation matrix of the relabeling between two unlabeled-equal vertices.
-
-    The relabeling sends a letter b to the letter occupying, in the end top
-    row, the position b has in the start top row; the matrix has a 1 in
-    position (relabel(b), b).  Letters are matched by name, so the two
-    vertices may list one letter set in different alphabet orders.
-    """
-    if set(start.alphabet) != set(end.alphabet):
-        raise NotAllowedError("relabeling needs matching letter sets")
-    if not equal_unlabeled(start, end):
-        raise NotAllowedError(
-            "endpoints do not define the same unlabeled permutation: %s vs %s"
-            % (start.display(), end.display())
-        )
-    index = {letter: i for i, letter in enumerate(start.alphabet)}
-    n = start.n
-    rows = [[0] * n for _ in range(n)]
-    for letter, image in enumerate(_relabel(start.top, [index[x] for x in end.top_letters()])):
-        rows[image][letter] = 1
-    return IntMatrix.from_rows(rows)
 
 
 def _column_product(n: int, updates, relabel: tuple[int, ...]) -> IntMatrix:

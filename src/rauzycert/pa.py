@@ -35,7 +35,7 @@ from .linalg import (
     path_matrix,
     spectral_radius,
 )
-from .perm import LabeledPermutation, _invert, _relabel
+from .perm import _invert
 from .surface import GluedSurface, glue
 
 
@@ -107,7 +107,7 @@ class PACertificate:
 
 
 def certificate_to_json(cert: PACertificate) -> dict:
-    """The documented certificate schema; see certificate_from_json for the inverse."""
+    """The documented certificate schema."""
     from .jsonutil import bracket_json, rational_json
 
     return {
@@ -130,59 +130,6 @@ def certificate_to_json(cert: PACertificate) -> dict:
         "assumptions": list(cert.assumptions),
         "warnings": list(cert.warnings),
     }
-
-
-def certificate_from_json(data: dict) -> PACertificate:
-    """Rebuild a certificate from its JSON form (path from start + word,
-    matrix from decimal strings, rationals from num/den pairs)."""
-    from .diagram import AllowedPath, parse_move_word
-    from .jsonutil import bracket_from_json, rational_from_json
-
-    start = LabeledPermutation.from_json_dict(data["start"])
-    path = AllowedPath(start, parse_move_word(data["word"]))
-    lower = None
-    if data["lc_lower"] is not None:
-        lower = LowerBound(
-            value=rational_from_json(data["lc_lower"]),
-            exponent=data["lc_lower_exponent"],
-            mode=data["lc_lower_mode"],
-        )
-    orbit = None
-    if data["orbit"] is not None:
-        o = data["orbit"]
-        orbit = OrbitReport(
-            winners=frozenset(o["winners"]),
-            orbit_map=dict(o["orbit_map"]),
-            best_start=o["best_start"],
-            steps=o["steps"],
-            trajectory=tuple(o["trajectory"]),
-            skipped_sides=tuple(o["skipped_sides"]),
-            cycle_warnings=tuple(o["cycle_warnings"]),
-        )
-    return PACertificate(
-        path=path,
-        matrix=IntMatrix.from_json(data["matrix"]),
-        primitive=data["primitive"],
-        positive_power=data["positive_power"],
-        verdict=data["verdict"],
-        genus=data["genus"],
-        vertex_count=data["vertex_count"],
-        lam=bracket_from_json(data["lambda"]),
-        teich_length=tuple(data["teich_length"]) if data["teich_length"] else None,
-        lc_upper=rational_from_json(data["lc_upper"]),
-        orbit=orbit,
-        lc_lower=lower,
-        assumptions=tuple(data["assumptions"]),
-        warnings=tuple(data["warnings"]),
-    )
-
-
-def orbit_map(start: LabeledPermutation, end: LabeledPermutation) -> dict[str, str]:
-    """The letter map sigma sending each side to its inverse image: the letter
-    in the start top row at the position the side occupies in the end top
-    row.  It is the inverse of the relabeling, by letter name."""
-    sigma = _invert(_relabel(start.top, end.top))
-    return {start.alphabet[x]: start.alphabet[image] for x, image in enumerate(sigma)}
 
 
 def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix | None = None) -> None:

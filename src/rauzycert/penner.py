@@ -262,16 +262,11 @@ def diverging_sequence(
     row_sums = [1] * (3 * g)
     for _ in range(g):
         row_sums = [sum(a * x for a, x in zip(row, row_sums)) for row in p.m.rows]
-    rotation = lc_upper_rotation(g)
-    checks = {
-        "rho_at_least_g": min(row_sums) > n,
-        "lc_upper_is_one_over_g_minus_1": rotation.bound == Fraction(1, g - 1),
-    }
     return DivergenceReport(
         g=g,
         n=n,
         rho=rho,
         teich_low=rho.log_bounds()[0],
-        lc_upper=rotation.bound,
-        checks=checks,
+        lc_upper=lc_upper_rotation(g).bound,
+        checks={"rho_at_least_g": min(row_sums) > n},
     )

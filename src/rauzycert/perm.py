@@ -86,11 +86,6 @@ class LabeledPermutation:
             "bottom": list(self.bottom_letters()),
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "LabeledPermutation":
-        alphabet = tuple(data["alphabet"])
-        return from_rows(alphabet, tuple(data["top"]), tuple(data["bottom"]))
-
 
 @dataclass(frozen=True)
 class UnlabeledPermutation:
@@ -101,10 +96,6 @@ class UnlabeledPermutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise PermutationParseError("images are not a bijection of {1..n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
 
 
 def from_rows(alphabet: tuple[str, ...], top_letters, bottom_letters) -> LabeledPermutation:
@@ -172,11 +163,6 @@ def _relabel(start_top: tuple[int, ...], end_top: tuple[int, ...]) -> tuple[int,
 def unlabeled(p: LabeledPermutation) -> UnlabeledPermutation:
     """The underlying permutation of {1..n}: bottom order after inverse top order."""
     return UnlabeledPermutation(_images(p.top, p.bottom))
-
-
-def equal_unlabeled(p: LabeledPermutation, q: LabeledPermutation) -> bool:
-    """Whether two labeled permutations define the same unlabeled permutation."""
-    return p.n == q.n and unlabeled(p).images == unlabeled(q).images
 
 
 def is_irreducible(p: LabeledPermutation) -> bool:

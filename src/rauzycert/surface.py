@@ -42,9 +42,8 @@ class _UnionFind:
 
 @dataclass
 class GluedSurface:
-    """Corner classes, Euler characteristic and per-side flags of the gluing."""
+    """Euler characteristic and per-side flags of the gluing."""
 
-    corner_classes: tuple[tuple[str, ...], ...]
     vertex_count: int
     euler_char: int
     genus: int
@@ -66,14 +65,8 @@ class GluedSurface:
         }
 
 
-def _corner_name(n: int, corner: int) -> str:
-    # Corners 0..n run along the top chain (0 and n shared with the bottom);
-    # corners n+1..2n-1 are the interior bottom corners b1..b{n-1}.
-    return "t%d" % corner if corner <= n else "b%d" % (corner - n)
-
-
 def glue(p: LabeledPermutation) -> GluedSurface:
-    """Glue the 2n-gon of ``p`` and report corner classes, genus and side flags.
+    """Glue the 2n-gon of ``p`` and report its genus and side flags.
 
     The gluing is defined for reducible permutations too; those only emit a
     warning since the downstream certification steps assume irreducibility.
@@ -95,18 +88,10 @@ def glue(p: LabeledPermutation) -> GluedSurface:
         uf.union(i, bottom_corner(j))  # left endpoints
         uf.union(i + 1, bottom_corner(j + 1))  # right endpoints
 
-    classes: dict[int, list[int]] = {}
-    for corner in range(2 * n):
-        classes.setdefault(uf.find(corner), []).append(corner)
-    vertex_count = len(classes)
+    vertex_count = sum(uf.find(corner) == corner for corner in range(2 * n))
     euler_char = vertex_count - n + 1
     assert euler_char % 2 == 0, "gluing always yields an even Euler characteristic"
     genus = (2 - euler_char) // 2
-
-    corner_classes = tuple(
-        tuple(_corner_name(n, c) for c in sorted(members))
-        for _, members in sorted(classes.items())
-    )
 
     side_closed: dict[str, bool] = {}
     for letter in range(n):
@@ -122,24 +107,12 @@ def glue(p: LabeledPermutation) -> GluedSurface:
     }
 
     return GluedSurface(
-        corner_classes=corner_classes,
         vertex_count=vertex_count,
         euler_char=euler_char,
         genus=genus,
         side_closed=side_closed,
         side_homology_nonzero=side_homology_nonzero,
     )
-
-
-def side_homology_nonzero(s: GluedSurface, letter: str) -> bool:
-    """Whether the closed side ``letter`` is homologically nontrivial."""
-    if letter not in s.side_closed:
-        raise KeyError("unknown side %r" % letter)
-    if not s.side_closed[letter]:
-        raise ValueError("side %r is not closed" % letter)
-    flag = s.side_homology_nonzero[letter]
-    assert flag is not None
-    return flag
 
 
 def stratum_of_central(n: int) -> str:

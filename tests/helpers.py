@@ -9,13 +9,12 @@ from fractions import Fraction
 from hypothesis import assume, strategies as st
 
 from rauzycert.diagram import AllowedPath
-from rauzycert.errors import EnumerationCapError, ReducibleError
+from rauzycert.errors import EnumerationCapError, NotAllowedError, ReducibleError
 from rauzycert.induction import EdgeRecord, Move, apply_move, edge_matrix
-from rauzycert.linalg import IntMatrix, relabel_matrix, wielandt_bound
+from rauzycert.linalg import IntMatrix, wielandt_bound
 from rauzycert.perm import (
     LabeledPermutation,
     default_alphabet,
-    equal_unlabeled,
     is_irreducible,
     unlabeled,
 )
@@ -44,6 +43,53 @@ def bisect_largest_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
         else:
             hi, fhi = mid, fmid
     return lo, hi
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m.rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_positive(m: IntMatrix) -> bool:
+    return all(x > 0 for row in m.rows for x in row)
+
+
+def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
+    """Permutation matrix of the relabeling between two unlabeled-equal
+    vertices, by letter name: a letter b goes to the letter occupying, in
+    the end top row, the position b has in the start top row, and the matrix
+    has a 1 at (relabel(b), b).  The two vertices may list one letter set in
+    different alphabet orders."""
+    if set(start.alphabet) != set(end.alphabet):
+        raise NotAllowedError("relabeling needs matching letter sets")
+    if unlabeled(start) != unlabeled(end):
+        raise NotAllowedError(
+            "endpoints do not define the same unlabeled permutation: %s vs %s"
+            % (start.display(), end.display())
+        )
+    image = dict(zip(start.top_letters(), end.top_letters()))
+    index = {letter: i for i, letter in enumerate(start.alphabet)}
+    rows = [[0] * start.n for _ in range(start.n)]
+    for letter in start.alphabet:
+        rows[index[image[letter]]][index[letter]] = 1
+    return IntMatrix.from_rows(rows)
 
 
 def _reinsert_after(row: tuple[int, ...], moved: int, anchor: int) -> tuple[int, ...]:
@@ -231,7 +277,7 @@ def linear_min_positive_power(m: IntMatrix, cap: int | None = None) -> int | Non
     base = pattern(m)
     power = base
     for p in range(1, cap + 1):
-        if power.is_positive():
+        if is_positive(power):
             return p
         power = pattern(power * base)
     return None
@@ -278,7 +324,7 @@ def random_allowed_paths(
             edge = apply_move(current, move)
             moves.append(move)
             current = edge.target
-            if equal_unlabeled(start, current):
+            if unlabeled(start) == unlabeled(current):
                 paths.append(AllowedPath(start, moves))
                 break
     return paths
@@ -299,7 +345,7 @@ def allowed_paths(draw, max_n: int = 6, max_moves: int = 400) -> AllowedPath:
         move = draw(st.sampled_from((Move.TOP, Move.BOTTOM, Move.FLIP)))
         moves.append(move)
         current = apply_move(current, move).target
-        if equal_unlabeled(start, current):
+        if unlabeled(start) == unlabeled(current):
             return AllowedPath(start, moves)
     assume(False)
 

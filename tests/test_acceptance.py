@@ -12,8 +12,8 @@ from fractions import Fraction
 from rauzycert.cli import main as cli_main
 from rauzycert.diagram import build_path, explore
 from rauzycert.fg import block_matrix, family_loop, family_report, central_component_checks
-from rauzycert.induction import apply_bottom, apply_flip, apply_top
-from rauzycert.linalg import IntMatrix, det, min_row_sum, path_matrix
+from rauzycert.induction import Move, apply_move
+from rauzycert.linalg import IntMatrix, min_row_sum, path_matrix
 from rauzycert.pa import check_never_winner_rows
 from rauzycert.penner import (
     build,
@@ -26,7 +26,7 @@ from rauzycert.penner import (
 from rauzycert.perm import central, fg_start, is_irreducible, parse
 from rauzycert.surface import glue
 
-from helpers import all_standard_permutations, bisect_largest_root, random_allowed_paths
+from helpers import all_standard_permutations, bisect_largest_root, det, random_allowed_paths
 
 TOL = Fraction(1, 10**9)
 SLACK = Fraction(1, 10**6)
@@ -44,10 +44,10 @@ def criterion(number, name):
 
 def test_criterion_1_worked_examples():
     with criterion(1, "worked move examples and the single-flip matrix"):
-        assert apply_top(parse("A B C D / D C B A")).target.display() == "A B C D / D A C B"
-        assert apply_bottom(parse("A B C D / D C B A")).target.display() == "A D B C / D C B A"
-        assert apply_flip(parse("A C B / B A C")).target.display() == "C A B / B C A"
-        assert apply_flip(parse("A B C / C A B")).target.display() == "B A C / C B A"
+        assert apply_move(parse("A B C D / D C B A"), Move.TOP).target.display() == "A B C D / D A C B"
+        assert apply_move(parse("A B C D / D C B A"), Move.BOTTOM).target.display() == "A D B C / D C B A"
+        assert apply_move(parse("A C B / B A C"), Move.FLIP).target.display() == "C A B / B C A"
+        assert apply_move(parse("A B C / C A B"), Move.FLIP).target.display() == "B A C / C B A"
         flip_path = build_path(parse("A B C / C A B"), "f")
         assert path_matrix(flip_path) == IntMatrix.from_rows(
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -176,17 +176,17 @@ def test_criterion_9_property_suites(capsys):
         for n in range(2, 7):
             for p in all_standard_permutations(n):
                 if is_irreducible(p):
-                    assert is_irreducible(apply_top(p).target)
-                    assert is_irreducible(apply_bottom(p).target)
+                    assert is_irreducible(apply_move(p, Move.TOP).target)
+                    assert is_irreducible(apply_move(p, Move.BOTTOM).target)
 
         # flip involution, exhaustively for n <= 5 representatives plus the
         # random loop starts above
         for n in range(2, 6):
             for p in all_standard_permutations(n):
-                assert apply_flip(apply_flip(p).target).target == p
+                assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
         for path in paths[:50]:
             p = path.start
-            assert apply_flip(apply_flip(p).target).target == p
+            assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
 
         # output determinism, byte for byte across two CLI runs
         for argv in (

@@ -157,15 +157,16 @@ class TestCertify:
         assert data["lc_lower_exponent"] == 4
 
     def test_emitted_json_roundtrips_through_schema(self, capsys):
-        from rauzycert.pa import certificate_from_json, certificate_to_json
+        from rauzycert.diagram import build_path
+        from rauzycert.pa import certificate_to_json, certify
+        from rauzycert.perm import parse
 
-        _, out, _ = run(
-            capsys,
-            "certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb",
-        )
+        start = "a1 a2 a3 a4 / a4 a1 a3 a2"
+        _, out, _ = run(capsys, "certify", "--start", start, "--moves", "ftbb")
         data = json.loads(out)
         schema_fields = {k: v for k, v in data.items() if k not in ("input_word", "reading")}
-        assert certificate_to_json(certificate_from_json(schema_fields)) == schema_fields
+        cert = certify(build_path(parse(start), "ftbb"))
+        assert json.loads(json.dumps(certificate_to_json(cert))) == schema_fields
 
 
 class TestFg:

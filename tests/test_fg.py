@@ -6,25 +6,26 @@ import pytest
 from rauzycert.diagram import AllowedPath, build_path, explore
 from rauzycert.fg import (
     CENTRAL_N_MAX,
+    _closed_forms,
     _closed_words,
     _cover_loop,
     _cycle_masks,
     _never_primitive,
+    _stations,
     FamilyReport,
     block_matrix,
     family_loop,
     central_after_t,
     expected_orbit_trajectory,
     expected_winner_losers,
-    intermediate_check,
     family_report,
     central_component_checks,
 )
-from rauzycert.induction import Move, apply_top
+from rauzycert.induction import Move, apply_move
 from rauzycert.linalg import _column_product, min_positive_power, path_matrix
 from rauzycert.perm import central, fg_start, parse
 
-from helpers import bisect_largest_root, brute_force_closed_words, oracle_cover_loop
+from helpers import bisect_largest_root, brute_force_closed_words, is_positive, oracle_cover_loop
 
 
 class TestGamma:
@@ -33,7 +34,7 @@ class TestGamma:
         path = family_loop(g)
         assert path.allowed
         assert len(path.moves) == g + 2
-        assert path.word_rtl == "ft" + "b" * g
+        assert path.word == "b" * g + "tf"
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_bottom_moves_return_to_start(self, g):
@@ -60,7 +61,7 @@ class TestIntermediateForms:
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_closed_forms(self, g):
-        assert intermediate_check(g)
+        assert _stations(family_loop(g)) == _closed_forms(g)
 
     def test_endpoint_genus_two(self):
         assert family_loop(2).end.display() == "a3 a1 a2 a4 / a4 a3 a2 a1"
@@ -144,7 +145,7 @@ class TestCentralLoop:
     def test_closed_form_matches_repeated_top_moves(self, n):
         current = central(n)
         for m in range(1, n):
-            current = apply_top(current).target
+            current = apply_move(current, Move.TOP).target
             assert current == central_after_t(n, m)
         assert current == central(n)
 
@@ -205,7 +206,7 @@ class TestTheorem12:
         for s in central_component_checks(n).samples:
             matrix = path_matrix(build_path(parse(s.start_display), s.word, reading="ltr"))
             assert min_positive_power(matrix) == s.primitive_exponent
-            assert (matrix**power).is_positive() == (s.primitive_exponent <= power)
+            assert is_positive(matrix**power) == (s.primitive_exponent <= power)
             assert s.power_positive == (s.primitive_exponent <= power)
 
 
@@ -288,6 +289,6 @@ def test_family_start_is_a_distinct_vertex_of_the_central_component():
     # the family start is one top move past the central permutation: same
     # component, different vertex, and the constructors never conflate them
     component = explore(central(4))
-    assert fg_start(2) in component
+    assert (fg_start(2).top, fg_start(2).bottom) in component.rows
     assert fg_start(2) != central(4)
-    assert apply_top(central(4)).target == fg_start(2)
+    assert apply_move(central(4), Move.TOP).target == fg_start(2)

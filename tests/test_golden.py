@@ -39,6 +39,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
     "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
     "penner_g3_n5": ("penner", "--genus", "3", "--n", "5"),
+    "perm_readme_literal": ("perm", "--perm", "A B C / C B A"),
+    "perm_readme_central5": ("perm", "--central", "5"),
+    "perm_readme_fg_start2_text": ("perm", "--fg-start", "2", "--format", "text"),
+    "move_readme_top": ("move", "--start", "A B C D / D C B A", "--kind", "t"),
     **{
         "diagram_central_n%d_%s" % (n, fmt): ("diagram", "--central", str(n), "--format", fmt)
         for n in (3, 5, 9)
@@ -73,6 +77,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "path_bad_move_letter": ("path", "--start", "A B C / C B A", "--moves", "x"),
     "path_reducible_start": ("path", "--start", "A B / A B", "--moves", "tf"),
     "path_reducible_flip_not_allowed": ("path", "--start", "A B C / A C B", "--moves", "f"),
+    "path_moves_above_cap": ("path", "--start", "A B C / C B A", "--moves", "b^1000001"),
     "fg_bare": ("fg",),
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"

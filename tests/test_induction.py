@@ -8,16 +8,13 @@ from rauzycert.induction import (
     MOVES,
     Move,
     _step,
-    apply_bottom,
-    apply_flip,
     apply_move,
-    apply_top,
     edge_matrix,
 )
-from rauzycert.linalg import IntMatrix, det
+from rauzycert.linalg import IntMatrix
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
-from helpers import all_standard_permutations, oracle_explore, oracle_move, random_irreducible
+from helpers import all_standard_permutations, det, oracle_explore, oracle_move, random_irreducible
 
 
 @st.composite
@@ -37,72 +34,72 @@ def test_move_from_letter():
 
 class TestTopMove:
     def test_worked_example(self):
-        edge = apply_top(parse("A B C D / D C B A"))
+        edge = apply_move(parse("A B C D / D C B A"), Move.TOP)
         assert edge.target.display() == "A B C D / D A C B"
         assert (edge.winner, edge.loser) == ("D", "A")
 
     def test_on_three_letter_component(self):
-        assert apply_top(parse("A B C / C B A")).target.display() == "A B C / C A B"
+        assert apply_move(parse("A B C / C B A"), Move.TOP).target.display() == "A B C / C A B"
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleError):
-            apply_top(parse("A B / A B"))
+            apply_move(parse("A B / A B"), Move.TOP)
 
 
 class TestBottomMove:
     def test_worked_example(self):
-        edge = apply_bottom(parse("A B C D / D C B A"))
+        edge = apply_move(parse("A B C D / D C B A"), Move.BOTTOM)
         assert edge.target.display() == "A D B C / D C B A"
         assert (edge.winner, edge.loser) == ("A", "D")
 
     def test_on_three_letter_component(self):
-        assert apply_bottom(parse("A B C / C B A")).target.display() == "A C B / C B A"
+        assert apply_move(parse("A B C / C B A"), Move.BOTTOM).target.display() == "A C B / C B A"
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_bottom_power_fixes_family_start(self, g):
         current = fg_start(g)
         for _ in range(g):
-            current = apply_bottom(current).target
+            current = apply_move(current, Move.BOTTOM).target
         assert current == fg_start(g)
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleError):
-            apply_bottom(parse("A B / A B"))
+            apply_move(parse("A B / A B"), Move.BOTTOM)
 
 
 class TestFlip:
     def test_worked_example(self):
-        assert apply_flip(parse("A C B / B A C")).target.display() == "C A B / B C A"
+        assert apply_move(parse("A C B / B A C"), Move.FLIP).target.display() == "C A B / B C A"
 
     def test_second_worked_example(self):
-        assert apply_flip(parse("A B C / C A B")).target.display() == "B A C / C B A"
+        assert apply_move(parse("A B C / C A B"), Move.FLIP).target.display() == "B A C / C B A"
 
     def test_no_winner_or_loser(self):
-        edge = apply_flip(central(3))
+        edge = apply_move(central(3), Move.FLIP)
         assert edge.winner is None and edge.loser is None
 
     @given(labeled_permutations())
     def test_involution(self, p):
-        assert apply_flip(apply_flip(p).target).target == p
+        assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
 
     def test_defined_on_reducible(self):
-        apply_flip(parse("A B / A B"))  # no exception
+        apply_move(parse("A B / A B"), Move.FLIP)  # no exception
 
 
 class TestEdgeMatrix:
     def test_top_example(self):
-        edge = apply_top(parse("A B C D / D C B A"))
+        edge = apply_move(parse("A B C D / D C B A"), Move.TOP)
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
         )
         assert edge_matrix(edge) == expected
 
     def test_flip_is_identity(self):
-        edge = apply_flip(parse("A B C / C A B"))
+        edge = apply_move(parse("A B C / C A B"), Move.FLIP)
         assert edge_matrix(edge) == IntMatrix.identity(3)
 
     def test_first_bottom_edge_of_family_start(self):
-        edge = apply_bottom(fg_start(2))
+        edge = apply_move(fg_start(2), Move.BOTTOM)
         assert (edge.winner, edge.loser) == ("a2", "a4")
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -122,8 +119,8 @@ def test_moves_preserve_irreducibility_exhaustively():
         for p in all_standard_permutations(n):
             if not is_irreducible(p):
                 continue
-            assert is_irreducible(apply_top(p).target)
-            assert is_irreducible(apply_bottom(p).target)
+            assert is_irreducible(apply_move(p, Move.TOP).target)
+            assert is_irreducible(apply_move(p, Move.BOTTOM).target)
 
 
 def _kernel_cases():

@@ -6,7 +6,7 @@ import pytest
 
 from rauzycert.diagram import explore
 from rauzycert.perm import central, fg_start, parse
-from rauzycert.surface import glue, side_homology_nonzero, stratum_of_central
+from rauzycert.surface import glue, stratum_of_central
 
 from helpers import (
     all_standard_permutations,
@@ -67,11 +67,6 @@ class TestGlue:
                 for p in all_standard_permutations(n):
                     assert glue(p).euler_char % 2 == 0
 
-    def test_corner_class_partition_covers_all_corners(self):
-        s = glue(central(5))
-        corners = sorted(c for cls in s.corner_classes for c in cls)
-        assert len(corners) == 10 and len(set(corners)) == 10
-
     def test_reducible_input_warns(self):
         with pytest.warns(UserWarning):
             glue(parse("A B / A B"))
@@ -93,22 +88,16 @@ class TestSideHomology:
             p = fg_start(g)
             s = glue(p)
             for letter in p.alphabet:
-                assert side_homology_nonzero(s, letter)
+                assert s.side_closed[letter] and s.side_homology_nonzero[letter] is True
 
     def test_torus_sides_nonzero(self):
         s = glue(central(2))
-        assert side_homology_nonzero(s, "a1")
-        assert side_homology_nonzero(s, "a2")
+        assert s.side_homology_nonzero == {"a1": True, "a2": True}
 
     def test_non_closed_side_rejected(self):
         s = glue(central(3))
         assert not s.side_closed["a1"]
-        with pytest.raises(ValueError):
-            side_homology_nonzero(s, "a1")
-
-    def test_unknown_side_rejected(self):
-        with pytest.raises(KeyError):
-            side_homology_nonzero(glue(central(2)), "zz")
+        assert s.side_homology_nonzero["a1"] is None
 
     def test_no_closed_side_ever_bounds(self):
         # The face relation abelianizes to zero (each letter once +, once -),
