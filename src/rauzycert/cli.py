@@ -171,10 +171,7 @@ def _cmd_fg(args) -> int:
         for g in range(args.gmin, args.gmax + 1):
             report = fg_mod.family_report(g, tol=args.tol)
             cert = report.certificate
-            exact = lc_lower_bound(
-                cert.path, mode="exact", matrix=cert.matrix,
-                positive_power=cert.positive_power,
-            )
+            exact = lc_lower_bound(cert.genus, cert.matrix, cert.positive_power, "exact")
             rows.append(
                 [
                     g,
@@ -215,7 +212,7 @@ def _cmd_penner(args) -> int:
         rows = []
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):
-                report = penner_mod.stretch_bounds(g, n, tol=args.tol)
+                report = penner_mod.stretch_bounds(penner_mod.build(g, n), tol=args.tol)
                 rows.append(
                     [
                         g,
@@ -243,7 +240,7 @@ def _cmd_penner(args) -> int:
     if args.genus is None or args.n is None:
         raise ValueError("penner needs --genus and --n (or the sweep / diverge subcommand)")
     matrices = penner_mod.build(args.genus, args.n)
-    report = penner_mod.stretch_bounds(args.genus, args.n, tol=args.tol, matrices=matrices)
+    report = penner_mod.stretch_bounds(matrices, tol=args.tol)
     rotation = penner_mod.lc_upper_rotation(args.genus)
     return _emit_report(
         {
@@ -266,8 +263,18 @@ def _cmd_penner(args) -> int:
     )
 
 
+# Largest --random count: 10^5 default-sized instances take 10 s (2-vCPU VM).
+HOMOLOGY_RANDOM_MAX = 10**5
+
+
 def _cmd_homology_check(args) -> int:
     if args.random is not None:
+        if args.random > HOMOLOGY_RANDOM_MAX:
+            raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
+        if args.n_max > penner_mod.HOMOLOGY_N_MAX:
+            raise ValueError(
+                "--n-max must be <= %d, got %d" % (penner_mod.HOMOLOGY_N_MAX, args.n_max)
+            )
         rng = random.Random(args.seed)
         failures = []
         for index in range(args.random):

@@ -145,9 +145,13 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
         letter, repeat, bad = match.groups()
         if bad is not None:
             raise PermutationParseError("unexpected %r in move word %r" % (bad, word))
-        count = int(repeat) if repeat else 1
-        if repeat and count < 1:
-            raise PermutationParseError("repeat must be >= 1 in move word %r" % word)
+        count = 1
+        if repeat is not None:
+            repeat = repeat.lstrip("0")
+            if not repeat:
+                raise PermutationParseError("repeat must be >= 1 in move word %r" % word)
+            # more digits than MAX_MOVES is past the cap (int() refuses > 4,300)
+            count = int(repeat) if len(repeat) <= len(str(MAX_MOVES)) else MAX_MOVES + 1
         if len(moves) + count > MAX_MOVES:
             raise PermutationParseError("move word expands past %d moves" % MAX_MOVES)
         moves.extend([Move(letter)] * count)

@@ -138,7 +138,6 @@ def family_report(g: int, tol: Fraction | str | float = Fraction(1, 10**9)) -> F
 
     stations, names = _stations(path), path.start.alphabet
     checks: dict[str, bool] = {}
-    checks["path_allowed"] = path.allowed
     checks["b_power_returns_to_start"] = stations[g - 1] == (path.start.top, path.start.bottom)
     checks["winner_loser_sequence"] = [
         (names[winner], names[loser]) for winner, loser in path.updates

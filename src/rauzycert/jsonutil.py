@@ -13,15 +13,15 @@ from .linalg import SpectralBracket
 DECIMAL_DIGITS = 12
 
 
-def decimal_str(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Decimal rendering truncated toward zero after ``digits`` places."""
+def decimal_str(x: Fraction) -> str:
+    """Decimal rendering truncated toward zero after ``DECIMAL_DIGITS`` places."""
     sign = "-" if x < 0 else ""
     numerator, denominator = abs(x.numerator), x.denominator
     integer, remainder = divmod(numerator, denominator)
     if remainder == 0:
         return "%s%d" % (sign, integer)
-    frac = remainder * 10**digits // denominator
-    tail = str(frac).rjust(digits, "0").rstrip("0")
+    frac = remainder * 10**DECIMAL_DIGITS // denominator
+    tail = str(frac).rjust(DECIMAL_DIGITS, "0").rstrip("0")
     return "%s%d.%s" % (sign, integer, tail)
 
 

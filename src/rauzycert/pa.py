@@ -132,13 +132,12 @@ def certificate_to_json(cert: PACertificate) -> dict:
     }
 
 
-def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix | None = None) -> None:
-    """Every never-winner letter's matrix row must be the unit vector at its
-    sigma image.  A violation is an internal inconsistency, not bad input."""
+def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix) -> None:
+    """Every never-winner letter's row of the path matrix ``matrix`` must be
+    the unit vector at its sigma image.  A violation is an internal
+    inconsistency, not bad input."""
     if not path.allowed:
         raise NotAllowedError("never-winner rows need an allowed path")
-    if matrix is None:
-        matrix = path_matrix(path)
     winners = {winner for winner, _ in path.updates}
     names = path.start.alphabet
     # sigma sends letter x to the b with relabel[b] == x
@@ -154,21 +153,20 @@ def check_never_winner_rows(path: AllowedPath, matrix: IntMatrix | None = None) 
 
 
 def lc_upper_bound(
-    path: AllowedPath, surface: GluedSurface | None = None
+    path: AllowedPath, surface: GluedSurface
 ) -> tuple[Fraction, OrbitReport] | None:
     """Best orbit bound 2/k over admissible starting sides, or None.
 
-    Admissible starts are closed, homologically nontrivial sides that are
-    never winners along the path.  From each, sigma is applied while the
-    current letter stays outside the winner set and unvisited; the longest
-    such run of k applications yields the bound 2/k.  Needs genus >= 2 for
-    the distance-two step (the regular neighbourhood of two once-meeting
-    curves has essential boundary only then).
+    ``surface`` is the gluing of ``path.start``.  Admissible starts are
+    closed, homologically nontrivial sides that are never winners along the
+    path.  From each, sigma is applied while the current letter stays
+    outside the winner set and unvisited; the longest such run of k
+    applications yields the bound 2/k.  Needs genus >= 2 for the
+    distance-two step (the regular neighbourhood of two once-meeting curves
+    has essential boundary only then).
     """
     if not path.allowed:
         raise NotAllowedError("upper bound needs an allowed path")
-    if surface is None:
-        surface = glue(path.start)
     if surface.genus < 2:
         raise ValueError("curve-graph upper bound needs genus >= 2, got %d" % surface.genus)
 
@@ -216,39 +214,26 @@ def lc_upper_bound(
 
 
 def lc_lower_bound(
-    path: AllowedPath,
-    mode: str = "diagonal_cap",
-    surface: GluedSurface | None = None,
-    matrix: IntMatrix | None = None,
-    positive_power: int | None = None,
+    genus: int, matrix: IntMatrix, exponent: int, mode: str = "diagonal_cap"
 ) -> LowerBound | None:
     """Stable translation-length lower bound 1/(6(2g-2) + p), or None.
 
-    ``mode="exact"`` uses the true primitivity exponent p; ``mode="diagonal_cap"``
-    uses p = 2n, which covers any primitive n x n matrix with a positive
-    diagonal entry (and refuses when the diagonal is all zero).  Returns None
-    on non-primitive matrices.  ``positive_power`` is the primitivity
-    exponent of the path matrix when the caller already searched for it.
+    ``exponent`` is the primitivity exponent of the primitive path matrix
+    ``matrix`` on a genus-``genus`` surface.  ``mode="exact"`` uses it as p;
+    ``mode="diagonal_cap"`` uses p = 2n, which covers any primitive n x n
+    matrix with a positive diagonal entry, and refuses (None) when the
+    diagonal is all zero.
     """
     if mode not in ("diagonal_cap", "exact"):
         raise ValueError("mode must be 'diagonal_cap' or 'exact', got %r" % mode)
-    if not path.allowed:
-        raise NotAllowedError("lower bound needs an allowed path")
-    if surface is None:
-        surface = glue(path.start)
-    if surface.genus < 2:
-        raise ValueError("curve-graph lower bound needs genus >= 2, got %d" % surface.genus)
-    if matrix is None:
-        matrix = path_matrix(path)
-    exponent = positive_power if positive_power is not None else min_positive_power(matrix)
-    if exponent is None:
-        return None
+    if genus < 2:
+        raise ValueError("curve-graph lower bound needs genus >= 2, got %d" % genus)
     if mode == "diagonal_cap":
         if all(x == 0 for x in matrix.diagonal()):
             return None
         exponent = 2 * matrix.order
-    value = Fraction(1, diagonal_extension_steps(surface.genus) + exponent)
-    return LowerBound(value=value, exponent=exponent, mode=mode)
+    value = Fraction(1, diagonal_extension_steps(genus) + exponent)
+    return LowerBound(value, exponent, mode)
 
 
 def certify(
@@ -276,18 +261,11 @@ def certify(
     if path.start.n == 2:
         warnings_list.append(WARNING_TORUS)
 
-    lam = None
-    teich = None
-    if primitive:
-        lam = spectral_radius(matrix, tol, positive_power=power)
-        teich = lam.log_bounds()
-
-    lc_upper = None
-    orbit = None
-    lower = None
+    lam = spectral_radius(matrix, tol, positive_power=power) if primitive else None
+    lc_upper = orbit = lower = None
     if surface.genus >= 2:
         check_never_winner_rows(path, matrix)
-        upper = lc_upper_bound(path, surface=surface)
+        upper = lc_upper_bound(path, surface)
         if upper is not None:
             lc_upper, orbit = upper
             assumptions.append(ASSUMPTION_SIDE_ESSENTIALITY)
@@ -297,9 +275,7 @@ def certify(
                     % ", ".join(orbit.skipped_sides)
                 )
         if primitive:
-            lower = lc_lower_bound(
-                path, mode=lower_mode, surface=surface, matrix=matrix, positive_power=power
-            )
+            lower = lc_lower_bound(surface.genus, matrix, power, lower_mode)
         if lower is not None:
             assumptions.append(ASSUMPTION_DIAGONAL_EXTENSION)
     else:
@@ -316,7 +292,7 @@ def certify(
         genus=surface.genus,
         vertex_count=surface.vertex_count,
         lam=lam,
-        teich_length=teich,
+        teich_length=lam.log_bounds() if lam else None,
         lc_upper=lc_upper,
         orbit=orbit,
         lc_lower=lower,

@@ -44,14 +44,15 @@ class PennerMatrices:
     m: IntMatrix
 
 
-def _assemble(g: int, blocks: dict[tuple[int, int], IntMatrix]) -> IntMatrix:
-    """Place 3x3 blocks into a 3g x 3g matrix; absent blocks are zero."""
+def _assemble(g: int, blocks: list[tuple[tuple[int, int], IntMatrix]]) -> IntMatrix:
+    """Add 3x3 blocks, given as ((block row, block column), block) pairs,
+    into a 3g x 3g zero matrix."""
     size = 3 * g
     rows = [[0] * size for _ in range(size)]
-    for (bi, bj), block in blocks.items():
+    for (bi, bj), block in blocks:
         for i in range(3):
             for j in range(3):
-                rows[3 * bi + i][3 * bj + j] = block.rows[i][j]
+                rows[3 * bi + i][3 * bj + j] += block.rows[i][j]
     return IntMatrix.from_rows(rows)
 
 
@@ -68,66 +69,39 @@ def build(g: int, n: int) -> PennerMatrices:
     a = _block_a(n)
     d = a + _BLOCK_B * _BLOCK_C
     identity = IntMatrix.identity(3)
-    blocks: dict[tuple[int, int], IntMatrix] = {
-        (0, g - 1): identity,
-        (1, 0): a,
-        (1, 1): _BLOCK_B,
-        (1, g - 1): _BLOCK_C,
-    }
-    for i in range(2, g):
-        blocks[(i, i - 1)] = identity
+    blocks = [((0, g - 1), identity), ((1, 0), a), ((1, 1), _BLOCK_B), ((1, g - 1), _BLOCK_C)]
+    blocks += [((i, i - 1), identity) for i in range(2, g)]
     return PennerMatrices(g=g, n=n, a=a, b=_BLOCK_B, c=_BLOCK_C, d=d, m=_assemble(g, blocks))
 
 
-def power_closed_form(g: int, n: int, matrices: PennerMatrices | None = None) -> IntMatrix:
+def power_closed_form(p: PennerMatrices) -> IntMatrix:
     """The expected block form of the g-th power of the companion matrix.
 
-    ``matrices`` is ``build(g, n)`` when the caller has already built it."""
-    p = matrices or build(g, n)
-    a, b, c, d = p.a, p.b, p.c, p.d
-    if g == 3:
-        blocks = {
-            (0, 0): a,
-            (0, 1): b,
-            (0, 2): c,
-            (1, 0): c * a,
-            (1, 1): d + c * b,
-            (1, 2): b * a + c,
-            (2, 0): b * a,
-            (2, 1): c,
-            (2, 2): d,
-        }
-    else:
-        blocks = {
-            (0, 0): a,
-            (0, 1): b,
-            (0, g - 1): c,
-            (1, 0): c * a,
-            (1, 1): d + c * b,
-            (1, 2): b * a,
-            (1, g - 1): c * c,
-            (g - 1, 0): b * a,
-            (g - 1, g - 2): c,
-            (g - 1, g - 1): d,
-        }
-        for i in range(2, g - 1):
-            blocks[(i, i - 1)] = c
-            blocks[(i, i)] = d
-            blocks[(i, i + 1)] = b * a
+    Blocks that share a position add up: at g = 3 the ``c * c`` block (and
+    c * c = c) lands on ``b * a`` at (1, 2).
+    """
+    g, a, b, c, d = p.g, p.a, p.b, p.c, p.d
+    blocks = [
+        ((0, 0), a),
+        ((0, 1), b),
+        ((0, g - 1), c),
+        ((1, 0), c * a),
+        ((1, 1), d + c * b),
+        ((1, 2), b * a),
+        ((1, g - 1), c * c),
+        ((g - 1, 0), b * a),
+        ((g - 1, g - 2), c),
+        ((g - 1, g - 1), d),
+    ]
+    for i in range(2, g - 1):
+        blocks += [((i, i - 1), c), ((i, i), d), ((i, i + 1), b * a)]
     return _assemble(g, blocks)
 
 
-def verify_power_identity(
-    g: int, n: int, power: IntMatrix | None = None, matrices: PennerMatrices | None = None
-) -> bool:
-    """Exact equality of the g-th matrix power with its block closed form.
-
-    ``power`` is that g-th power and ``matrices`` is ``build(g, n)`` when the
-    caller has already computed them."""
-    matrices = matrices or build(g, n)
-    if power is None:
-        power = matrices.m ** g
-    return power == power_closed_form(g, n, matrices)
+def verify_power_identity(p: PennerMatrices, power: IntMatrix) -> bool:
+    """Exact equality of ``power``, the g-th power of ``p.m``, with its block
+    closed form."""
+    return power == power_closed_form(p)
 
 
 @dataclass
@@ -145,35 +119,23 @@ class StretchReport:
 
 
 def stretch_bounds(
-    g: int,
-    n: int,
-    tol: Fraction | str | float = Fraction(1, 10**9),
-    matrices: PennerMatrices | None = None,
+    p: PennerMatrices, tol: Fraction | str | float = Fraction(1, 10**9)
 ) -> StretchReport:
     """Bracket the stretch factor and check it is at least (n+1)^(1/g).
 
-    The g-th power's minimum row sum is asserted to be exactly n + 1.  By
-    Collatz-Wielandt rho^g is at least that sum, so the check on rho^g is
-    decided exactly from it, whatever the bracket's width.  ``matrices`` is
-    ``build(g, n)`` when the caller has already built it.
+    The g-th power's minimum row sum is checked to be exactly n + 1.  By
+    Collatz-Wielandt rho^g is at least that sum, so the check decides
+    rho^g >= n + 1 exactly, whatever the bracket's width.
     """
-    p = matrices or build(g, n)
     rho = spectral_radius(p.m, tol)
-    power = p.m**g
+    power = p.m**p.g
     mrs = min_row_sum(power)
     checks = {
-        "power_identity": verify_power_identity(g, n, power, p),
-        "min_row_sum_is_n_plus_1": mrs == n + 1,
-        "rho_power_at_least_n_plus_1": mrs >= n + 1,
+        "power_identity": verify_power_identity(p, power),
+        "min_row_sum_is_n_plus_1": mrs == p.n + 1,
     }
-    return StretchReport(
-        g=g,
-        n=n,
-        power_min_row_sum=mrs,
-        rho=rho,
-        teich_length=rho.log_bounds(),
-        checks=checks,
-    )
+    return StretchReport(g=p.g, n=p.n, power_min_row_sum=mrs, rho=rho,
+                         teich_length=rho.log_bounds(), checks=checks)
 
 
 @dataclass
@@ -202,10 +164,18 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
     )
 
 
+# Largest power homology_power_check accepts.  Entries of A^n grow like
+# rho(A)^n, so the cost is about n^2: n = 10^4 takes 0.1 s for [[2,1],[1,1]],
+# 0.8 s for a 4 x 4 matrix of 5s and 7 s for an 8 x 8 of 9s (2-vCPU VM).
+HOMOLOGY_N_MAX = 10**4
+
+
 def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     """Exact check of [[1, b], [0, A]]^n == [[1, b(I + A + ... + A^(n-1))], [0, A^n]]."""
     if n < 1:
         raise ValueError("power must be >= 1, got %d" % n)
+    if n > HOMOLOGY_N_MAX:
+        raise ValueError("power must be <= %d, got %d" % (HOMOLOGY_N_MAX, n))
     d = a.order
     b = tuple(int(x) for x in b)
     if len(b) != d:
@@ -241,13 +211,16 @@ class DivergenceReport:
         return all(self.checks.values())
 
 
+# Largest twist count n = g^g that diverging_sequence accepts, so g <= 8;
+# the cap guards runtime, not exactness.
+DIVERGE_N_MAX = 10**8
+
+
 def diverging_sequence(
-    g: int,
-    tol: Fraction | str | float = Fraction(1, 10**9),
-    n_cap: int = 10**8,
+    g: int, tol: Fraction | str | float = Fraction(1, 10**9)
 ) -> DivergenceReport:
     """The n = g^g member: stretch translation length at least log g while the
-    curve-graph bound stays 1/(g-1).  ``n_cap`` guards runtime, not exactness.
+    curve-graph bound stays 1/(g-1).
 
     By Collatz-Wielandt rho^g is at least the minimum row sum of M^g, so
     rho >= g is decided exactly from M^g applied to the all-ones vector.
@@ -255,8 +228,8 @@ def diverging_sequence(
     if g < 3:
         raise ValueError("sequence needs g >= 3, got %d" % g)
     n = g**g
-    if n > n_cap:
-        raise ValueError("g^g = %d exceeds the size cap %d" % (n, n_cap))
+    if n > DIVERGE_N_MAX:
+        raise ValueError("g^g = %d exceeds the size cap %d" % (n, DIVERGE_N_MAX))
     p = build(g, n)
     rho = spectral_radius(p.m, tol)
     row_sums = [1] * (3 * g)

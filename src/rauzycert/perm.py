@@ -73,8 +73,8 @@ class LabeledPermutation:
     def bottom_positions(self) -> tuple[int, ...]:
         return _invert(self.bottom)
 
-    def display(self, sep: str = " / ") -> str:
-        return " ".join(self.top_letters()) + sep + " ".join(self.bottom_letters())
+    def display(self) -> str:
+        return " ".join(self.top_letters()) + " / " + " ".join(self.bottom_letters())
 
     def __str__(self) -> str:
         return self.display()
@@ -195,7 +195,7 @@ def default_alphabet(n: int) -> tuple[str, ...]:
     return tuple("a%d" % (i + 1) for i in range(n))
 
 
-def central(n: int, alphabet: tuple[str, ...] | None = None) -> LabeledPermutation:
+def central(n: int) -> LabeledPermutation:
     """The permutation with top a1..an over its reversal.
 
     >>> central(3).display()
@@ -203,11 +203,7 @@ def central(n: int, alphabet: tuple[str, ...] | None = None) -> LabeledPermutati
     """
     if n < 2:
         raise PermutationParseError("central permutation needs n >= 2, got %d" % n)
-    if alphabet is None:
-        alphabet = default_alphabet(n)
-    elif len(alphabet) != n:
-        raise PermutationParseError("alphabet size %d != n = %d" % (len(alphabet), n))
-    return LabeledPermutation(alphabet, tuple(range(n)), tuple(range(n - 1, -1, -1)))
+    return LabeledPermutation(default_alphabet(n), tuple(range(n)), tuple(range(n - 1, -1, -1)))
 
 
 def fg_start(g: int) -> LabeledPermutation:

@@ -11,7 +11,8 @@ union-find.  With E = n sides and one face,
 
 A side is closed when its two endpoints land in the same corner class.
 In the CW chain complex (vertex classes, n side edges, one face) every
-closed side is nontrivial in homology, because the face's boundary is zero.
+closed side is nontrivial in homology, because the face's boundary is zero
+(each letter occurs once in each row), so ``side_closed`` also states that.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class GluedSurface:
     euler_char: int
     genus: int
     side_closed: dict[str, bool]
-    side_homology_nonzero: dict[str, bool | None]
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,10 +56,7 @@ class GluedSurface:
             "euler_char": self.euler_char,
             "genus": self.genus,
             "sides": {
-                letter: {
-                    "closed": self.side_closed[letter],
-                    "homology_nonzero": self.side_homology_nonzero[letter],
-                }
+                letter: {"closed": self.side_closed[letter]}
                 for letter in sorted(self.side_closed)
             },
         }
@@ -98,20 +95,11 @@ def glue(p: LabeledPermutation) -> GluedSurface:
         i = top_pos[letter]
         side_closed[p.alphabet[letter]] = uf.find(i) == uf.find(i + 1)
 
-    # A closed side's class vanishes only if its basis vector lies in the
-    # lattice spanned by the face's abelianized boundary word.  That word
-    # counts each top traversal +1 and each bottom traversal -1, and each
-    # letter occurs once in each row, so it is zero.
-    side_homology_nonzero: dict[str, bool | None] = {
-        name: True if closed else None for name, closed in side_closed.items()
-    }
-
     return GluedSurface(
         vertex_count=vertex_count,
         euler_char=euler_char,
         genus=genus,
         side_closed=side_closed,
-        side_homology_nonzero=side_homology_nonzero,
     )
 
 

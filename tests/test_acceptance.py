@@ -56,7 +56,7 @@ def test_criterion_1_worked_examples():
 
 def test_criterion_2_three_letter_component():
     with criterion(2, "three-letter component shape"):
-        component = explore(central(3, ("A", "B", "C")))
+        component = explore(parse("A B C / C B A"))
         assert {v.display() for v in component.vertices} == {
             "A C B / C B A",
             "A B C / C B A",
@@ -125,10 +125,10 @@ def test_criterion_6_twist_family_grid():
     with criterion(6, "twist-family power identity and stretch bounds"):
         for g in (3, 4, 5, 6):
             for n in (1, 2, 3, 10, 100):
-                assert verify_power_identity(g, n)
                 p = build(g, n)
+                assert verify_power_identity(p, p.m**g)
                 assert min_row_sum(p.m**g) == n + 1
-                report = stretch_bounds(g, n, tol=TOL)
+                report = stretch_bounds(p, tol=TOL)
                 assert report.rho.low**g >= n + 1 - SLACK
             assert lc_upper_rotation(g).bound == Fraction(1, g - 1)
 
@@ -167,9 +167,9 @@ def test_criterion_9_property_suites(capsys):
 
         # never-winner rows are unit vectors at the orbit-map image
         for path in paths[:50]:
-            check_never_winner_rows(path)
+            check_never_winner_rows(path, path_matrix(path))
         for g in range(2, 7):
-            check_never_winner_rows(family_loop(g))
+            check_never_winner_rows(family_loop(g), path_matrix(family_loop(g)))
 
         # move-irreducibility preservation, exhaustive over the identity-top
         # representatives (irreducibility only depends on the unlabeled image)

@@ -21,7 +21,7 @@ from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, par
 
 class TestExplore:
     def test_three_letter_component_exactly(self):
-        component = explore(central(3, ("A", "B", "C")))
+        component = explore(parse("A B C / C B A"))
         displays = {v.display() for v in component.vertices}
         assert displays == {"A C B / C B A", "A B C / C B A", "A B C / C A B"}
         edges = {
@@ -133,6 +133,15 @@ class TestMoveWords:
         with pytest.raises(PermutationParseError):
             parse_move_word("b^1000000000000")
 
+    def test_parse_repeats_past_the_int_digit_limit(self):
+        # more digits than int() converts by default (4,300)
+        with pytest.raises(PermutationParseError, match="expands past"):
+            parse_move_word("b^" + "9" * 5000)
+        assert parse_move_word("b^" + "0" * 5000 + "1") == (Move.BOTTOM,)
+        assert parse_move_word("t^0002") == (Move.TOP, Move.TOP)
+        with pytest.raises(PermutationParseError, match="repeat must be >= 1"):
+            parse_move_word("t^000")
+
 
 class TestBuildPath:
     @pytest.mark.parametrize("g", range(2, 7))
@@ -208,7 +217,7 @@ def _oracle_cases():
 
 def _case_id(value) -> str:
     if isinstance(value, LabeledPermutation):
-        return value.display(sep="/").replace(" ", "")
+        return value.display().replace(" ", "")
     return "augmented" if value else "plain"
 
 

@@ -85,6 +85,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_n_above_cap": ("fg", "central", "--n", "19"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
+    "homology_check_n_above_cap": (
+        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"
+    ),
+    "homology_check_random_above_cap": ("homology-check", "--random", "100001"),
+    "homology_check_n_max_above_cap": ("homology-check", "--random", "5", "--n-max", "10001"),
 }
 
 # exit 1: argparse rejects the command line, and main returns 1

@@ -16,7 +16,7 @@ class TestDecimalStr:
 
     def test_truncation(self):
         assert decimal_str(Fraction(1, 3)) == "0.333333333333"
-        assert decimal_str(Fraction(2, 3), digits=4) == "0.6666"
+        assert decimal_str(Fraction(2, 3)) == "0.666666666666"
 
     def test_negative(self):
         assert decimal_str(Fraction(-1, 8)) == "-0.125"

@@ -381,10 +381,10 @@ def _ln60(x: Fraction) -> Decimal:
 class TestLogBounds:
     def test_rounded_outward_on_family_and_twist_brackets(self):
         from rauzycert.fg import family_report
-        from rauzycert.penner import stretch_bounds
+        from rauzycert.penner import build, stretch_bounds
 
         brackets = [family_report(g).certificate.lam for g in range(2, 12)]
-        brackets += [stretch_bounds(g, n).rho for g in (3, 4) for n in range(1, 8)]
+        brackets += [stretch_bounds(build(g, n)).rho for g in (3, 4) for n in range(1, 8)]
         for bracket in brackets:
             low, high = bracket.log_bounds()
             assert Decimal(low) <= _ln60(bracket.low)

@@ -25,6 +25,7 @@ from rauzycert.perm import (
     is_irreducible,
     parse,
 )
+from rauzycert.surface import glue
 
 from helpers import random_allowed_paths
 
@@ -112,19 +113,22 @@ class TestCertify:
 class TestUpperBound:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_family_bound(self, g):
-        bound, orbit = lc_upper_bound(gamma(g))
+        path = gamma(g)
+        bound, orbit = lc_upper_bound(path, glue(path.start))
         assert bound == Fraction(1, g - 1)
         assert orbit.steps == 2 * g - 2
         assert orbit.best_start == "a%d" % (2 * g - 1)
         assert orbit.winners == {"a%d" % g, "a%d" % (2 * g)}
 
     def test_genus_two_trajectory(self):
-        _, orbit = lc_upper_bound(gamma(2))
+        path = gamma(2)
+        _, orbit = lc_upper_bound(path, glue(path.start))
         assert orbit.trajectory == ("a3", "a1", "a2")
 
     def test_trajectory_interior_avoids_winners(self):
         for g in (3, 5):
-            _, orbit = lc_upper_bound(gamma(g))
+            path = gamma(g)
+            _, orbit = lc_upper_bound(path, glue(path.start))
             assert all(x not in orbit.winners for x in orbit.trajectory[:-1])
             assert orbit.trajectory[-1] in orbit.winners
 
@@ -134,22 +138,23 @@ class TestUpperBound:
         assert path.end == central(4)
         assert {winner for winner, _ in path.updates} == set(range(4))
         assert min_positive_power(path_matrix(path)) is not None
-        assert lc_upper_bound(path) is None
+        assert lc_upper_bound(path, glue(path.start)) is None
 
     def test_genus_below_two_refused(self):
         path = AllowedPath(central(2), (Move.TOP, Move.TOP))
         with pytest.raises(ValueError):
-            lc_upper_bound(path)
+            lc_upper_bound(path, glue(path.start))
 
     def test_orbit_map_matches_top_rows(self):
-        _, orbit = lc_upper_bound(gamma(2))
+        path = gamma(2)
+        _, orbit = lc_upper_bound(path, glue(path.start))
         assert orbit.orbit_map == {"a1": "a2", "a2": "a3", "a3": "a1", "a4": "a4"}
 
     def test_orbit_map_inverts_the_path_relabeling(self):
         for g in range(2, 9):
             path = gamma(g)
             names = path.start.alphabet
-            sigma = lc_upper_bound(path)[1].orbit_map
+            sigma = lc_upper_bound(path, glue(path.start))[1].orbit_map
             assert sorted(sigma) == sorted(names)
             for letter, image in enumerate(path.relabel):
                 assert sigma[names[image]] == names[letter]
@@ -182,7 +187,7 @@ class TestUpperBound:
                     break
                 seen.add(current)
             best = max(best, steps)
-        bound, orbit = lc_upper_bound(path)
+        bound, orbit = lc_upper_bound(path, glue(path.start))
         assert orbit.steps == best
         assert bound == Fraction(2, best)
 
@@ -190,12 +195,13 @@ class TestUpperBound:
 class TestNeverWinnerRows:
     def test_family_rows_are_units(self):
         for g in (2, 3, 4):
-            check_never_winner_rows(gamma(g))
+            path = gamma(g)
+            check_never_winner_rows(path, path_matrix(path))
 
     def test_random_paths(self):
         rng = random.Random(11)
         for path in random_allowed_paths(rng, 40):
-            check_never_winner_rows(path)
+            check_never_winner_rows(path, path_matrix(path))
 
     def test_not_allowed_path_refused(self):
         with pytest.raises(NotAllowedError):
@@ -222,14 +228,17 @@ class TestNeverWinnerRows:
 class TestLowerBound:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_family_diagonal_cap(self, g):
-        lower = lc_lower_bound(gamma(g), mode="diagonal_cap")
+        matrix = path_matrix(gamma(g))
+        lower = lc_lower_bound(g, matrix, min_positive_power(matrix), "diagonal_cap")
         assert lower.value == Fraction(1, 16 * g - 12)
         assert lower.exponent == 4 * g
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_family_exact_at_least_paper(self, g):
-        exact = lc_lower_bound(gamma(g), mode="exact")
-        paper = lc_lower_bound(gamma(g), mode="diagonal_cap")
+        matrix = path_matrix(gamma(g))
+        power = min_positive_power(matrix)
+        exact = lc_lower_bound(g, matrix, power, "exact")
+        paper = lc_lower_bound(g, matrix, power, "diagonal_cap")
         assert exact.exponent <= paper.exponent
         assert exact.value >= paper.value
 
@@ -240,7 +249,9 @@ class TestLowerBound:
             assert min_positive_power(matrix) <= 2 * matrix.order
 
     def test_non_primitive_gives_none(self):
-        assert lc_lower_bound(AllowedPath(central(4), ())) is None
+        cert = certify(AllowedPath(central(4), ()))
+        assert cert.genus == 2 and not cert.primitive
+        assert cert.lc_lower is None
 
     def test_zero_diagonal_refused_in_diagonal_cap(self):
         # the genus-2 loop matrix has positive diagonal; build a synthetic
@@ -251,7 +262,9 @@ class TestLowerBound:
         zero_diag = IntMatrix.from_rows(
             [[0 if i == j else matrix.rows[i][j] + 1 for j in range(4)] for i in range(4)]
         )
-        assert lc_lower_bound(path, mode="diagonal_cap", matrix=zero_diag) is None
+        power = min_positive_power(zero_diag)
+        assert power is not None
+        assert lc_lower_bound(2, zero_diag, power, "diagonal_cap") is None
 
     def test_bounds_are_ordered(self):
         for g in range(2, 9):
@@ -260,12 +273,15 @@ class TestLowerBound:
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            lc_lower_bound(gamma(2), mode="bogus")
+            lc_lower_bound(2, path_matrix(gamma(2)), 4, mode="bogus")
 
     def test_genus_below_two_refused(self):
-        path = AllowedPath(central(2), (Move.TOP, Move.TOP))
+        path = AllowedPath(central(2), (Move.TOP, Move.BOTTOM))
+        matrix = path_matrix(path)
+        power = min_positive_power(matrix)
+        assert power is not None
         with pytest.raises(ValueError):
-            lc_lower_bound(path)
+            lc_lower_bound(glue(path.start).genus, matrix, power)
 
 
 class TestOrderingOnRandomPaths:

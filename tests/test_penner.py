@@ -45,10 +45,11 @@ class TestPowerIdentity:
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
     def test_grid(self, g, n):
-        assert verify_power_identity(g, n)
+        p = build(g, n)
+        assert verify_power_identity(p, p.m**g)
 
     def test_closed_form_is_actually_the_power(self):
-        assert power_closed_form(5, 7) == build(5, 7).m ** 5
+        assert power_closed_form(build(5, 7)) == build(5, 7).m ** 5
 
 
 class TestStretchBounds:
@@ -59,19 +60,19 @@ class TestStretchBounds:
         assert min_row_sum(build(4, 10).m ** 4) == 11
 
     def test_genus_three_eight_twists(self):
-        report = stretch_bounds(3, 8)
+        report = stretch_bounds(build(3, 8))
         assert report.passed
         assert report.rho.low ** 3 >= 9 - Fraction(1, 10**6)
 
     def test_genus_four_single_twist(self):
-        report = stretch_bounds(4, 1)
+        report = stretch_bounds(build(4, 1))
         assert report.passed
         assert report.rho.low ** 4 >= 2 - Fraction(1, 10**6)
 
     def test_rho_strictly_increasing_in_n(self):
         previous = None
         for n in range(1, 21):
-            bracket = stretch_bounds(5, n).rho
+            bracket = stretch_bounds(build(5, n)).rho
             if previous is not None:
                 assert bracket.low > previous.high
             previous = bracket
@@ -79,7 +80,7 @@ class TestStretchBounds:
     def test_verdicts_do_not_depend_on_the_tolerance(self):
         # a 1/10-wide bracket does not reach rho^5 >= 1001 on its own, but
         # the minimum row sum of M^5 decides it exactly
-        report = stretch_bounds(5, 1000, tol=Fraction(1, 10))
+        report = stretch_bounds(build(5, 1000), tol=Fraction(1, 10))
         assert report.rho.low ** 5 < 1001 <= report.rho.high ** 5
         assert report.passed
 
@@ -169,7 +170,7 @@ class TestDivergingSequence:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            diverging_sequence(9, n_cap=10**6)
+            diverging_sequence(9)
 
     def test_rejects_small_genus(self):
         with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ class TestConstructors:
             assert fg_start(g) != central(2 * g)
 
     def test_custom_alphabet_preserved(self):
-        p = central(3, ("X", "Y", "Z"))
+        p = LabeledPermutation(("X", "Y", "Z"), (0, 1, 2), (2, 1, 0))
         assert p.display() == "X Y Z / Z Y X"
 
 
