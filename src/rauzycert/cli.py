@@ -26,8 +26,8 @@ from . import penner as penner_mod
 from .errors import RauzyError
 from .induction import Move, apply_move, edge_matrix
 from .jsonutil import bracket_json, decimal_str, rational_json
-from .linalg import IntMatrix
-from .pa import certificate_to_json, certify, lc_lower_bound
+from .linalg import DEFAULT_TOL, IntMatrix
+from .pa import certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
 
@@ -73,25 +73,20 @@ def _start_permutation(args) -> LabeledPermutation:
     return parse(args.start if hasattr(args, "start") else args.perm)
 
 
-def _perm_json(p: LabeledPermutation, stratum: str | None = None) -> dict:
-    surface = glue(p)
-    out = p.to_json_dict()
-    out["display"] = p.display()
-    out["unlabeled"] = list(unlabeled(p).images)
-    out["irreducible"] = is_irreducible(p)
-    out["surface"] = surface.to_json_dict()
-    if stratum is not None:
-        out["stratum"] = stratum
-    return out
-
-
 def _cmd_perm(args) -> int:
     stratum = stratum_of_central(args.central) if args.central is not None else None
     p = _start_permutation(args)
     if args.format == "text":
         _emit(p.display())
-    else:
-        _emit_json(_perm_json(p, stratum))
+        return 0
+    out = p.to_json_dict()
+    out["display"] = p.display()
+    out["unlabeled"] = list(unlabeled(p).images)
+    out["irreducible"] = is_irreducible(p)
+    out["surface"] = glue(p).to_json_dict()
+    if stratum is not None:
+        out["stratum"] = stratum
+    _emit_json(out)
     return 0
 
 
@@ -146,7 +141,7 @@ def _cmd_certify(args) -> int:
         raise ValueError("tolerance must be positive")
     start = parse(args.start)
     path = diagram_mod.build_path(start, args.moves, reading=args.reading)
-    cert = certify(path, tol=args.tol, lower_mode=args.lower_mode)
+    cert = certify(path, tol=args.tol)
     out = certificate_to_json(cert)
     out["input_word"] = args.moves
     out["reading"] = args.reading
@@ -171,15 +166,14 @@ def _cmd_fg(args) -> int:
         for g in range(args.gmin, args.gmax + 1):
             report = fg_mod.family_report(g, tol=args.tol)
             cert = report.certificate
-            exact = lc_lower_bound(cert.genus, cert.matrix, cert.positive_power, "exact")
             rows.append(
                 [
                     g,
                     decimal_str(cert.lam.low),
                     decimal_str(cert.lam.high),
                     str(cert.lc_upper),
-                    str(cert.lc_lower.value),
-                    str(exact.value),
+                    str(cert.lc_lower),
+                    str(cert.lc_lower_exact),
                 ]
             )
         _emit_csv(
@@ -263,27 +257,25 @@ def _cmd_penner(args) -> int:
     )
 
 
-# Largest --random count: 10^5 default-sized instances take 10 s (2-vCPU VM).
+# Largest --random count: 10^5 instances take 10 s (2-vCPU VM).
 HOMOLOGY_RANDOM_MAX = 10**5
+# Each --random instance draws its dimension, entries and power up to these.
+RANDOM_DIM_MAX, RANDOM_ENTRY_MAX, RANDOM_N_MAX = 4, 5, 10
 
 
 def _cmd_homology_check(args) -> int:
     if args.random is not None:
         if args.random > HOMOLOGY_RANDOM_MAX:
             raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
-        if args.n_max > penner_mod.HOMOLOGY_N_MAX:
-            raise ValueError(
-                "--n-max must be <= %d, got %d" % (penner_mod.HOMOLOGY_N_MAX, args.n_max)
-            )
         rng = random.Random(args.seed)
         failures = []
         for index in range(args.random):
-            d = rng.randint(1, args.dim_max)
+            d = rng.randint(1, RANDOM_DIM_MAX)
             a = IntMatrix.from_rows(
-                [[rng.randint(0, args.entry_max) for _ in range(d)] for _ in range(d)]
+                [[rng.randint(0, RANDOM_ENTRY_MAX) for _ in range(d)] for _ in range(d)]
             )
-            b = [rng.randint(0, args.entry_max) for _ in range(d)]
-            n = rng.randint(1, args.n_max)
+            b = [rng.randint(0, RANDOM_ENTRY_MAX) for _ in range(d)]
+            n = rng.randint(1, RANDOM_N_MAX)
             if not penner_mod.homology_power_check(a, b, n):
                 failures.append({"index": index, "a": a.to_json(), "b": b, "n": n})
         _emit_json(
@@ -339,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--start")
     source.add_argument("--central", type=int)
     p.add_argument("--augmented", action="store_true", help="include flip edges")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=diagram_mod.DEFAULT_CAP)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=_cmd_diagram, fg_start=None)
 
@@ -353,14 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--moves", required=True)
     p.add_argument("--reading", choices=["paper", "ltr"], default="paper")
-    p.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
-    p.add_argument("--lower-mode", dest="lower_mode", choices=["diagonal_cap", "exact"],
-                   default="diagonal_cap")
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("fg", help="minimal-stretch family reports")
     p.add_argument("--genus", type=int)
-    p.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     fg_sub = p.add_subparsers(dest="fg_mode")
     table = fg_sub.add_parser("table", help="CSV over a genus range")
     table.add_argument("--gmin", type=int, default=2)
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("penner", help="twist-family matrix reports")
     p.add_argument("--genus", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=_tol, default=Fraction(1, 10**9))
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     penner_sub = p.add_subparsers(dest="penner_mode")
     sweep = penner_sub.add_parser("sweep", help="CSV over a (g, n) grid")
     sweep.add_argument("--gmax", type=int, default=6)
@@ -396,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--random", type=int, help="check COUNT random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim-max", dest="dim_max", type=int, default=4)
-    p.add_argument("--entry-max", dest="entry_max", type=int, default=5)
-    p.add_argument("--n-max", dest="n_max", type=int, default=10)
     p.set_defaults(func=_cmd_homology_check)
 
     return parser

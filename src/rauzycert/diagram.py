@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
 from .induction import MOVES, EdgeRecord, Move, _step, apply_move
@@ -39,11 +39,11 @@ class RauzyDiagram:
     edge objects are views built from the tables on first use.
     """
 
-    def __init__(self, alphabet, rows, succ, augmented: bool):
+    def __init__(self, alphabet, rows, succ):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
         self.rows = rows
         self.succ = succ
-        self.augmented = augmented
+        self.augmented = len(succ) == 3
         top_last = [top[-1] for top, _ in rows]
         bottom_last = [bottom[-1] for _, bottom in rows]
         # t: the top-last letter beats the bottom-last one; b: the reverse.
@@ -119,7 +119,7 @@ def explore(
                 v = index[target] = len(rows)
                 rows.append(target)
             table.append(v)
-    return RauzyDiagram(seed.alphabet, rows, succ, augmented)
+    return RauzyDiagram(seed.alphabet, rows, succ)
 
 
 def unlabeled_classes(d: RauzyDiagram) -> dict[tuple[int, ...], list[int]]:
@@ -224,24 +224,12 @@ def build_path(
     return AllowedPath(start, execution)
 
 
-class _Fragments(dict):
-    """Rendered rows, each rendered once, on its first lookup."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, row):
-        text = self[row] = self.render(row)
-        return text
-
-
 def to_dot(d: RauzyDiagram) -> str:
     """Deterministic DOT rendering: vertices by BFS index, edges labeled t/b/f."""
-    spaced = _Fragments(lambda row: " ".join([d.alphabet[i] for i in row]))
+    spaced = cache(lambda row: " ".join([d.alphabet[i] for i in row]))
     parts = ['digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
     for v, (top, bottom) in enumerate(d.rows):
-        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced[top], spaced[bottom]))
+        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced(top), spaced(bottom)))
     lines = ['  v%%d -> v%%d [label="%s"];\n' % move.value for move in MOVES]
     for v in range(len(d.rows)):
         for move, table in enumerate(d.succ):
@@ -262,13 +250,13 @@ def to_json(d: RauzyDiagram) -> str:
     the tables and reads exactly as ``json.dumps(document, indent=2)``."""
     n = len(d.alphabet)
     letters = [json.dumps(name) for name in d.alphabet]
-    listed = _Fragments(
+    listed = cache(
         lambda row: "".join(_json_list(",\n".join(["        " + letters[i] for i in row]), "      "))
     )
-    alphabet = listed[tuple(range(n))]
+    alphabet = listed(tuple(range(n)))
     vertex = '    {\n      "alphabet": %s,\n      "top": %s,\n      "bottom": %s\n    }'
     vertices = ",\n".join(
-        [vertex % (alphabet, listed[top], listed[bottom]) for top, bottom in d.rows]
+        [vertex % (alphabet, listed(top), listed(bottom)) for top, bottom in d.rows]
     )
     # The kind, winner and loser lines of an edge, by move, winner and loser.
     tail = '"kind": "%s",\n      "winner": %s,\n      "loser": %s\n    }'

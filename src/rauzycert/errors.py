@@ -48,6 +48,6 @@ class ConvergenceError(RauzyError, RuntimeError):
 
     prefix = "convergence error"
 
-    def __init__(self, message: str, bracket=None):
+    def __init__(self, message: str, bracket):
         super().__init__(message)
         self.bracket = bracket

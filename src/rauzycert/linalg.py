@@ -19,6 +19,9 @@ from .errors import ConvergenceError, NotAllowedError, NotPrimitiveError
 if TYPE_CHECKING:  # pragma: no cover
     from .diagram import AllowedPath
 
+# Width of a spectral bracket when the caller asks for none.
+DEFAULT_TOL = Fraction(1, 10**9)
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -134,20 +137,17 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
-def min_positive_power(m: IntMatrix, cap: int | None = None) -> int | None:
-    """Smallest p <= cap with all entries of m**p positive, or None.
+def min_positive_power(m: IntMatrix) -> int | None:
+    """Smallest p with all entries of m**p positive, or None.
 
     Works over the boolean semiring, so entries never blow up during the
-    search.  The default cap is the Wielandt bound (n-1)^2 + 1, past which
+    search.  The search stops at the Wielandt bound (n-1)^2 + 1, past which
     no power of a non-primitive matrix ever becomes positive.
     """
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
     n = m.order
-    if cap is None:
-        cap = wielandt_bound(n)
-    if cap < 1:
-        return None
+    cap = wielandt_bound(n)
     full = (1 << n) - 1
     rows = _bool_rows(m)
     if any(r == 0 for r in rows):
@@ -220,7 +220,7 @@ _SHIFT_WARMUP = 48
 
 def spectral_radius(
     m: IntMatrix,
-    tol: Fraction | str | float = Fraction(1, 10**9),
+    tol: Fraction | str | float = DEFAULT_TOL,
     max_iterations: int = 200_000,
     positive_power: int | None = None,
 ) -> SpectralBracket:

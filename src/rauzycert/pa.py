@@ -18,7 +18,10 @@ every carried curve fills after p steps, and curves carried only by a
 diagonal extension of the invariant track need 6(2g-2) extra steps (the
 diagonal-extension constant, taken as an external input).  Nesting then
 forces distance to grow by one per block of 6(2g-2) + p iterations, so
-the stable translation length is at least 1 / (6(2g-2) + p).
+the stable translation length is at least 1 / (6(2g-2) + p).  A
+certificate carries this bound twice: ``lc_lower`` with the cap p = 2n,
+valid for any primitive n x n matrix with a positive diagonal entry, and
+``lc_lower_exact`` with p the measured primitivity exponent.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from fractions import Fraction
 
 from .diagram import AllowedPath
 from .errors import NotAllowedError
+from .jsonutil import bracket_json, rational_json
 from .linalg import (
+    DEFAULT_TOL,
     IntMatrix,
     SpectralBracket,
     min_positive_power,
@@ -80,15 +85,6 @@ class OrbitReport:
 
 
 @dataclass
-class LowerBound:
-    """A stable translation-length lower bound with the exponent that produced it."""
-
-    value: Fraction
-    exponent: int
-    mode: str
-
-
-@dataclass
 class PACertificate:
     path: AllowedPath
     matrix: IntMatrix
@@ -101,15 +97,14 @@ class PACertificate:
     teich_length: tuple[float, float] | None = None
     lc_upper: Fraction | None = None
     orbit: OrbitReport | None = None
-    lc_lower: LowerBound | None = None
+    lc_lower: Fraction | None = None
+    lc_lower_exact: Fraction | None = None
     assumptions: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
 def certificate_to_json(cert: PACertificate) -> dict:
     """The documented certificate schema."""
-    from .jsonutil import bracket_json, rational_json
-
     return {
         "start": cert.path.start.to_json_dict(),
         "word": cert.path.word,
@@ -124,9 +119,8 @@ def certificate_to_json(cert: PACertificate) -> dict:
         "teich_length": list(cert.teich_length) if cert.teich_length else None,
         "lc_upper": rational_json(cert.lc_upper),
         "orbit": cert.orbit.to_json_dict() if cert.orbit else None,
-        "lc_lower": rational_json(cert.lc_lower.value) if cert.lc_lower else None,
-        "lc_lower_exponent": cert.lc_lower.exponent if cert.lc_lower else None,
-        "lc_lower_mode": cert.lc_lower.mode if cert.lc_lower else None,
+        "lc_lower": rational_json(cert.lc_lower),
+        "lc_lower_exact": rational_json(cert.lc_lower_exact),
         "assumptions": list(cert.assumptions),
         "warnings": list(cert.warnings),
     }
@@ -213,34 +207,16 @@ def lc_upper_bound(
     return Fraction(2, best_steps), report
 
 
-def lc_lower_bound(
-    genus: int, matrix: IntMatrix, exponent: int, mode: str = "diagonal_cap"
-) -> LowerBound | None:
-    """Stable translation-length lower bound 1/(6(2g-2) + p), or None.
-
-    ``exponent`` is the primitivity exponent of the primitive path matrix
-    ``matrix`` on a genus-``genus`` surface.  ``mode="exact"`` uses it as p;
-    ``mode="diagonal_cap"`` uses p = 2n, which covers any primitive n x n
-    matrix with a positive diagonal entry, and refuses (None) when the
-    diagonal is all zero.
-    """
-    if mode not in ("diagonal_cap", "exact"):
-        raise ValueError("mode must be 'diagonal_cap' or 'exact', got %r" % mode)
+def lc_lower_bound(genus: int, exponent: int) -> Fraction:
+    """Stable translation-length lower bound 1/(6(2g-2) + p) on a
+    genus-``genus`` surface, for a path matrix whose ``exponent``-th power p
+    is positive."""
     if genus < 2:
         raise ValueError("curve-graph lower bound needs genus >= 2, got %d" % genus)
-    if mode == "diagonal_cap":
-        if all(x == 0 for x in matrix.diagonal()):
-            return None
-        exponent = 2 * matrix.order
-    value = Fraction(1, diagonal_extension_steps(genus) + exponent)
-    return LowerBound(value, exponent, mode)
+    return Fraction(1, diagonal_extension_steps(genus) + exponent)
 
 
-def certify(
-    path: AllowedPath,
-    tol: Fraction | str | float = Fraction(1, 10**9),
-    lower_mode: str = "diagonal_cap",
-) -> PACertificate:
+def certify(path: AllowedPath, tol: Fraction | str | float = DEFAULT_TOL) -> PACertificate:
     """Assemble the full certificate of an allowed path.
 
     Primitivity of the path matrix certifies the mapping class as
@@ -262,7 +238,7 @@ def certify(
         warnings_list.append(WARNING_TORUS)
 
     lam = spectral_radius(matrix, tol, positive_power=power) if primitive else None
-    lc_upper = orbit = lower = None
+    lc_upper = orbit = lower = lower_exact = None
     if surface.genus >= 2:
         check_never_winner_rows(path, matrix)
         upper = lc_upper_bound(path, surface)
@@ -275,8 +251,9 @@ def certify(
                     % ", ".join(orbit.skipped_sides)
                 )
         if primitive:
-            lower = lc_lower_bound(surface.genus, matrix, power, lower_mode)
-        if lower is not None:
+            if any(matrix.diagonal()):
+                lower = lc_lower_bound(surface.genus, 2 * matrix.order)
+            lower_exact = lc_lower_bound(surface.genus, power)
             assumptions.append(ASSUMPTION_DIAGONAL_EXTENSION)
     else:
         warnings_list.append(
@@ -296,6 +273,7 @@ def certify(
         lc_upper=lc_upper,
         orbit=orbit,
         lc_lower=lower,
+        lc_lower_exact=lower_exact,
         assumptions=tuple(assumptions),
         warnings=tuple(warnings_list),
     )

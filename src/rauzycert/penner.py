@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import IntMatrix, SpectralBracket, min_row_sum, spectral_radius
+from .linalg import DEFAULT_TOL, IntMatrix, SpectralBracket, min_row_sum, spectral_radius
 
 
 def _block_a(n: int) -> IntMatrix:
@@ -118,9 +118,7 @@ class StretchReport:
         return all(self.checks.values())
 
 
-def stretch_bounds(
-    p: PennerMatrices, tol: Fraction | str | float = Fraction(1, 10**9)
-) -> StretchReport:
+def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL) -> StretchReport:
     """Bracket the stretch factor and check it is at least (n+1)^(1/g).
 
     The g-th power's minimum row sum is checked to be exactly n + 1.  By
@@ -216,9 +214,7 @@ class DivergenceReport:
 DIVERGE_N_MAX = 10**8
 
 
-def diverging_sequence(
-    g: int, tol: Fraction | str | float = Fraction(1, 10**9)
-) -> DivergenceReport:
+def diverging_sequence(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> DivergenceReport:
     """The n = g^g member: stretch translation length at least log g while the
     curve-graph bound stays 1/(g-1).
 

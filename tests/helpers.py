@@ -265,18 +265,15 @@ def oracle_cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     return tuple(word)
 
 
-def linear_min_positive_power(m: IntMatrix, cap: int | None = None) -> int | None:
-    """Smallest p <= cap (default the Wielandt bound) with m**p positive,
-    trying p = 1, 2, ... on the 0/1 pattern of the powers."""
-    if cap is None:
-        cap = wielandt_bound(m.order)
-
+def linear_min_positive_power(m: IntMatrix) -> int | None:
+    """Smallest p up to the Wielandt bound with m**p positive, trying
+    p = 1, 2, ... on the 0/1 pattern of the powers."""
     def pattern(a: IntMatrix) -> IntMatrix:
         return IntMatrix.from_rows([[1 if x else 0 for x in row] for row in a.rows])
 
     base = pattern(m)
     power = base
-    for p in range(1, cap + 1):
+    for p in range(1, wielandt_bound(m.order) + 1):
         if is_positive(power):
             return p
         power = pattern(power * base)

@@ -95,8 +95,9 @@ def test_criterion_4_translation_length_bounds():
             cert = report.certificate
             assert cert.lc_upper == Fraction(1, g - 1)
             assert cert.orbit.steps == 2 * g - 2
-            assert cert.lc_lower.value == Fraction(1, 16 * g - 12)
-            assert cert.lc_lower.mode == "diagonal_cap"
+            assert cert.lc_lower == Fraction(1, 16 * g - 12)
+            assert cert.lc_lower_exact == Fraction(1, 12 * g - 12 + cert.positive_power)
+            assert cert.lc_lower_exact >= cert.lc_lower
             assert cert.positive_power <= 4 * g - 4
             assert cert.lam.width <= TOL
             assert cert.lam.low**2 >= 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -146,15 +147,14 @@ class TestCertify:
         assert (code, out, err) == (1, "", "error: tolerance must be positive\n")
 
     def test_exact_lower_mode(self, capsys):
+        # the exact bound 1/(12g-12+p) rides along with the diagonal cap
         code, out, _ = run(
-            capsys,
-            "certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb",
-            "--lower-mode", "exact",
+            capsys, "certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb"
         )
         data = json.loads(out)
         assert code == 0
-        assert data["lc_lower_mode"] == "exact"
-        assert data["lc_lower_exponent"] == 4
+        assert data["positive_power"] == 4
+        assert data["lc_lower_exact"] == {"decimal": "0.0625", "num": "1", "den": "16"}
 
     def test_emitted_json_roundtrips_through_schema(self, capsys):
         from rauzycert.diagram import build_path
@@ -348,7 +348,7 @@ class TestErrorPrefixes:
         "exc, line",
         [
             (NotPrimitiveError("not primitive"), "matrix error: not primitive"),
-            (ConvergenceError("no bracket"), "convergence error: no bracket"),
+            (ConvergenceError("no bracket", None), "convergence error: no bracket"),
         ],
     )
     def test_raised_in_command(self, capsys, monkeypatch, exc, line):
@@ -385,6 +385,8 @@ class TestUsageErrors:
             ("certify", "--start", "A B C / C B A"),
             ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),
             ("fg", "central"),
+            ("certify", "--start", "A B C / C B A", "--moves", "tb", "--lower-mode", "exact"),
+            ("homology-check", "--random", "5", "--dim-max", "2"),
             ("no-such-command",),
             (),
         ],
@@ -398,3 +400,41 @@ class TestUsageErrors:
         code, out, err = run(capsys, "--help")
         assert (code, err) == (0, "")
         assert out.startswith("usage: rauzycert")
+
+
+# Every option of every command.  Adding or removing one changes this table,
+# so the option surface only moves by a reviewed diff.
+OPTIONS = {
+    "perm": ["--perm", "--central", "--fg-start", "--format"],
+    "move": ["--start", "--kind"],
+    "diagram": ["--start", "--central", "--augmented", "--cap", "--format"],
+    "path": ["--start", "--moves", "--reading"],
+    "certify": ["--start", "--moves", "--reading", "--tol"],
+    "fg": ["--genus", "--tol"],
+    "fg table": ["--gmin", "--gmax", "--tol"],
+    "fg central": ["--n", "--loop-len", "--samples"],
+    "penner": ["--genus", "--n", "--tol"],
+    "penner sweep": ["--gmax", "--nmax", "--tol"],
+    "penner diverge": ["--genus", "--tol"],
+    "homology-check": ["--a", "--b", "--n", "--random", "--seed"],
+}
+
+
+def _option_table(parser, command=()) -> dict[str, list[str]]:
+    table = {}
+    if command:
+        table[" ".join(command)] = [
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(_option_table(sub, command + (name,)))
+    return table
+
+
+def test_option_surface():
+    assert _option_table(cli.build_parser()) == OPTIONS

@@ -97,7 +97,7 @@ class TestInjectivity:
         # both vertices define the unlabeled permutation (3, 2, 1)
         p = parse("A B C / C B A")
         q = from_rows(p.alphabet, "B C A".split(), "A C B".split())
-        fake = RauzyDiagram(p.alphabet, [(p.top, p.bottom), (q.top, q.bottom)], (), False)
+        fake = RauzyDiagram(p.alphabet, [(p.top, p.bottom), (q.top, q.bottom)], ())
         assert not injectivity_check(fake)
 
     def test_unlabeled_equality_forces_vertex_equality(self):

@@ -23,6 +23,7 @@ from rauzycert.fg import (
 )
 from rauzycert.induction import Move, apply_move
 from rauzycert.linalg import _column_product, min_positive_power, path_matrix
+from rauzycert.pa import lc_lower_bound
 from rauzycert.perm import central, fg_start, parse
 
 from helpers import bisect_largest_root, brute_force_closed_words, is_positive, oracle_cover_loop
@@ -118,7 +119,7 @@ class TestTheorem11:
     def test_genus_five_values(self):
         report = family_report(5)
         assert report.certificate.lc_upper == Fraction(1, 4)
-        assert report.certificate.lc_lower.value == Fraction(1, 68)
+        assert report.certificate.lc_lower == Fraction(1, 68)
 
     def test_genus_ten_orbit_length(self):
         report = family_report(10)
@@ -169,7 +170,13 @@ class TestTheorem12:
         report = central_component_checks(4)
         assert report.lc_lower == Fraction(1, 22)
         assert report.samples
-        assert all(s.bound == Fraction(1, 22) for s in report.samples)
+
+    def test_bound_is_the_certificate_formula(self):
+        # genus 1 has no curve-graph bound, as in a certificate
+        assert central_component_checks(3).lc_lower is None
+        for n in range(4, 10):
+            g = n // 2
+            assert central_component_checks(n).lc_lower == lc_lower_bound(g, 4 * g + 2)
 
     def test_sampled_families_both_present(self):
         report = central_component_checks(5)

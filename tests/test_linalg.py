@@ -197,10 +197,6 @@ class TestMinPositivePower:
             assert not is_positive(m ** (p - 1))
             assert is_positive(m**p)
 
-    def test_respects_cap(self):
-        assert min_positive_power(GAMMA2_MATRIX, cap=3) is None
-        assert min_positive_power(GAMMA2_MATRIX, cap=4) == 4
-
     def test_one_by_one(self):
         assert min_positive_power(IntMatrix.from_rows([[2]])) == 1
         assert min_positive_power(IntMatrix.from_rows([[0]])) is None
@@ -221,8 +217,7 @@ class TestMinPositivePower:
             m = IntMatrix.from_rows(
                 [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
             )
-            for cap in (None, rng.randint(0, 30)):
-                assert min_positive_power(m, cap) == linear_min_positive_power(m, cap)
+            assert min_positive_power(m) == linear_min_positive_power(m)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_wielandt_matrix_reaches_the_bound(self, n):
@@ -232,7 +227,6 @@ class TestMinPositivePower:
         m = IntMatrix.from_rows(rows)
         bound = wielandt_bound(n)
         assert min_positive_power(m) == linear_min_positive_power(m) == bound
-        assert min_positive_power(m, cap=bound - 1) is None
 
 
 class TestSpectralRadius:

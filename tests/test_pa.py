@@ -59,10 +59,14 @@ def test_certify_is_internally_consistent_on_arbitrary_paths(path):
     assert (cert.lam is not None) == cert.primitive
     assert cert.verdict == ("pseudo-Anosov" if cert.primitive else "inconclusive")
     if cert.genus < 2:
-        assert cert.lc_upper is None and cert.lc_lower is None
+        assert cert.lc_upper is None and cert.lc_lower is None and cert.lc_lower_exact is None
         assert cert.warnings
-    if cert.lc_lower is not None and cert.lc_upper is not None:
-        assert cert.lc_lower.value <= cert.lc_upper
+    else:
+        assert (cert.lc_lower_exact is not None) == cert.primitive
+    if cert.lc_lower is not None:
+        assert cert.lc_lower <= cert.lc_lower_exact
+    if cert.lc_lower_exact is not None and cert.lc_upper is not None:
+        assert cert.lc_lower_exact <= cert.lc_upper
     data = certificate_to_json(cert)
     assert json.loads(json.dumps(data)) == data
 
@@ -86,7 +90,7 @@ class TestCertify:
     def test_empty_path_inconclusive(self):
         cert = certify(AllowedPath(central(3), ()))
         assert cert.verdict == "inconclusive"
-        assert cert.lam is None and cert.lc_lower is None
+        assert cert.lam is None and cert.lc_lower is None and cert.lc_lower_exact is None
 
     def test_rejects_not_allowed(self):
         with pytest.raises(NotAllowedError):
@@ -95,7 +99,7 @@ class TestCertify:
     def test_torus_case_flagged(self):
         cert = certify(AllowedPath(central(2), (Move.TOP, Move.TOP)))
         assert cert.genus == 1
-        assert cert.lc_upper is None and cert.lc_lower is None
+        assert cert.lc_upper is None and cert.lc_lower is None and cert.lc_lower_exact is None
         assert any("torus" in w or "genus" in w for w in cert.warnings)
 
     def test_stretch_length_is_log_of_bracket(self):
@@ -228,19 +232,15 @@ class TestNeverWinnerRows:
 class TestLowerBound:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_family_diagonal_cap(self, g):
-        matrix = path_matrix(gamma(g))
-        lower = lc_lower_bound(g, matrix, min_positive_power(matrix), "diagonal_cap")
-        assert lower.value == Fraction(1, 16 * g - 12)
-        assert lower.exponent == 4 * g
+        cert = certify(gamma(g))
+        assert cert.lc_lower == lc_lower_bound(g, 4 * g) == Fraction(1, 16 * g - 12)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_family_exact_at_least_paper(self, g):
-        matrix = path_matrix(gamma(g))
-        power = min_positive_power(matrix)
-        exact = lc_lower_bound(g, matrix, power, "exact")
-        paper = lc_lower_bound(g, matrix, power, "diagonal_cap")
-        assert exact.exponent <= paper.exponent
-        assert exact.value >= paper.value
+        cert = certify(gamma(g))
+        assert cert.lc_lower_exact == lc_lower_bound(g, cert.positive_power)
+        assert cert.positive_power <= 4 * g
+        assert cert.lc_lower_exact >= cert.lc_lower
 
     def test_exact_exponent_never_exceeds_cap_when_diagonal_positive(self):
         for g in range(2, 7):
@@ -251,37 +251,28 @@ class TestLowerBound:
     def test_non_primitive_gives_none(self):
         cert = certify(AllowedPath(central(4), ()))
         assert cert.genus == 2 and not cert.primitive
-        assert cert.lc_lower is None
+        assert cert.lc_lower is None and cert.lc_lower_exact is None
 
     def test_zero_diagonal_refused_in_diagonal_cap(self):
-        # the genus-2 loop matrix has positive diagonal; build a synthetic
-        # allowed path whose matrix diagonal vanishes: the single-flip path
-        # is non-primitive, so use the family path with a relabeled check
-        path = gamma(2)
-        matrix = path_matrix(path)
-        zero_diag = IntMatrix.from_rows(
-            [[0 if i == j else matrix.rows[i][j] + 1 for j in range(4)] for i in range(4)]
-        )
-        power = min_positive_power(zero_diag)
-        assert power is not None
-        assert lc_lower_bound(2, zero_diag, power, "diagonal_cap") is None
+        # a genus-2 loop whose primitive path matrix has a zero diagonal
+        path = build_path(parse("a5 a3 a1 a4 a2 / a4 a2 a5 a1 a3"), "tbbf", reading="ltr")
+        cert = certify(path)
+        assert cert.genus == 2 and cert.positive_power == 6
+        assert not any(cert.matrix.diagonal())
+        assert cert.lc_lower is None
+        assert cert.lc_lower_exact == lc_lower_bound(2, 6) == Fraction(1, 18)
 
     def test_bounds_are_ordered(self):
         for g in range(2, 9):
             cert = certify(gamma(g))
-            assert cert.lc_lower.value <= cert.lc_upper
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            lc_lower_bound(2, path_matrix(gamma(2)), 4, mode="bogus")
+            assert cert.lc_lower <= cert.lc_lower_exact <= cert.lc_upper
 
     def test_genus_below_two_refused(self):
         path = AllowedPath(central(2), (Move.TOP, Move.BOTTOM))
-        matrix = path_matrix(path)
-        power = min_positive_power(matrix)
+        power = min_positive_power(path_matrix(path))
         assert power is not None
         with pytest.raises(ValueError):
-            lc_lower_bound(glue(path.start).genus, matrix, power)
+            lc_lower_bound(glue(path.start).genus, power)
 
 
 class TestOrderingOnRandomPaths:
@@ -294,8 +285,8 @@ class TestOrderingOnRandomPaths:
                 # primitive integer matrices of order >= 2 stretch strictly
                 assert cert.lam.low >= 1
                 assert cert.lam.high > 1
-            if cert.lc_lower is not None and cert.lc_upper is not None:
+            if cert.lc_lower_exact is not None and cert.lc_upper is not None:
                 seen += 1
-                assert cert.lc_lower.value <= cert.lc_upper
+                assert cert.lc_lower_exact <= cert.lc_upper
         # the property must actually have been exercised
         assert seen >= 1
