@@ -65,6 +65,13 @@ def _emit_csv(header, rows) -> None:
     _emit(buf.getvalue())
 
 
+def _reject_ignored(mode: str, args, *dests: str) -> None:
+    """Raise before any work when a flag that ``mode`` does not read was given."""
+    given = ["--" + dest for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError("%s ignores %s" % (mode, ", ".join(given)))
+
+
 def _start_permutation(args) -> LabeledPermutation:
     if getattr(args, "central", None) is not None:
         return central(args.central)
@@ -161,6 +168,8 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
 
 
 def _cmd_fg(args) -> int:
+    if args.fg_mode is not None:
+        _reject_ignored("fg " + args.fg_mode, args, "genus")
     if args.fg_mode == "table":
         rows = []
         for g in range(args.gmin, args.gmax + 1):
@@ -203,6 +212,7 @@ def _cmd_fg(args) -> int:
 
 def _cmd_penner(args) -> int:
     if args.penner_mode == "sweep":
+        _reject_ignored("penner sweep", args, "genus", "n")
         rows = []
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):
@@ -220,26 +230,18 @@ def _cmd_penner(args) -> int:
         _emit_csv(["g", "n", "rho_low", "rho_high", "min_row_sum_power", "lc_upper"], rows)
         return 0
     if args.penner_mode == "diverge":
-        report = penner_mod.diverging_sequence(args.genus, tol=args.tol)
-        return _emit_report(
-            {
-                "g": report.g,
-                "n": report.n,
-                "rho": bracket_json(report.rho),
-                "teich_low": report.teich_low,
-                "lc_upper": rational_json(report.lc_upper),
-            },
-            report,
-        )
-    if args.genus is None or args.n is None:
+        _reject_ignored("penner diverge", args, "n")
+        matrices = penner_mod.diverging_sequence(args.genus)
+    elif args.genus is None or args.n is None:
         raise ValueError("penner needs --genus and --n (or the sweep / diverge subcommand)")
-    matrices = penner_mod.build(args.genus, args.n)
+    else:
+        matrices = penner_mod.build(args.genus, args.n)
     report = penner_mod.stretch_bounds(matrices, tol=args.tol)
-    rotation = penner_mod.lc_upper_rotation(args.genus)
+    rotation = penner_mod.lc_upper_rotation(matrices.g)
     return _emit_report(
         {
-            "g": args.genus,
-            "n": args.n,
+            "g": matrices.g,
+            "n": matrices.n,
             "blocks": {
                 "a": matrices.a.to_json(),
                 "b": matrices.b.to_json(),
@@ -265,6 +267,7 @@ RANDOM_DIM_MAX, RANDOM_ENTRY_MAX, RANDOM_N_MAX = 4, 5, 10
 
 def _cmd_homology_check(args) -> int:
     if args.random is not None:
+        _reject_ignored("homology-check --random", args, "a", "b", "n")
         if args.random > HOMOLOGY_RANDOM_MAX:
             raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
         rng = random.Random(args.seed)

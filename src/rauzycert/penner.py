@@ -195,47 +195,22 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     return lhs == rhs
 
 
-@dataclass
-class DivergenceReport:
-    g: int
-    n: int
-    rho: SpectralBracket
-    teich_low: float
-    lc_upper: Fraction
-    checks: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
 # Largest twist count n = g^g that diverging_sequence accepts, so g <= 8;
 # the cap guards runtime, not exactness.
 DIVERGE_N_MAX = 10**8
 
 
-def diverging_sequence(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> DivergenceReport:
-    """The n = g^g member: stretch translation length at least log g while the
-    curve-graph bound stays 1/(g-1).
+def diverging_sequence(g: int) -> PennerMatrices:
+    """The n = g^g member, whose stretch translation length is at least log g
+    while the curve-graph bound stays 1/(g-1).
 
-    By Collatz-Wielandt rho^g is at least the minimum row sum of M^g, so
-    rho >= g is decided exactly from M^g applied to the all-ones vector.
+    Its ``stretch_bounds`` report decides rho > g exactly: the minimum row
+    sum of M^g is n + 1 = g^g + 1, and by Collatz-Wielandt rho^g is at
+    least that sum.
     """
     if g < 3:
         raise ValueError("sequence needs g >= 3, got %d" % g)
     n = g**g
     if n > DIVERGE_N_MAX:
         raise ValueError("g^g = %d exceeds the size cap %d" % (n, DIVERGE_N_MAX))
-    p = build(g, n)
-    rho = spectral_radius(p.m, tol)
-    row_sums = [1] * (3 * g)
-    for _ in range(g):
-        row_sums = [sum(a * x for a, x in zip(row, row_sums)) for row in p.m.rows]
-    return DivergenceReport(
-        g=g,
-        n=n,
-        rho=rho,
-        teich_low=rho.log_bounds()[0],
-        lc_upper=lc_upper_rotation(g).bound,
-        checks={"rho_at_least_g": min(row_sums) > n},
-    )
+    return build(g, n)

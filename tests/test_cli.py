@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rauzycert import cli, penner
+from rauzycert import cli, fg, penner
 from rauzycert.cli import main
 from rauzycert.errors import ConvergenceError, NotPrimitiveError
 
@@ -357,6 +357,40 @@ class TestErrorPrefixes:
 
         monkeypatch.setattr(cli, "certify", fail)
         argv = ("certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb")
+        assert run(capsys, *argv) == (1, "", line + "\n")
+
+
+class TestIgnoredFlags:
+    """A flag that the chosen mode does not read is an error, raised before
+    any engine runs."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ("homology-check", "--random", "2", "--n", "3", "--a", "[[1]]"),
+                "error: homology-check --random ignores --a, --n",
+            ),
+            (("fg", "--genus", "5", "table", "--gmax", "3"), "error: fg table ignores --genus"),
+            (("fg", "--genus", "5", "central", "--n", "4"), "error: fg central ignores --genus"),
+            (
+                ("penner", "--genus", "4", "--n", "2", "sweep"),
+                "error: penner sweep ignores --genus, --n",
+            ),
+            (("penner", "--n", "5", "diverge", "--genus", "3"), "error: penner diverge ignores --n"),
+        ],
+    )
+    def test_exits_one_before_any_work(self, capsys, monkeypatch, argv, line):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in [
+            (penner, "build"),
+            (penner, "homology_power_check"),
+            (fg, "family_report"),
+            (fg, "central_component_checks"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
         assert run(capsys, *argv) == (1, "", line + "\n")
 
 

@@ -90,6 +90,13 @@ CASES: dict[str, tuple[str, ...]] = {
     ),
     "homology_check_random_above_cap": ("homology-check", "--random", "100001"),
     "homology_check_n_max_above_cap": ("homology-check", "--random", "5", "--n-max", "10001"),
+    # exit 1: a flag that the chosen mode does not read
+    "homology_check_random_with_a_n": (
+        "homology-check", "--random", "2", "--n", "3", "--a", "[[1]]"
+    ),
+    "fg_genus_with_table": ("fg", "--genus", "5", "table", "--gmax", "3"),
+    "penner_sweep_with_genus_n": ("penner", "--genus", "4", "--n", "2", "sweep"),
+    "penner_diverge_with_n": ("penner", "--n", "5", "diverge", "--genus", "3"),
 }
 
 # exit 1: argparse rejects the command line, and main returns 1
@@ -99,6 +106,18 @@ ARGPARSE_ERROR_CASES: dict[str, tuple[str, ...]] = {
     "fg_central_missing_n": ("fg", "central"),
 }
 CASES.update(ARGPARSE_ERROR_CASES)
+
+
+# A preset and the command line it stands for: the exit code and the stdout
+# must be equal byte for byte.
+ALIASES: list[tuple[tuple[str, ...], tuple[str, ...]]] = [
+    *[
+        (("penner", "diverge", "--genus", str(g)), ("penner", "--genus", str(g), "--n", str(g**g)))
+        for g in (3, 4)
+    ],
+    (("diagram", "--central", "4"), ("diagram", "--start", "a1 a2 a3 a4 / a4 a3 a2 a1")),
+    (("perm", "--fg-start", "2"), ("perm", "--perm", FG_START_2)),
+]
 
 
 def run_case(argv) -> tuple[int, bytes]:
@@ -131,6 +150,11 @@ def test_stdout_and_exit_match_golden(name):
     code, stdout = run_case(CASES[name])
     assert code == json.loads((GOLDEN / "exits.json").read_text())[name]
     assert stdout == (GOLDEN / (name + ".out")).read_bytes()
+
+
+@pytest.mark.parametrize("preset, spelled", ALIASES)
+def test_preset_matches_its_spelled_out_command_line(preset, spelled):
+    assert run_case(preset) == run_case(spelled)
 
 
 def test_shared_parser_leaks_no_state():

@@ -139,20 +139,20 @@ class TestHomologyPower:
 
 class TestDivergingSequence:
     def test_genus_three(self):
-        report = diverging_sequence(3)
+        report = stretch_bounds(diverging_sequence(3))
         assert report.n == 27
         assert report.passed
         assert report.rho.low >= 3
-        assert report.teich_low >= 1.09  # log 3 ~ 1.0986
+        assert report.teich_length[0] >= 1.09  # log 3 ~ 1.0986
 
     def test_genus_four(self):
-        report = diverging_sequence(4)
+        report = stretch_bounds(diverging_sequence(4))
         assert report.n == 256
         assert report.rho.low >= 4
 
     @pytest.mark.parametrize("g", [6, 7])
     def test_genus_six_and_seven(self, g):
-        report = diverging_sequence(g)
+        report = stretch_bounds(diverging_sequence(g))
         assert report.n == g**g
         assert report.passed
         assert report.rho.width <= Fraction(1, 10**9)
@@ -161,12 +161,12 @@ class TestDivergingSequence:
     def test_coarse_bracket_still_passes(self, g):
         # the bracket's low end falls below g, but M^g applied to the
         # all-ones vector decides rho >= g exactly
-        report = diverging_sequence(g, tol=Fraction(1, 10))
+        report = stretch_bounds(diverging_sequence(g), tol=Fraction(1, 10))
         assert report.rho.low < g
         assert report.passed
 
     def test_lc_upper_reported(self):
-        assert diverging_sequence(3).lc_upper == Fraction(1, 2)
+        assert lc_upper_rotation(3).bound == Fraction(1, 2)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
