@@ -168,12 +168,15 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
 
 
 def _cmd_fg(args) -> int:
-    if args.fg_mode is not None:
-        _reject_ignored("fg " + args.fg_mode, args, "genus")
+    if args.fg_mode == "central":
+        _reject_ignored("fg central", args, "genus", "tol")
+    elif args.fg_mode == "table":
+        _reject_ignored("fg table", args, "genus")
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     if args.fg_mode == "table":
         rows = []
         for g in range(args.gmin, args.gmax + 1):
-            report = fg_mod.family_report(g, tol=args.tol)
+            report = fg_mod.family_report(g, tol=tol)
             cert = report.certificate
             rows.append(
                 [
@@ -206,7 +209,7 @@ def _cmd_fg(args) -> int:
         )
     if args.genus is None:
         raise ValueError("fg needs --genus (or the table / central subcommand)")
-    report = fg_mod.family_report(args.genus, tol=args.tol)
+    report = fg_mod.family_report(args.genus, tol=tol)
     return _emit_report(_fg_report_json(report), report)
 
 
@@ -270,7 +273,8 @@ def _cmd_homology_check(args) -> int:
         _reject_ignored("homology-check --random", args, "a", "b", "n")
         if args.random > HOMOLOGY_RANDOM_MAX:
             raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
-        rng = random.Random(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = random.Random(seed)
         failures = []
         for index in range(args.random):
             d = rng.randint(1, RANDOM_DIM_MAX)
@@ -284,7 +288,7 @@ def _cmd_homology_check(args) -> int:
         _emit_json(
             {
                 "count": args.random,
-                "seed": args.seed,
+                "seed": seed,
                 "all_equal": not failures,
                 "failures": failures,
             }
@@ -292,6 +296,7 @@ def _cmd_homology_check(args) -> int:
         return 0 if not failures else 2
     if args.a is None or args.b is None or args.n is None:
         raise ValueError("homology-check needs --a, --b and --n (or --random)")
+    _reject_ignored("homology-check --a/--b/--n", args, "seed")
     a = IntMatrix.from_rows(json.loads(args.a))
     b = [int(x) for x in json.loads(args.b)]
     equal = penner_mod.homology_power_check(a, b, args.n)
@@ -353,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fg", help="minimal-stretch family reports")
     p.add_argument("--genus", type=int)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
+    # None stands for DEFAULT_TOL, so that fg central can reject a given --tol
+    p.add_argument("--tol", type=_tol, default=None)
     fg_sub = p.add_subparsers(dest="fg_mode")
     table = fg_sub.add_parser("table", help="CSV over a genus range")
     table.add_argument("--gmin", type=int, default=2)
@@ -388,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", help="row vector as a JSON array")
     p.add_argument("--n", type=int)
     p.add_argument("--random", type=int, help="check COUNT random instances")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --random (default 0)")
     p.set_defaults(func=_cmd_homology_check)
 
     return parser

@@ -204,22 +204,32 @@ class CentralComponentReport:
         return all(self.checks.values())
 
 
-def _closed_words(step, start: int, end: int, max_len: int):
-    """Words over {t, b}, as tuples of move indices, of length 1..max_len
-    leading from vertex ``start`` to vertex ``end``, in order of length then
-    lexicographic (t < b).
-
-    Each length is one depth-first search in t, b order that drops every
-    prefix whose vertex is farther from ``end`` than the moves it has left,
-    with distances from a breadth-first search backwards from ``end``.
-    """
-    far = max_len + 1
-    dist = [far] * len(step[0])
-    dist[end] = 0
-    preds: list[list[int]] = [[] for _ in dist]
+def _predecessors(step) -> list[list[int]]:
+    """The reverse adjacency of the successor tables: ``preds[v]`` lists
+    the vertices with an edge into v."""
+    preds: list[list[int]] = [[] for _ in step[0]]
     for table in step:
         for u, v in enumerate(table):
             preds[v].append(u)
+    return preds
+
+
+def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
+    """Words over {t, b}, as tuples of move indices, of length 1..max_len
+    leading from vertex ``start`` to vertex ``end`` on which every cycle of
+    the relabeling (bit masks, as ``_cycle_masks`` gives them) both wins
+    and loses, in order of length then lexicographic (t < b).
+
+    Each length is one depth-first search in t, b order.  Each move wins
+    one letter and loses one, so a prefix is dropped when its vertex is
+    farther from ``end`` than the moves it has left (distances from a
+    breadth-first search backwards along ``preds``), or when more cycles
+    are still unwon, or still unlost, than it has moves left.
+    """
+    step, winner, loser = diagram.succ, diagram.winner, diagram.loser
+    far = max_len + 1
+    dist = [far] * len(step[0])
+    dist[end] = 0
     frontier = [end]
     for d in range(1, max_len + 1):
         nxt = []
@@ -229,10 +239,15 @@ def _closed_words(step, start: int, end: int, max_len: int):
                     dist[u] = d
                     nxt.append(u)
         frontier = nxt
-    # moves[d] is the move last tried at depth d (-1 before the first) and
-    # states[d] the vertex it leaves from.
+    cycle_of = [next(c for c in cycles if c >> x & 1) for x in range(len(diagram.alphabet))]
+    # moves[d] is the move last tried at depth d (-1 before the first);
+    # states[d] is the vertex it leaves from, won[d] and lost[d] the letter
+    # masks won and lost before it, and unwon[d] and unlost[d] the numbers
+    # of cycles disjoint from those masks.
     moves = [0] * max_len
     states = [start] * max_len
+    won, lost = [0] * max_len, [0] * max_len
+    unwon, unlost = [len(cycles)] * max_len, [len(cycles)] * max_len
     for length in range(max(1, dist[start]), max_len + 1):
         depth = 0
         moves[0] = -1
@@ -242,15 +257,24 @@ def _closed_words(step, start: int, end: int, max_len: int):
                 depth -= 1
                 continue
             moves[depth] = move
-            state = step[move][states[depth]]
+            vertex = states[depth]
+            state = step[move][vertex]
             left = length - depth - 1
             if dist[state] > left:
+                continue
+            w, l = winner[move][vertex], loser[move][vertex]
+            now_unwon = unwon[depth] - (not won[depth] & cycle_of[w])
+            now_unlost = unlost[depth] - (not lost[depth] & cycle_of[l])
+            if now_unwon > left or now_unlost > left:
                 continue
             if left == 0:
                 yield tuple(moves[:length])
             else:
+                states[depth + 1] = state
+                won[depth + 1] = won[depth] | 1 << w
+                lost[depth + 1] = lost[depth] | 1 << l
+                unwon[depth + 1], unlost[depth + 1] = now_unwon, now_unlost
                 depth += 1
-                states[depth] = state
                 moves[depth] = -1
 
 
@@ -313,9 +337,10 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     return tuple(word)
 
 
-# Largest n that central_component_checks accepts: n = 18 (131,071 vertices)
-# takes about 20 s and 0.5 GiB, and each further letter doubles both.
-CENTRAL_N_MAX = 18
+# Largest n that central_component_checks accepts: n = 20 (524,287 vertices)
+# takes about 8 s and 0.5 GiB on a 2-vCPU VM, and each further letter doubles
+# both; n = 21 (1,048,575 vertices) would pass explore's default cap of 10^6.
+CENTRAL_N_MAX = 20
 
 
 def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
@@ -414,9 +439,10 @@ def central_component_checks(
     def sample(family: int, src: int, word, relabel, cycles) -> bool:
         """Record the path of ``word`` from vertex ``src`` when its matrix is
         primitive.  A shape-2 path ends in a flip, whose diagonal entry of
-        interest is the (n, n) one.  Words that leave a cycle of the
-        relabeling never winning or never losing are rejected before any
-        matrix is built."""
+        interest is the (n, n) one.  ``_closed_words`` yields no word that
+        leaves a cycle of the relabeling never winning or never losing;
+        a cover loop that does is rejected here, before any matrix is
+        built."""
         updates = []
         state = src
         for move in word:
@@ -451,9 +477,10 @@ def central_component_checks(
     covers = (
         _cover_loop(step, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
     )
-    words = itertools.chain(_closed_words(step, 0, 0, loop_len), covers)
     identity = tuple(range(n))
     singletons = _cycle_masks(identity)
+    preds = _predecessors(step)
+    words = itertools.chain(_closed_words(diagram, preds, 0, 0, loop_len, singletons), covers)
     tried: set[tuple[int, ...]] = set()
     found = 0
     while found < samples and (word := next(words, None)) is not None:
@@ -466,7 +493,7 @@ def central_component_checks(
     for src, dst, relabel, cycles in flip_paths:
         if found == samples:
             break
-        candidates = _closed_words(step, src, dst, loop_len)
+        candidates = _closed_words(diagram, preds, src, dst, loop_len, cycles)
         found += any(sample(2, src, word, relabel, cycles) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)

@@ -195,9 +195,10 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     return lhs == rhs
 
 
-# Largest twist count n = g^g that diverging_sequence accepts, so g <= 8;
-# the cap guards runtime, not exactness.
-DIVERGE_N_MAX = 10**8
+# Largest genus that diverging_sequence accepts: the twist count n = g^g
+# stays <= 10^8 exactly for g <= 8 (8^8 = 16,777,216, 9^9 = 387,420,489).
+# The cap guards runtime, not exactness, and is checked before any power.
+DIVERGE_G_MAX = 8
 
 
 def diverging_sequence(g: int) -> PennerMatrices:
@@ -210,7 +211,6 @@ def diverging_sequence(g: int) -> PennerMatrices:
     """
     if g < 3:
         raise ValueError("sequence needs g >= 3, got %d" % g)
-    n = g**g
-    if n > DIVERGE_N_MAX:
-        raise ValueError("g^g = %d exceeds the size cap %d" % (n, DIVERGE_N_MAX))
-    return build(g, n)
+    if g > DIVERGE_G_MAX:
+        raise ValueError("need g <= %d (n = g^g is capped at 10^8), got %d" % (DIVERGE_G_MAX, g))
+    return build(g, g**g)

@@ -209,6 +209,57 @@ def brute_force_closed_words(step, start: int, max_len: int) -> dict[int, list[t
     return words
 
 
+def unpruned_closed_words(step, start: int, end: int, max_len: int):
+    """Words over {t, b}, as tuples of move indices, of length 1..max_len
+    leading from vertex ``start`` to vertex ``end``, in order of length then
+    lexicographic (t < b): the candidate words of ``fg._closed_words``
+    before its win/loss pruning.
+
+    Each length is one depth-first search in t, b order that drops every
+    prefix whose vertex is farther from ``end`` than the moves it has left,
+    with distances from a breadth-first search backwards from ``end``.
+    """
+    far = max_len + 1
+    dist = [far] * len(step[0])
+    dist[end] = 0
+    preds: list[list[int]] = [[] for _ in dist]
+    for table in step:
+        for u, v in enumerate(table):
+            preds[v].append(u)
+    frontier = [end]
+    for d in range(1, max_len + 1):
+        nxt = []
+        for v in frontier:
+            for u in preds[v]:
+                if dist[u] == far:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    # moves[d] is the move last tried at depth d (-1 before the first) and
+    # states[d] the vertex it leaves from.
+    moves = [0] * max_len
+    states = [start] * max_len
+    for length in range(max(1, dist[start]), max_len + 1):
+        depth = 0
+        moves[0] = -1
+        while depth >= 0:
+            move = moves[depth] + 1
+            if move == 2:
+                depth -= 1
+                continue
+            moves[depth] = move
+            state = step[move][states[depth]]
+            left = length - depth - 1
+            if dist[state] > left:
+                continue
+            if left == 0:
+                yield tuple(moves[:length])
+            else:
+                depth += 1
+                states[depth] = state
+                moves[depth] = -1
+
+
 def oracle_cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     """A closed loop at ``base`` on which every letter wins, found with one
     breadth-first search per candidate vertex: for each uncovered letter,

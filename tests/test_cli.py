@@ -333,8 +333,8 @@ class TestErrorPrefixes:
                 "reducible error: bottom move undefined on reducible permutation B C A / C B A",
             ),
             (
-                ("fg", "central", "--n", "19"),
-                "error: need n <= 18 (the component has 2^(n-1) - 1 vertices), got 19",
+                ("fg", "central", "--n", "21"),
+                "error: need n <= 20 (the component has 2^(n-1) - 1 vertices), got 21",
             ),
         ],
     )
@@ -378,6 +378,11 @@ class TestIgnoredFlags:
                 "error: penner sweep ignores --genus, --n",
             ),
             (("penner", "--n", "5", "diverge", "--genus", "3"), "error: penner diverge ignores --n"),
+            (("fg", "--tol", "1/10", "central", "--n", "4"), "error: fg central ignores --tol"),
+            (
+                ("homology-check", "--a", "[[1]]", "--b", "[1]", "--n", "5", "--seed", "7"),
+                "error: homology-check --a/--b/--n ignores --seed",
+            ),
         ],
     )
     def test_exits_one_before_any_work(self, capsys, monkeypatch, argv, line):

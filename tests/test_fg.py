@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from rauzycert.fg import (
     _cover_loop,
     _cycle_masks,
     _never_primitive,
+    _predecessors,
     _stations,
     FamilyReport,
     block_matrix,
@@ -26,7 +28,13 @@ from rauzycert.linalg import _column_product, min_positive_power, path_matrix
 from rauzycert.pa import lc_lower_bound
 from rauzycert.perm import central, fg_start, parse
 
-from helpers import bisect_largest_root, brute_force_closed_words, is_positive, oracle_cover_loop
+from helpers import (
+    bisect_largest_root,
+    brute_force_closed_words,
+    is_positive,
+    oracle_cover_loop,
+    unpruned_closed_words,
+)
 
 
 class TestGamma:
@@ -91,15 +99,134 @@ class TestBlockMatrix:
         assert row == tuple(1 if j == 0 else 0 for j in range(2 * g))
 
 
+def _updates(d, src, word):
+    """The (winner, loser) pairs of ``word`` from vertex ``src`` of ``d``."""
+    updates = []
+    for move in word:
+        updates.append((d.winner[move][src], d.loser[move][src]))
+        src = d.succ[move][src]
+    return updates
+
+
+def _shapes(d, n):
+    """The (family, src, dst, relabel) of both path shapes in the central
+    component ``d``: closed words at the central vertex, and the words from
+    each loop vertex to its partner, whose relabeling comes from the path
+    with the flip."""
+    walk = [0]
+    for _ in range(1, n):
+        walk.append(d.succ[0][walk[-1]])
+    shapes = [(1, 0, 0, tuple(range(n)))]
+    for m in range(1, n):
+        src, dst = walk[m], walk[n - m - 1]
+        word = next(unpruned_closed_words(d.succ, src, dst, 2 * n))
+        moves = tuple(Move.from_letter("tb"[move]) for move in word) + (Move.FLIP,)
+        path = AllowedPath(d.vertices[src], moves)
+        assert path.allowed
+        shapes.append((2, src, dst, path.relabel))
+    return shapes
+
+
+def _rule_keeps(d, src, dst, max_len, cycles):
+    """The unpruned candidate words that ``_never_primitive`` keeps."""
+    return [
+        word
+        for word in unpruned_closed_words(d.succ, src, dst, max_len)
+        if not _never_primitive(_updates(d, src, word), cycles)
+    ]
+
+
+def _unwon_unlost(updates, cycles) -> tuple[int, int]:
+    """How many cycles never win, and how many never lose, in ``updates``."""
+    won = {w for w, _ in updates}
+    lost = {l for _, l in updates}
+    letters = [{x for x in range(cycle.bit_length()) if cycle >> x & 1} for cycle in cycles]
+    return sum(not c & won for c in letters), sum(not c & lost for c in letters)
+
+
 class TestClosedWords:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_pruned_search_matches_brute_force(self, n):
+        # the candidate words before the win/loss pruning
         step = explore(central(n)).succ
         for start in range(len(step[0])):
             expected = brute_force_closed_words(step, start, 2 * n)
             for end in range(len(step[0])):
-                words = list(_closed_words(step, start, end, 2 * n))
+                words = list(unpruned_closed_words(step, start, end, 2 * n))
                 assert words == expected.get(end, [])
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_yields_the_candidates_the_cycle_rule_keeps(self, n):
+        # the same words, in the same order, as filtering the unpruned
+        # candidates through _never_primitive
+        d = explore(central(n))
+        preds = _predecessors(d.succ)
+        kept = 0
+        for _, src, dst, relabel in _shapes(d, n):
+            cycles = _cycle_masks(relabel)
+            expected = _rule_keeps(d, src, dst, 2 * n, cycles)
+            assert list(_closed_words(d, preds, src, dst, 2 * n, cycles)) == expected
+            kept += len(expected)
+        assert kept > 0
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_any_endpoints_and_cycles(self, n):
+        # Between two distinct vertices a word can win every letter without
+        # losing every letter, and the reverse, so both halves of the prune
+        # are exercised here; the cycles come from the identity and from a
+        # seeded random relabeling.
+        d = explore(central(n))
+        preds = _predecessors(d.succ)
+        relabel = list(range(n))
+        random.Random(n).shuffle(relabel)
+        for cycles in (_cycle_masks(tuple(range(n))), _cycle_masks(tuple(relabel))):
+            for src in range(len(d)):
+                for dst in range(len(d)):
+                    expected = _rule_keeps(d, src, dst, 2 * n, cycles)
+                    assert list(_closed_words(d, preds, src, dst, 2 * n, cycles)) == expected
+
+    def test_prunes_inside_the_search(self):
+        # A work count rather than a timing: at n = 12 the closed loops at
+        # the central vertex take about a thirteenth of the successor
+        # lookups of the unpruned search, so a search that only filtered
+        # finished words would fail here.
+        class Counting(list):
+            lookups = 0
+
+            def __getitem__(self, index):
+                Counting.lookups += 1
+                return list.__getitem__(self, index)
+
+        n = 12
+        d = explore(central(n))
+        counted = types.SimpleNamespace(
+            succ=tuple(map(Counting, d.succ)), winner=d.winner, loser=d.loser, alphabet=d.alphabet
+        )
+        words = list(unpruned_closed_words(counted.succ, 0, 0, 2 * n))
+        unpruned, Counting.lookups = Counting.lookups, 0
+        cycles = _cycle_masks(tuple(range(n)))
+        kept = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, cycles))
+        assert len(words) > len(kept)
+        assert Counting.lookups * 10 < unpruned
+
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_prune_allowance_is_tight(self, n):
+        # Some kept word has a prefix with exactly as many unwon cycles as
+        # moves left, and one with exactly as many unlost cycles: an
+        # allowance of one move fewer would drop a kept word.
+        d = explore(central(n))
+        preds = _predecessors(d.succ)
+        tight_won = tight_lost = False
+        for _, src, dst, relabel in _shapes(d, n):
+            cycles = _cycle_masks(relabel)
+            for word in _closed_words(d, preds, src, dst, 2 * n, cycles):
+                updates = _updates(d, src, word)
+                for k in range(1, len(word)):
+                    unwon, unlost = _unwon_unlost(updates[:k], cycles)
+                    assert unwon <= len(word) - k and unlost <= len(word) - k
+                    tight_won = tight_won or unwon == len(word) - k
+                    tight_lost = tight_lost or unlost == len(word) - k
+        assert tight_won and tight_lost
 
 
 class TestTheorem11:
@@ -205,6 +332,35 @@ class TestTheorem12:
         with pytest.raises(ValueError, match="samples >= 0"):
             central_component_checks(4, loop_len=14, samples=-1)
 
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_builds_a_matrix_only_for_kept_words(self, n, monkeypatch):
+        # A work count rather than a timing: the closed-word search drops
+        # every word the cycle rule would reject, so each word that reaches
+        # the sampler passes the rule and gives a primitive matrix, and the
+        # reverse adjacency is built once per diagram.
+        calls = {"preds": 0, "rule": 0, "rejected": 0, "product": 0}
+
+        def preds(step):
+            calls["preds"] += 1
+            return _predecessors(step)
+
+        def rule(updates, cycles):
+            calls["rule"] += 1
+            rejected = _never_primitive(updates, cycles)
+            calls["rejected"] += rejected
+            return rejected
+
+        def product(*args):
+            calls["product"] += 1
+            return _column_product(*args)
+
+        monkeypatch.setattr("rauzycert.fg._predecessors", preds)
+        monkeypatch.setattr("rauzycert.fg._never_primitive", rule)
+        monkeypatch.setattr("rauzycert.fg._column_product", product)
+        report = central_component_checks(n)
+        assert len(report.samples) == 6
+        assert calls == {"preds": 1, "rule": 6, "rejected": 0, "product": 6}
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_power_positive_is_exponent_at_most_4g_plus_2(self, n):
         # rebuild each sampled matrix from its start and word and raise it
@@ -217,15 +373,6 @@ class TestTheorem12:
             assert s.power_positive == (s.primitive_exponent <= power)
 
 
-def _updates(d, src, word):
-    """The (winner, loser) pairs of ``word`` from vertex ``src`` of ``d``."""
-    updates = []
-    for move in word:
-        updates.append((d.winner[move][src], d.loser[move][src]))
-        src = d.succ[move][src]
-    return updates
-
-
 class TestNeverPrimitive:
     """The rejection rule in ``central_component_checks`` only rejects words
     whose path matrix has no positive power."""
@@ -236,22 +383,11 @@ class TestNeverPrimitive:
         # the central vertex, and the words from each loop vertex to its
         # partner, whose relabeling comes from the path with the flip.
         d = explore(central(n))
-        walk = [0]
-        for _ in range(1, n):
-            walk.append(d.succ[0][walk[-1]])
         identity = tuple(range(n))
-        shapes = [(1, 0, 0, identity)]
-        for m in range(1, n):
-            src, dst = walk[m], walk[n - m - 1]
-            word = next(_closed_words(d.succ, src, dst, 2 * n))
-            moves = tuple(Move.from_letter("tb"[move]) for move in word) + (Move.FLIP,)
-            path = AllowedPath(d.vertices[src], moves)
-            assert path.allowed
-            shapes.append((2, src, dst, path.relabel))
         rejected = {1: 0, 2: 0}
-        for family, src, dst, relabel in shapes:
+        for family, src, dst, relabel in _shapes(d, n):
             cycles = _cycle_masks(relabel)
-            for word in _closed_words(d.succ, src, dst, 2 * n):
+            for word in unpruned_closed_words(d.succ, src, dst, 2 * n):
                 updates = _updates(d, src, word)
                 if _never_primitive(updates, cycles):
                     assert min_positive_power(_column_product(n, updates, relabel)) is None

@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
 
 CASES: dict[str, tuple[str, ...]] = {
-    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 13)},
+    **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 15)},
     "fg_central_n9_loop12_samples5": (
         "fg", "central", "--n", "9", "--loop-len", "12", "--samples", "5"
     ),
@@ -82,8 +82,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"
     ),
-    "fg_central_n_above_cap": ("fg", "central", "--n", "19"),
+    "fg_central_n_above_cap": ("fg", "central", "--n", "21"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
+    "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
     "homology_check_n_above_cap": (
         "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"
@@ -97,6 +98,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_genus_with_table": ("fg", "--genus", "5", "table", "--gmax", "3"),
     "penner_sweep_with_genus_n": ("penner", "--genus", "4", "--n", "2", "sweep"),
     "penner_diverge_with_n": ("penner", "--n", "5", "diverge", "--genus", "3"),
+    "fg_central_with_tol": ("fg", "--tol", "1/10", "central", "--n", "4"),
+    "homology_check_single_with_seed": (
+        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "5", "--seed", "7"
+    ),
 }
 
 # exit 1: argparse rejects the command line, and main returns 1

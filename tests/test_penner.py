@@ -6,6 +6,7 @@ import pytest
 from rauzycert.linalg import IntMatrix, min_row_sum
 from rauzycert.penner import (
     build,
+    DIVERGE_G_MAX,
     diverging_sequence,
     homology_power_check,
     lc_upper_rotation,
@@ -171,6 +172,11 @@ class TestDivergingSequence:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             diverging_sequence(9)
+
+    def test_size_cap_is_decided_before_any_power(self):
+        # 10^6 to the 10^6 has six million digits: the cap is decided on g
+        with pytest.raises(ValueError, match=r"need g <= %d .*, got 1000000$" % DIVERGE_G_MAX):
+            diverging_sequence(10**6)
 
     def test_rejects_small_genus(self):
         with pytest.raises(ValueError):
