@@ -176,8 +176,7 @@ def _cmd_fg(args) -> int:
     if args.fg_mode == "table":
         rows = []
         for g in range(args.gmin, args.gmax + 1):
-            report = fg_mod.family_report(g, tol=tol)
-            cert = report.certificate
+            cert = certify(fg_mod.family_loop(g), tol=tol)
             rows.append(
                 [
                     g,

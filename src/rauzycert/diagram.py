@@ -122,14 +122,6 @@ def explore(
     return RauzyDiagram(seed.alphabet, rows, succ)
 
 
-def unlabeled_classes(d: RauzyDiagram) -> dict[tuple[int, ...], list[int]]:
-    """The vertices grouped by the images of their unlabeled permutation."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v, (top, bottom) in enumerate(d.rows):
-        classes.setdefault(_images(top, bottom), []).append(v)
-    return classes
-
-
 def injectivity_check(d: RauzyDiagram) -> bool:
     """No two distinct vertices define the same unlabeled permutation."""
     return len({_images(top, bottom) for top, bottom in d.rows}) == len(d)

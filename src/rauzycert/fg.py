@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import AllowedPath, explore, unlabeled_classes
+from .diagram import AllowedPath, explore, injectivity_check
 from .induction import MOVES, Move, _step
 from .linalg import DEFAULT_TOL, IntMatrix, _column_product, min_positive_power
 from .pa import PACertificate, certify, lc_lower_bound
@@ -359,34 +359,18 @@ def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _never_primitive(updates, cycles) -> bool:
-    """Whether some cycle of the relabeling (as ``_cycle_masks`` gives them)
-    never wins or never loses in ``updates``, which rules out a primitive
-    path matrix.
-
-    In the unipotent part (Id + E(w1, l1)) ... (Id + E(wk, lk)) a letter
-    that never wins keeps its unit row and one that never loses keeps its
-    unit column.  The relabeling P maps the unit rows (columns) of a whole
-    such cycle onto unit rows (columns) of the same cycle, so every power
-    of the path matrix keeps them, and none is positive.
-    """
-    won = lost = 0
-    for w, l in updates:
-        won |= 1 << w
-        lost |= 1 << l
-    return any(not (cycle & won and cycle & lost) for cycle in cycles)
-
-
 def central_component_checks(
     n: int, loop_len: int | None = None, samples: int = 3
 ) -> CentralComponentReport:
     """Structural checks on the central component of n letters (n >= 3).
 
     Samples up to ``samples`` primitive paths from each of the two shapes
-    (closed loops; loop-vertex-to-partner paths ending in one flip) with
-    word length at most ``loop_len`` (default 2n) and verifies the positive
-    diagonal entry and the positivity of the (4g+2)-nd matrix power behind
-    the 1/(16g-10) bound.  The bound needs genus >= 2, so n = 3 has none.
+    (closed loops; loop-vertex-to-partner paths ending in one flip) and
+    verifies the positive diagonal entry and the positivity of the
+    (4g+2)-nd matrix power behind the 1/(16g-10) bound.  The bound needs
+    genus >= 2, so n = 3 has none.  ``loop_len`` (default 2n, at least 1)
+    bounds the length of the enumerated candidate words only: the cover
+    loops that fill the closed-loop quota may be longer.
     """
     if n < 3:
         raise ValueError("need n >= 3, got %d" % n)
@@ -398,13 +382,14 @@ def central_component_checks(
         raise ValueError("need samples >= 0, got %d" % samples)
     if loop_len is None:
         loop_len = 2 * n
+    if loop_len < 1:
+        raise ValueError("need loop_len >= 1, got %d" % loop_len)
     g = n // 2
     diagram = explore(central(n), augmented=False)
     power = 4 * g + 2
 
     # Distinct vertices have distinct unlabeled permutations.
-    classes = unlabeled_classes(diagram)
-    checks: dict[str, bool] = {"injective": len(classes) == len(diagram)}
+    checks: dict[str, bool] = {"injective": injectivity_check(diagram)}
 
     # Closed forms of the loop of top moves, walked on the t table from the
     # seed, vertex 0: walk[m] is the vertex after m top moves.
@@ -420,13 +405,15 @@ def central_component_checks(
     # Each flipped loop vertex has exactly one unlabeled partner in the
     # component, namely the m <-> n-m-1 mirror, and the relabeling between
     # the two path endpoints fixes the last letter.  The endpoint and the
-    # relabeling of a shape-2 path depend on m only, not on its word.
+    # relabeling of a shape-2 path depend on m only, not on its word.  Only
+    # the mirror is compared here: that no other vertex shares its unlabeled
+    # permutation is the ``injective`` check.
     partner_ok = True
     corner_ok = True
     flip_paths = []
     for m in range(1, n):
         src, dst = walk[m], walk[n - m - 1]
-        partner_ok = partner_ok and classes.get(_images(*_step(*rows[src], 2)[:2])) == [dst]
+        partner_ok = partner_ok and _images(*_step(*rows[src], 2)[:2]) == _images(*rows[dst])
         relabel = _relabel(rows[src][0], _step(*rows[dst], 2)[0])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
         flip_paths.append((src, dst, relabel, _cycle_masks(relabel)))
@@ -436,20 +423,15 @@ def central_component_checks(
     sampled: list[SampledPath] = []
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
 
-    def sample(family: int, src: int, word, relabel, cycles) -> bool:
+    def sample(family: int, src: int, word, relabel) -> bool:
         """Record the path of ``word`` from vertex ``src`` when its matrix is
         primitive.  A shape-2 path ends in a flip, whose diagonal entry of
-        interest is the (n, n) one.  ``_closed_words`` yields no word that
-        leaves a cycle of the relabeling never winning or never losing;
-        a cover loop that does is rejected here, before any matrix is
-        built."""
+        interest is the (n, n) one."""
         updates = []
         state = src
         for move in word:
             updates.append((winner[move][state], loser[move][state]))
             state = step[move][state]
-        if _never_primitive(updates, cycles):
-            return False
         matrix = _column_product(n, updates, relabel)
         exponent = min_positive_power(matrix)
         if exponent is None:
@@ -486,7 +468,7 @@ def central_component_checks(
     while found < samples and (word := next(words, None)) is not None:
         if word not in tried:
             tried.add(word)
-            found += sample(1, 0, word, identity, singletons)
+            found += sample(1, 0, word, identity)
 
     # Shape 2: from a loop vertex to its unlabeled partner, then one flip.
     found = 0
@@ -494,7 +476,7 @@ def central_component_checks(
         if found == samples:
             break
         candidates = _closed_words(diagram, preds, src, dst, loop_len, cycles)
-        found += any(sample(2, src, word, relabel, cycles) for word in candidates)
+        found += any(sample(2, src, word, relabel) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)
     checks["family2_samples_found"] = any(s.family == 2 for s in sampled)

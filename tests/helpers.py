@@ -260,6 +260,24 @@ def unpruned_closed_words(step, start: int, end: int, max_len: int):
                 moves[depth] = -1
 
 
+def never_primitive(updates, cycles) -> bool:
+    """Whether some cycle of the relabeling (as ``_cycle_masks`` gives them)
+    never wins or never loses in ``updates``, which rules out a primitive
+    path matrix.
+
+    In the unipotent part (Id + E(w1, l1)) ... (Id + E(wk, lk)) a letter
+    that never wins keeps its unit row and one that never loses keeps its
+    unit column.  The relabeling P maps the unit rows (columns) of a whole
+    such cycle onto unit rows (columns) of the same cycle, so every power
+    of the path matrix keeps them, and none is positive.
+    """
+    won = lost = 0
+    for w, l in updates:
+        won |= 1 << w
+        lost |= 1 << l
+    return any(not (cycle & won and cycle & lost) for cycle in cycles)
+
+
 def oracle_cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     """A closed loop at ``base`` on which every letter wins, found with one
     breadth-first search per candidate vertex: for each uncovered letter,

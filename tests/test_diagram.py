@@ -12,7 +12,6 @@ from rauzycert.diagram import (
     parse_move_word,
     to_dot,
     to_json,
-    unlabeled_classes,
 )
 from rauzycert.errors import EnumerationCapError, PermutationParseError, ReducibleError
 from rauzycert.induction import Move
@@ -263,12 +262,3 @@ class TestTables:
         assert len(explore(central(6), cap=31)) == 31
         with pytest.raises(EnumerationCapError):
             explore(central(6), cap=30)
-
-    def test_unlabeled_classes(self):
-        component = explore(central(4), augmented=True)
-        classes = unlabeled_classes(component)
-        assert sorted(v for members in classes.values() for v in members) == list(
-            range(len(component))
-        )
-        for images, members in classes.items():
-            assert all(unlabeled(component.vertices[v]).images == images for v in members)

@@ -11,7 +11,6 @@ from rauzycert.fg import (
     _closed_words,
     _cover_loop,
     _cycle_masks,
-    _never_primitive,
     _predecessors,
     _stations,
     FamilyReport,
@@ -26,12 +25,13 @@ from rauzycert.fg import (
 from rauzycert.induction import Move, apply_move
 from rauzycert.linalg import _column_product, min_positive_power, path_matrix
 from rauzycert.pa import lc_lower_bound
-from rauzycert.perm import central, fg_start, parse
+from rauzycert.perm import central, fg_start, parse, unlabeled
 
 from helpers import (
     bisect_largest_root,
     brute_force_closed_words,
     is_positive,
+    never_primitive,
     oracle_cover_loop,
     unpruned_closed_words,
 )
@@ -128,11 +128,11 @@ def _shapes(d, n):
 
 
 def _rule_keeps(d, src, dst, max_len, cycles):
-    """The unpruned candidate words that ``_never_primitive`` keeps."""
+    """The unpruned candidate words that ``never_primitive`` keeps."""
     return [
         word
         for word in unpruned_closed_words(d.succ, src, dst, max_len)
-        if not _never_primitive(_updates(d, src, word), cycles)
+        if not never_primitive(_updates(d, src, word), cycles)
     ]
 
 
@@ -158,7 +158,7 @@ class TestClosedWords:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_yields_the_candidates_the_cycle_rule_keeps(self, n):
         # the same words, in the same order, as filtering the unpruned
-        # candidates through _never_primitive
+        # candidates through never_primitive
         d = explore(central(n))
         preds = _predecessors(d.succ)
         kept = 0
@@ -208,6 +208,15 @@ class TestClosedWords:
         kept = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, cycles))
         assert len(words) > len(kept)
         assert Counting.lookups * 10 < unpruned
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_closed_loops_at_the_central_vertex(self, n):
+        # Shape 1's enumerated candidates: 10 words at n = 3, 2 at n = 4 and
+        # none from n = 5 on, where every shape-1 sample is a cover loop.
+        d = explore(central(n))
+        singletons = _cycle_masks(tuple(range(n)))
+        words = list(_closed_words(d, _predecessors(d.succ), 0, 0, 2 * n, singletons))
+        assert len(words) == {3: 10, 4: 2}.get(n, 0)
 
     @pytest.mark.parametrize("n", range(5, 8))
     def test_prune_allowance_is_tight(self, n):
@@ -332,34 +341,58 @@ class TestTheorem12:
         with pytest.raises(ValueError, match="samples >= 0"):
             central_component_checks(4, loop_len=14, samples=-1)
 
+    def test_rejects_loop_len_below_one(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("explore ran")
+
+        monkeypatch.setattr("rauzycert.fg.explore", fail)
+        for loop_len in (0, -3):
+            with pytest.raises(ValueError, match="loop_len >= 1"):
+                central_component_checks(5, loop_len=loop_len)
+
     @pytest.mark.parametrize("n", range(4, 15))
     def test_builds_a_matrix_only_for_kept_words(self, n, monkeypatch):
         # A work count rather than a timing: the closed-word search drops
-        # every word the cycle rule would reject, so each word that reaches
-        # the sampler passes the rule and gives a primitive matrix, and the
-        # reverse adjacency is built once per diagram.
-        calls = {"preds": 0, "rule": 0, "rejected": 0, "product": 0}
+        # every word the cycle rule would reject, and no cover loop breaks
+        # the rule, so each word that reaches the sampler gives a primitive
+        # matrix; the reverse adjacency is built once per diagram.
+        calls = {"preds": 0, "power": 0, "imprimitive": 0, "product": 0}
 
         def preds(step):
             calls["preds"] += 1
             return _predecessors(step)
 
-        def rule(updates, cycles):
-            calls["rule"] += 1
-            rejected = _never_primitive(updates, cycles)
-            calls["rejected"] += rejected
-            return rejected
+        def power(matrix):
+            calls["power"] += 1
+            exponent = min_positive_power(matrix)
+            calls["imprimitive"] += exponent is None
+            return exponent
 
         def product(*args):
             calls["product"] += 1
             return _column_product(*args)
 
         monkeypatch.setattr("rauzycert.fg._predecessors", preds)
-        monkeypatch.setattr("rauzycert.fg._never_primitive", rule)
+        monkeypatch.setattr("rauzycert.fg.min_positive_power", power)
         monkeypatch.setattr("rauzycert.fg._column_product", product)
         report = central_component_checks(n)
         assert len(report.samples) == 6
-        assert calls == {"preds": 1, "rule": 6, "rejected": 0, "product": 6}
+        assert calls == {"preds": 1, "power": 6, "imprimitive": 0, "product": 6}
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_flipped_loop_vertex_has_one_unlabeled_partner(self, n):
+        # The uniqueness behind flip_partner_identity, by brute force over
+        # every vertex: after m top moves and a flip, the only vertex of the
+        # component with the same unlabeled permutation is the mirror, the
+        # vertex after n-m-1 top moves.
+        d = explore(central(n))
+        images = [unlabeled(v).images for v in d.vertices]
+        walk = [0]
+        for _ in range(1, n):
+            walk.append(d.succ[0][walk[-1]])
+        for m in range(1, n):
+            flipped = unlabeled(apply_move(d.vertices[walk[m]], Move.FLIP).target).images
+            assert [v for v, other in enumerate(images) if other == flipped] == [walk[n - m - 1]]
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_power_positive_is_exponent_at_most_4g_plus_2(self, n):
@@ -374,8 +407,9 @@ class TestTheorem12:
 
 
 class TestNeverPrimitive:
-    """The rejection rule in ``central_component_checks`` only rejects words
-    whose path matrix has no positive power."""
+    """The cycle rule that ``_closed_words`` prunes by, stated on its own as
+    ``never_primitive``, only rejects words whose path matrix has no
+    positive power."""
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_rejected_candidate_words_are_not_primitive(self, n):
@@ -389,7 +423,7 @@ class TestNeverPrimitive:
             cycles = _cycle_masks(relabel)
             for word in unpruned_closed_words(d.succ, src, dst, 2 * n):
                 updates = _updates(d, src, word)
-                if _never_primitive(updates, cycles):
+                if never_primitive(updates, cycles):
                     assert min_positive_power(_column_product(n, updates, relabel)) is None
                     rejected[family] += family == 1 or relabel != identity
         assert rejected[1] > 0
@@ -404,7 +438,7 @@ class TestNeverPrimitive:
             relabel = list(range(n))
             rng.shuffle(relabel)
             updates = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
-            if _never_primitive(updates, _cycle_masks(tuple(relabel))):
+            if never_primitive(updates, _cycle_masks(tuple(relabel))):
                 rejected += 1
                 assert min_positive_power(_column_product(n, updates, tuple(relabel))) is None
         assert rejected > 0

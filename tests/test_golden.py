@@ -83,6 +83,7 @@ CASES: dict[str, tuple[str, ...]] = {
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"
     ),
     "fg_central_n_above_cap": ("fg", "central", "--n", "21"),
+    "fg_central_loop_len_zero": ("fg", "central", "--n", "5", "--loop-len", "0"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
