@@ -20,7 +20,7 @@ from .errors import (
     RauzyError,
     ReducibleError,
 )
-from .induction import EdgeRecord, Move, apply_move, edge_matrix
+from .induction import Move
 from .linalg import (
     IntMatrix,
     SpectralBracket,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllowedPath",
     "ConvergenceError",
-    "EdgeRecord",
     "EnumerationCapError",
     "GluedSurface",
     "IntMatrix",
@@ -61,11 +60,9 @@ __all__ = [
     "ReducibleError",
     "SpectralBracket",
     "UnlabeledPermutation",
-    "apply_move",
     "build_path",
     "central",
     "certify",
-    "edge_matrix",
     "explore",
     "fg_start",
     "glue",

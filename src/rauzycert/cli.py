@@ -24,9 +24,9 @@ from . import diagram as diagram_mod
 from . import fg as fg_mod
 from . import penner as penner_mod
 from .errors import RauzyError
-from .induction import Move, apply_move, edge_matrix
+from .induction import Move
 from .jsonutil import bracket_json, decimal_str, rational_json
-from .linalg import DEFAULT_TOL, IntMatrix
+from .linalg import DEFAULT_TOL, IntMatrix, _column_product
 from .pa import certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
@@ -98,17 +98,20 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_move(args) -> int:
+    """The one-move path from the start: its end, its (winner, loser) and
+    its matrix Id + E(winner, loser), the identity for a flip."""
     p = parse(args.start)
-    edge = apply_move(p, Move.from_letter(args.kind))
+    path = diagram_mod.AllowedPath(p, (Move(args.kind),))
+    winner, loser = [p.alphabet[i] for i in path.updates[0]] if path.updates else (None, None)
     _emit_json(
         {
-            "kind": edge.kind.value,
-            "source": edge.source.to_json_dict(),
-            "target": edge.target.to_json_dict(),
-            "target_display": edge.target.display(),
-            "winner": edge.winner,
-            "loser": edge.loser,
-            "matrix": edge_matrix(edge).to_json(),
+            "kind": args.kind,
+            "source": p.to_json_dict(),
+            "target": path.end.to_json_dict(),
+            "target_display": path.end.display(),
+            "winner": winner,
+            "loser": loser,
+            "matrix": _column_product(p.n, path.updates, tuple(range(p.n))).to_json(),
         }
     )
     return 0

@@ -21,7 +21,7 @@ import re
 from functools import cache, cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
-from .induction import MOVES, EdgeRecord, Move, _step, apply_move
+from .induction import MOVES, Move, _step
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
 DEFAULT_CAP = 10**6
@@ -35,8 +35,8 @@ class RauzyDiagram:
     in BFS order from the seed, vertex 0.  ``succ[move][v]`` is the vertex
     the move leads to from v, with move index 0 = t, 1 = b and, when
     augmented, 2 = f.  ``winner[move][v]`` and ``loser[move][v]`` are the
-    letter indices of the t and b edges; a flip has neither.  Vertex and
-    edge objects are views built from the tables on first use.
+    letter indices of the t and b edges; a flip has neither.  ``vertices``
+    is the view of the rows as permutation objects, built on first use.
     """
 
     def __init__(self, alphabet, rows, succ):
@@ -56,22 +56,6 @@ class RauzyDiagram:
     @cached_property
     def vertices(self) -> tuple[LabeledPermutation, ...]:
         return tuple(LabeledPermutation(self.alphabet, top, bottom) for top, bottom in self.rows)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[EdgeRecord, ...], ...]:
-        """The out-edges of each vertex, in t, b(, f) order."""
-        vertices, names = self.vertices, self.alphabet
-        out = []
-        for v, source in enumerate(vertices):
-            edges = []
-            for move, table in enumerate(self.succ):
-                if move == 2:
-                    winner = loser = None
-                else:
-                    winner, loser = names[self.winner[move][v]], names[self.loser[move][v]]
-                edges.append(EdgeRecord(MOVES[move], source, vertices[table[v]], winner, loser))
-            out.append(tuple(edges))
-        return tuple(out)
 
     def successor(self, index: int, move: Move) -> int:
         """Index of the target of the given move from vertex ``index``."""
@@ -170,8 +154,9 @@ class AllowedPath:
         updates = []
         for move in self.moves:
             if not irreducible and move is not Move.FLIP:
-                # apply_move's precondition raises the error naming this station
-                apply_move(LabeledPermutation(start.alphabet, top, bottom), move)
+                station = LabeledPermutation(start.alphabet, top, bottom).display()
+                text = "%s move undefined on reducible permutation %s"
+                raise ReducibleError(text % (move.name.lower(), station))
             top, bottom, duel = _step(top, bottom, MOVES.index(move))
             if duel is not None:
                 updates.append(duel)
@@ -179,14 +164,6 @@ class AllowedPath:
         self.end = LabeledPermutation(start.alphabet, top, bottom)
         self.allowed: bool = _images(start.top, start.bottom) == _images(top, bottom)
         self.relabel = _relabel(start.top, top) if self.allowed else None
-
-    @cached_property
-    def edges(self) -> tuple[EdgeRecord, ...]:
-        """One edge record per move, built on first use."""
-        edges: list[EdgeRecord] = []
-        for move in self.moves:
-            edges.append(apply_move(edges[-1].target if edges else self.start, move))
-        return tuple(edges)
 
     @property
     def word(self) -> str:

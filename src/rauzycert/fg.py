@@ -313,8 +313,9 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
 
     Greedily walks to the nearest edge winning each still-uncovered letter
     (in the given order; ties go to the lowest vertex index, then t before
-    b) and returns to base.  Short closed loops rarely cover every letter,
-    so this is the workhorse behind primitive samples.
+    b) and returns to base.  From n = 5 on no closed loop of length up to
+    2n at the central vertex wins and loses every letter, so this is the
+    workhorse behind primitive samples.
     """
     word: list[int] = []
     current = base
@@ -338,7 +339,7 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
 
 
 # Largest n that central_component_checks accepts: n = 20 (524,287 vertices)
-# takes about 8 s and 0.5 GiB on a 2-vCPU VM, and each further letter doubles
+# takes about 6-8 s and 330 MiB on a 2-vCPU VM, and each further letter doubles
 # both; n = 21 (1,048,575 vertices) would pass explore's default cap of 10^6.
 CENTRAL_N_MAX = 20
 
@@ -452,10 +453,10 @@ def central_component_checks(
         return True
 
     # Shape 1: closed loops at the central vertex, which is vertex 0.  Short
-    # closed loops are enumerated first; since a primitive loop needs every
-    # letter to win at least once, which rarely happens below length 2n,
-    # deterministic cover loops (one per rotation of the alphabet) fill the
-    # remaining quota.
+    # closed loops that win and lose every letter are enumerated first; up
+    # to length 2n there are 10 at n = 3, 2 at n = 4 and none for n = 5..20,
+    # so deterministic cover loops (one per rotation of the alphabet) fill
+    # the remaining quota.
     covers = (
         _cover_loop(step, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
     )

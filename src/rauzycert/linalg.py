@@ -109,7 +109,8 @@ def _column_product(n: int, updates, relabel: tuple[int, ...]) -> IntMatrix:
 
 
 def path_matrix(path: "AllowedPath") -> IntMatrix:
-    """Product of the per-edge matrices, first edge leftmost, relabeling last."""
+    """Product of the moves' matrices Id + E(winner, loser), first move leftmost,
+    relabeling last."""
     if not path.allowed:
         raise NotAllowedError("path is not allowed: %s -> %s" % (path.start, path.end))
     return _column_product(path.start.n, path.updates, path.relabel)
@@ -181,10 +182,6 @@ class SpectralBracket:
     low: Fraction
     high: Fraction
     iterations: int
-
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
 
     def log_bounds(self) -> tuple[float, float]:
         """Natural-log bracket, e.g. for translation lengths, rounded outward:

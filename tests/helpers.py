@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import assume, strategies as st
 
 from rauzycert.diagram import AllowedPath
 from rauzycert.errors import EnumerationCapError, NotAllowedError, ReducibleError
-from rauzycert.induction import EdgeRecord, Move, apply_move, edge_matrix
+from rauzycert.induction import Move
 from rauzycert.linalg import IntMatrix, wielandt_bound
 from rauzycert.perm import (
     LabeledPermutation,
@@ -98,7 +99,18 @@ def _reinsert_after(row: tuple[int, ...], moved: int, anchor: int) -> tuple[int,
     return tuple(out)
 
 
-def oracle_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
+class OracleEdge(NamedTuple):
+    """One move with both endpoints and its winner and loser letter names,
+    both None exactly for a flip."""
+
+    kind: Move
+    source: LabeledPermutation
+    target: LabeledPermutation
+    winner: str | None
+    loser: str | None
+
+
+def oracle_move(p: LabeledPermutation, move: Move) -> OracleEdge:
     """One move on permutation objects, written apart from the index-row
     kernel: t takes the bottom-last letter (the loser) out of the bottom row
     and puts it back right of the top-last letter (the winner), b does the
@@ -106,38 +118,54 @@ def oracle_move(p: LabeledPermutation, move: Move) -> EdgeRecord:
     ``p`` must be irreducible for t and b."""
     if move is Move.FLIP:
         target = LabeledPermutation(p.alphabet, tuple(reversed(p.bottom)), tuple(reversed(p.top)))
-        return EdgeRecord(move, p, target, None, None)
+        return OracleEdge(move, p, target, None, None)
     if move is Move.TOP:
         winner, loser = p.top[-1], p.bottom[-1]
         target = LabeledPermutation(p.alphabet, p.top, _reinsert_after(p.bottom, loser, winner))
     else:
         winner, loser = p.bottom[-1], p.top[-1]
         target = LabeledPermutation(p.alphabet, _reinsert_after(p.top, loser, winner), p.bottom)
-    return EdgeRecord(move, p, target, p.alphabet[winner], p.alphabet[loser])
+    return OracleEdge(move, p, target, p.alphabet[winner], p.alphabet[loser])
+
+
+def oracle_edge_matrix(edge: OracleEdge) -> list[list[int]]:
+    """Dense Id + E(winner, loser) in the source's alphabet order, as rows;
+    the identity for a flip."""
+    alphabet = edge.source.alphabet
+    rows = [[int(i == j) for j in range(len(alphabet))] for i in range(len(alphabet))]
+    if edge.winner is not None:
+        rows[alphabet.index(edge.winner)][alphabet.index(edge.loser)] += 1
+    return rows
+
+
+def _dense_mul(a: list[list[int]], b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def dense_path_matrix(path: AllowedPath) -> IntMatrix:
-    """The path matrix as the dense product of the edge matrices of
-    ``oracle_move``, first edge leftmost, times the relabeling matrix."""
-    result = IntMatrix.identity(path.start.n)
+    """The path matrix as the dense product, on plain lists, of the edge
+    matrices of ``oracle_move``, first edge leftmost, times the relabeling
+    matrix."""
+    n = path.start.n
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
     current = path.start
     for move in path.moves:
         edge = oracle_move(current, move)
-        result = result * edge_matrix(edge)
+        result = _dense_mul(result, oracle_edge_matrix(edge))
         current = edge.target
-    return result * relabel_matrix(path.start, current)
+    return IntMatrix.from_rows(_dense_mul(result, relabel_matrix(path.start, current).rows))
 
 
 def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int = 10**6):
     """Breadth-first closure of ``seed`` with one permutation object and one
-    edge record per vertex and edge, keyed by display strings: the vertices
+    ``OracleEdge`` per vertex and edge, keyed by display strings: the vertices
     in BFS order and the out-edges of each vertex in t, b(, f) order."""
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
     moves = (Move.TOP, Move.BOTTOM, Move.FLIP) if augmented else (Move.TOP, Move.BOTTOM)
     vertices: list[LabeledPermutation] = [seed]
     index: dict[str, int] = {seed.display(): 0}
-    out_edges: list[tuple[EdgeRecord, ...]] = []
+    out_edges: list[tuple[OracleEdge, ...]] = []
     frontier = 0
     while frontier < len(vertices):
         edges = tuple(oracle_move(vertices[frontier], move) for move in moves)
@@ -387,9 +415,8 @@ def random_allowed_paths(
                 move = Move.TOP
             else:
                 move = Move.BOTTOM
-            edge = apply_move(current, move)
             moves.append(move)
-            current = edge.target
+            current = oracle_move(current, move).target
             if unlabeled(start) == unlabeled(current):
                 paths.append(AllowedPath(start, moves))
                 break
@@ -410,7 +437,7 @@ def allowed_paths(draw, max_n: int = 6, max_moves: int = 400) -> AllowedPath:
     while len(moves) < max_moves:
         move = draw(st.sampled_from((Move.TOP, Move.BOTTOM, Move.FLIP)))
         moves.append(move)
-        current = apply_move(current, move).target
+        current = oracle_move(current, move).target
         if unlabeled(start) == unlabeled(current):
             return AllowedPath(start, moves)
     assume(False)

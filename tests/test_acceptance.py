@@ -10,9 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from rauzycert.cli import main as cli_main
-from rauzycert.diagram import build_path, explore
+from rauzycert.diagram import AllowedPath, build_path, explore
 from rauzycert.fg import block_matrix, family_loop, family_report, central_component_checks
-from rauzycert.induction import Move, apply_move
 from rauzycert.linalg import IntMatrix, min_row_sum, path_matrix
 from rauzycert.pa import check_never_winner_rows
 from rauzycert.penner import (
@@ -44,10 +43,10 @@ def criterion(number, name):
 
 def test_criterion_1_worked_examples():
     with criterion(1, "worked move examples and the single-flip matrix"):
-        assert apply_move(parse("A B C D / D C B A"), Move.TOP).target.display() == "A B C D / D A C B"
-        assert apply_move(parse("A B C D / D C B A"), Move.BOTTOM).target.display() == "A D B C / D C B A"
-        assert apply_move(parse("A C B / B A C"), Move.FLIP).target.display() == "C A B / B C A"
-        assert apply_move(parse("A B C / C A B"), Move.FLIP).target.display() == "B A C / C B A"
+        assert build_path(parse("A B C D / D C B A"), "t").end.display() == "A B C D / D A C B"
+        assert build_path(parse("A B C D / D C B A"), "b").end.display() == "A D B C / D C B A"
+        assert build_path(parse("A C B / B A C"), "f").end.display() == "C A B / B C A"
+        assert build_path(parse("A B C / C A B"), "f").end.display() == "B A C / C B A"
         flip_path = build_path(parse("A B C / C A B"), "f")
         assert path_matrix(flip_path) == IntMatrix.from_rows(
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -62,10 +61,11 @@ def test_criterion_2_three_letter_component():
             "A B C / C B A",
             "A B C / C A B",
         }
+        displays = [v.display() for v in component.vertices]
         edges = [
-            (e.source.display(), e.kind.value, e.target.display())
-            for out in component.edges
-            for e in out
+            (displays[v], "tb"[move], displays[table[v]])
+            for move, table in enumerate(component.succ)
+            for v in range(len(component))
         ]
         assert len(edges) == 6
         assert ("A C B / C B A", "t", "A C B / C B A") in edges  # t self-loop
@@ -81,7 +81,7 @@ def test_criterion_3_family_loops():
         for g in range(2, 11):
             path = family_loop(g)
             assert path.allowed
-            assert path.edges[g - 1].target == fg_start(g)
+            assert AllowedPath(fg_start(g), path.moves[:g]).end == fg_start(g)
             assert path_matrix(path) == block_matrix(g)
             surface = glue(fg_start(g))
             assert surface.vertex_count == 1
@@ -99,7 +99,7 @@ def test_criterion_4_translation_length_bounds():
             assert cert.lc_lower_exact == Fraction(1, 12 * g - 12 + cert.positive_power)
             assert cert.lc_lower_exact >= cert.lc_lower
             assert cert.positive_power <= 4 * g - 4
-            assert cert.lam.width <= TOL
+            assert cert.lam.high - cert.lam.low <= TOL
             assert cert.lam.low**2 >= 2
         # genus 2: stretch factor against the bisected largest root of
         # x^4 - x^3 - x^2 - x + 1 (independent exact oracle)
@@ -177,17 +177,16 @@ def test_criterion_9_property_suites(capsys):
         for n in range(2, 7):
             for p in all_standard_permutations(n):
                 if is_irreducible(p):
-                    assert is_irreducible(apply_move(p, Move.TOP).target)
-                    assert is_irreducible(apply_move(p, Move.BOTTOM).target)
+                    assert is_irreducible(build_path(p, "t").end)
+                    assert is_irreducible(build_path(p, "b").end)
 
         # flip involution, exhaustively for n <= 5 representatives plus the
         # random loop starts above
         for n in range(2, 6):
             for p in all_standard_permutations(n):
-                assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
+                assert build_path(p, "ff").end == p
         for path in paths[:50]:
-            p = path.start
-            assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
+            assert build_path(path.start, "ff").end == path.start
 
         # output determinism, byte for byte across two CLI runs
         for argv in (

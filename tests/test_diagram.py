@@ -5,6 +5,7 @@ import pytest
 
 from helpers import oracle_diagram_doc, oracle_dot, oracle_explore, random_irreducible
 from rauzycert.diagram import (
+    AllowedPath,
     RauzyDiagram,
     build_path,
     explore,
@@ -14,19 +15,19 @@ from rauzycert.diagram import (
     to_json,
 )
 from rauzycert.errors import EnumerationCapError, PermutationParseError, ReducibleError
-from rauzycert.induction import Move
+from rauzycert.induction import MOVES, Move
 from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, parse, unlabeled
 
 
 class TestExplore:
     def test_three_letter_component_exactly(self):
         component = explore(parse("A B C / C B A"))
-        displays = {v.display() for v in component.vertices}
-        assert displays == {"A C B / C B A", "A B C / C B A", "A B C / C A B"}
+        displays = [v.display() for v in component.vertices]
+        assert set(displays) == {"A C B / C B A", "A B C / C B A", "A B C / C A B"}
         edges = {
-            (e.source.display(), e.kind.value, e.target.display())
-            for out in component.edges
-            for e in out
+            (displays[v], MOVES[move].value, displays[table[v]])
+            for move, table in enumerate(component.succ)
+            for v in range(len(component))
         }
         assert edges == {
             ("A C B / C B A", "t", "A C B / C B A"),
@@ -40,9 +41,7 @@ class TestExplore:
     def test_smallest_component_closed(self):
         component = explore(central(2))
         assert central(2) in component.vertices
-        for out in component.edges:
-            for edge in out:
-                assert edge.target in component.vertices
+        assert all(0 <= w < len(component) for table in component.succ for w in table)
 
     @pytest.mark.parametrize(
         "n,size", [(4, 7), (5, 15), (6, 31), (7, 63), (8, 127)]
@@ -59,17 +58,13 @@ class TestExplore:
 
     def test_out_degree_two_unaugmented(self):
         component = explore(central(5))
-        assert all(len(out) == 2 for out in component.edges)
-        assert all(
-            [e.kind for e in out] == [Move.TOP, Move.BOTTOM] for out in component.edges
-        )
+        assert not component.augmented
+        assert [len(table) for table in component.succ] == [len(component)] * 2
 
     def test_augmented_adds_flip_edges_and_stays_closed(self):
         component = explore(central(4), augmented=True)
-        assert all(len(out) == 3 for out in component.edges)
-        for out in component.edges:
-            for edge in out:
-                assert edge.target in component.vertices
+        assert [len(table) for table in component.succ] == [len(component)] * 3
+        assert all(0 <= w < len(component) for table in component.succ for w in table)
 
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapError):
@@ -170,14 +165,9 @@ class TestBuildPath:
 
     def test_path_is_self_verifying(self):
         path = build_path(fg_start(2), "ftbb")
-        assert [e.kind for e in path.edges] == [
-            Move.BOTTOM,
-            Move.BOTTOM,
-            Move.TOP,
-            Move.FLIP,
-        ]
-        assert path.edges[0].source == path.start
-        assert path.edges[-1].target == path.end
+        assert path.moves == (Move.BOTTOM, Move.BOTTOM, Move.TOP, Move.FLIP)
+        assert path.end == AllowedPath(AllowedPath(fg_start(2), path.moves[:3]).end, (Move.FLIP,)).end
+        assert len(path.updates) == 3
         assert path.word == "bbtf"
 
 
@@ -227,11 +217,16 @@ class TestAgainstObjectOracle:
     def test_vertex_order_and_edges(self, seed, augmented):
         component = explore(seed, augmented=augmented)
         vertices, out_edges = oracle_explore(seed, augmented)
+        assert component.rows == [(v.top, v.bottom) for v in vertices]
         assert list(component.vertices) == vertices
-        assert list(component.edges) == out_edges
-        for v, out in enumerate(out_edges):
-            for edge in out:
-                assert component.successor(v, edge.kind) == vertices.index(edge.target)
+        letter = seed.alphabet.index
+        for move, table in enumerate(component.succ):
+            edges = [out[move] for out in out_edges]
+            assert [edge.kind for edge in edges] == [MOVES[move]] * len(edges)
+            assert table == [vertices.index(edge.target) for edge in edges]
+            if move < 2:
+                assert component.winner[move] == [letter(edge.winner) for edge in edges]
+                assert component.loser[move] == [letter(edge.loser) for edge in edges]
 
     def test_dot_bytes(self, seed, augmented):
         assert to_dot(explore(seed, augmented=augmented)) == oracle_dot(seed, augmented)

@@ -22,7 +22,7 @@ from rauzycert.fg import (
     family_report,
     central_component_checks,
 )
-from rauzycert.induction import Move, apply_move
+from rauzycert.induction import MOVES, Move
 from rauzycert.linalg import _column_product, min_positive_power, path_matrix
 from rauzycert.pa import lc_lower_bound
 from rauzycert.perm import central, fg_start, parse, unlabeled
@@ -37,6 +37,12 @@ from helpers import (
 )
 
 
+def _duels(path: AllowedPath) -> list[tuple[str, str]]:
+    """The (winner, loser) letter names of the t and b moves of ``path``."""
+    names = path.start.alphabet
+    return [(names[winner], names[loser]) for winner, loser in path.updates]
+
+
 class TestGamma:
     @pytest.mark.parametrize("g", range(2, 11))
     def test_allowed(self, g):
@@ -47,26 +53,23 @@ class TestGamma:
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_bottom_moves_return_to_start(self, g):
-        path = family_loop(g)
-        assert path.edges[g - 1].target == fg_start(g)
+        assert _stations(family_loop(g))[g - 1] == (fg_start(g).top, fg_start(g).bottom)
 
     def test_winner_loser_sequence_genus_two(self):
-        pairs = [(e.winner, e.loser) for e in family_loop(2).edges if e.winner]
-        assert pairs == [("a2", "a4"), ("a2", "a3"), ("a4", "a2")]
+        assert _duels(family_loop(2)) == [("a2", "a4"), ("a2", "a3"), ("a4", "a2")]
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_winner_loser_closed_form(self, g):
-        pairs = [(e.winner, e.loser) for e in family_loop(g).edges if e.winner]
-        assert pairs == expected_winner_losers(g)
+        assert _duels(family_loop(g)) == expected_winner_losers(g)
 
 
 class TestIntermediateForms:
     def test_first_bottom_move_genus_two(self):
-        target = family_loop(2).edges[0].target
+        target = AllowedPath(fg_start(2), family_loop(2).moves[:1]).end
         assert target.display() == "a1 a2 a4 a3 / a4 a1 a3 a2"
 
     def test_third_bottom_move_genus_three_is_start(self):
-        assert family_loop(3).edges[2].target == fg_start(3)
+        assert AllowedPath(fg_start(3), family_loop(3).moves[:3]).end == fg_start(3)
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_closed_forms(self, g):
@@ -120,7 +123,7 @@ def _shapes(d, n):
     for m in range(1, n):
         src, dst = walk[m], walk[n - m - 1]
         word = next(unpruned_closed_words(d.succ, src, dst, 2 * n))
-        moves = tuple(Move.from_letter("tb"[move]) for move in word) + (Move.FLIP,)
+        moves = tuple(MOVES[move] for move in word) + (Move.FLIP,)
         path = AllowedPath(d.vertices[src], moves)
         assert path.allowed
         shapes.append((2, src, dst, path.relabel))
@@ -280,11 +283,9 @@ class TestTheorem11:
 class TestCentralLoop:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_closed_form_matches_repeated_top_moves(self, n):
-        current = central(n)
         for m in range(1, n):
-            current = apply_move(current, Move.TOP).target
-            assert current == central_after_t(n, m)
-        assert current == central(n)
+            assert AllowedPath(central(n), (Move.TOP,) * m).end == central_after_t(n, m)
+        assert AllowedPath(central(n), (Move.TOP,) * (n - 1)).end == central(n)
 
     def test_three_letter_loop(self):
         assert central_after_t(3, 1).display() == "a1 a2 a3 / a3 a1 a2"
@@ -391,7 +392,7 @@ class TestTheorem12:
         for _ in range(1, n):
             walk.append(d.succ[0][walk[-1]])
         for m in range(1, n):
-            flipped = unlabeled(apply_move(d.vertices[walk[m]], Move.FLIP).target).images
+            flipped = unlabeled(AllowedPath(d.vertices[walk[m]], (Move.FLIP,)).end).images
             assert [v for v, other in enumerate(images) if other == flipped] == [walk[n - m - 1]]
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -468,4 +469,4 @@ def test_family_start_is_a_distinct_vertex_of_the_central_component():
     component = explore(central(4))
     assert (fg_start(2).top, fg_start(2).bottom) in component.rows
     assert fg_start(2) != central(4)
-    assert apply_move(central(4), Move.TOP).target == fg_start(2)
+    assert AllowedPath(central(4), (Move.TOP,)).end == fg_start(2)

@@ -43,6 +43,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "perm_readme_central5": ("perm", "--central", "5"),
     "perm_readme_fg_start2_text": ("perm", "--fg-start", "2", "--format", "text"),
     "move_readme_top": ("move", "--start", "A B C D / D C B A", "--kind", "t"),
+    "move_bottom": ("move", "--start", "A B C D / D C B A", "--kind", "b"),
+    "move_flip": ("move", "--start", "A C B / B A C", "--kind", "f"),
+    "move_reducible_flip": ("move", "--start", "A B / A B", "--kind", "f"),
     **{
         "diagram_central_n%d_%s" % (n, fmt): ("diagram", "--central", str(n), "--format", fmt)
         for n in (3, 5, 9)
@@ -74,6 +77,7 @@ CASES: dict[str, tuple[str, ...]] = {
     # exit 1: errors raised by the program
     "perm_parse_error": ("perm", "--perm", "A B / A C"),
     "move_reducible": ("move", "--start", "A B / A B", "--kind", "t"),
+    "move_reducible_bottom": ("move", "--start", "A B / A B", "--kind", "b"),
     "path_bad_move_letter": ("path", "--start", "A B C / C B A", "--moves", "x"),
     "path_reducible_start": ("path", "--start", "A B / A B", "--moves", "tf"),
     "path_reducible_flip_not_allowed": ("path", "--start", "A B C / A C B", "--moves", "f"),

@@ -3,15 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from rauzycert.diagram import AllowedPath
 from rauzycert.errors import ReducibleError
-from rauzycert.induction import (
-    MOVES,
-    Move,
-    _step,
-    apply_move,
-    edge_matrix,
-)
-from rauzycert.linalg import IntMatrix
+from rauzycert.induction import MOVES, Move, _step
+from rauzycert.linalg import IntMatrix, _column_product
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
 from helpers import all_standard_permutations, det, oracle_explore, oracle_move, random_irreducible
@@ -25,91 +20,92 @@ def labeled_permutations(draw, min_n=2, max_n=6):
     return LabeledPermutation(default_alphabet(n), top, bottom)
 
 
-def test_move_from_letter():
-    assert Move.from_letter("t") is Move.TOP
-    assert Move.from_letter("f") is Move.FLIP
-    with pytest.raises(Exception):
-        Move.from_letter("x")
+def target(p: LabeledPermutation, move: Move) -> LabeledPermutation:
+    """The end of the one-move path."""
+    return AllowedPath(p, (move,)).end
+
+
+def duel(p: LabeledPermutation, move: Move):
+    """The (winner, loser) letter names of the one-move path, None for f."""
+    updates = AllowedPath(p, (move,)).updates
+    return tuple(p.alphabet[i] for i in updates[0]) if updates else None
+
+
+def move_matrix(p: LabeledPermutation, move: Move) -> IntMatrix:
+    """The matrix of the one-move path, as ``rauzycert move`` prints it."""
+    return _column_product(p.n, AllowedPath(p, (move,)).updates, tuple(range(p.n)))
 
 
 class TestTopMove:
     def test_worked_example(self):
-        edge = apply_move(parse("A B C D / D C B A"), Move.TOP)
-        assert edge.target.display() == "A B C D / D A C B"
-        assert (edge.winner, edge.loser) == ("D", "A")
+        p = parse("A B C D / D C B A")
+        assert target(p, Move.TOP).display() == "A B C D / D A C B"
+        assert duel(p, Move.TOP) == ("D", "A")
 
     def test_on_three_letter_component(self):
-        assert apply_move(parse("A B C / C B A"), Move.TOP).target.display() == "A B C / C A B"
+        assert target(parse("A B C / C B A"), Move.TOP).display() == "A B C / C A B"
 
     def test_rejects_reducible(self):
-        with pytest.raises(ReducibleError):
-            apply_move(parse("A B / A B"), Move.TOP)
+        with pytest.raises(ReducibleError, match="top move undefined on reducible"):
+            target(parse("A B / A B"), Move.TOP)
 
 
 class TestBottomMove:
     def test_worked_example(self):
-        edge = apply_move(parse("A B C D / D C B A"), Move.BOTTOM)
-        assert edge.target.display() == "A D B C / D C B A"
-        assert (edge.winner, edge.loser) == ("A", "D")
+        p = parse("A B C D / D C B A")
+        assert target(p, Move.BOTTOM).display() == "A D B C / D C B A"
+        assert duel(p, Move.BOTTOM) == ("A", "D")
 
     def test_on_three_letter_component(self):
-        assert apply_move(parse("A B C / C B A"), Move.BOTTOM).target.display() == "A C B / C B A"
+        assert target(parse("A B C / C B A"), Move.BOTTOM).display() == "A C B / C B A"
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_bottom_power_fixes_family_start(self, g):
-        current = fg_start(g)
-        for _ in range(g):
-            current = apply_move(current, Move.BOTTOM).target
-        assert current == fg_start(g)
+        assert AllowedPath(fg_start(g), (Move.BOTTOM,) * g).end == fg_start(g)
 
     def test_rejects_reducible(self):
-        with pytest.raises(ReducibleError):
-            apply_move(parse("A B / A B"), Move.BOTTOM)
+        with pytest.raises(ReducibleError, match="bottom move undefined on reducible"):
+            target(parse("A B / A B"), Move.BOTTOM)
 
 
 class TestFlip:
     def test_worked_example(self):
-        assert apply_move(parse("A C B / B A C"), Move.FLIP).target.display() == "C A B / B C A"
+        assert target(parse("A C B / B A C"), Move.FLIP).display() == "C A B / B C A"
 
     def test_second_worked_example(self):
-        assert apply_move(parse("A B C / C A B"), Move.FLIP).target.display() == "B A C / C B A"
+        assert target(parse("A B C / C A B"), Move.FLIP).display() == "B A C / C B A"
 
     def test_no_winner_or_loser(self):
-        edge = apply_move(central(3), Move.FLIP)
-        assert edge.winner is None and edge.loser is None
+        assert duel(central(3), Move.FLIP) is None
 
     @given(labeled_permutations())
     def test_involution(self, p):
-        assert apply_move(apply_move(p, Move.FLIP).target, Move.FLIP).target == p
+        assert AllowedPath(p, (Move.FLIP, Move.FLIP)).end == p
 
     def test_defined_on_reducible(self):
-        apply_move(parse("A B / A B"), Move.FLIP)  # no exception
+        assert target(parse("A B / A B"), Move.FLIP).display() == "B A / B A"
 
 
 class TestEdgeMatrix:
     def test_top_example(self):
-        edge = apply_move(parse("A B C D / D C B A"), Move.TOP)
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
         )
-        assert edge_matrix(edge) == expected
+        assert move_matrix(parse("A B C D / D C B A"), Move.TOP) == expected
 
     def test_flip_is_identity(self):
-        edge = apply_move(parse("A B C / C A B"), Move.FLIP)
-        assert edge_matrix(edge) == IntMatrix.identity(3)
+        assert move_matrix(parse("A B C / C A B"), Move.FLIP) == IntMatrix.identity(3)
 
     def test_first_bottom_edge_of_family_start(self):
-        edge = apply_move(fg_start(2), Move.BOTTOM)
-        assert (edge.winner, edge.loser) == ("a2", "a4")
+        assert duel(fg_start(2), Move.BOTTOM) == ("a2", "a4")
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert edge_matrix(edge) == expected
+        assert move_matrix(fg_start(2), Move.BOTTOM) == expected
 
     def test_unimodular(self):
-        for move in (Move.TOP, Move.BOTTOM, Move.FLIP):
-            edge = apply_move(central(4), move)
-            assert det(edge_matrix(edge)) == 1
+        for move in MOVES:
+            assert det(move_matrix(central(4), move)) == 1
 
 
 def test_moves_preserve_irreducibility_exhaustively():
@@ -119,8 +115,8 @@ def test_moves_preserve_irreducibility_exhaustively():
         for p in all_standard_permutations(n):
             if not is_irreducible(p):
                 continue
-            assert is_irreducible(apply_move(p, Move.TOP).target)
-            assert is_irreducible(apply_move(p, Move.BOTTOM).target)
+            assert is_irreducible(target(p, Move.TOP))
+            assert is_irreducible(target(p, Move.BOTTOM))
 
 
 def _kernel_cases():

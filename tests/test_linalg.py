@@ -240,7 +240,7 @@ class TestSpectralRadius:
         bracket = spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**9))
         # both intervals contain the dominant eigenvalue, so they intersect
         assert bracket.low <= root_high and root_low <= bracket.high
-        assert bracket.width <= Fraction(1, 10**9)
+        assert bracket.high - bracket.low <= Fraction(1, 10**9)
 
     def test_low_end_at_least_min_row_sum(self):
         m = path_matrix(gamma(3))
@@ -322,7 +322,7 @@ class TestBoundedPrecisionEngine:
 
     def check(self, m):
         bracket = spectral_radius(m, self.TOL)
-        assert bracket.width <= self.TOL
+        assert bracket.high - bracket.low <= self.TOL
         assert contains_perron_root(m, bracket)
 
     def test_random_dense_and_sparse_primitive(self):
@@ -353,7 +353,7 @@ class TestBoundedPrecisionEngine:
         values = np.linalg.eigvals(np.array(m.rows, dtype=float))
         root = Fraction(float(values[np.argmax(values.real)].real))
         slack = Fraction(1, 10**12)
-        assert bracket.width <= self.TOL
+        assert bracket.high - bracket.low <= self.TOL
         assert bracket.low - slack <= root <= bracket.high + slack
 
     def test_iterate_precision_bounds_bracket_size(self):

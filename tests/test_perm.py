@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from rauzycert.diagram import build_path
 from rauzycert.errors import PermutationParseError
-from rauzycert.induction import Move, apply_move
 from rauzycert.perm import (
     LabeledPermutation,
     central,
@@ -91,7 +91,7 @@ class TestUnlabeled:
                 for i, img in enumerate(images, start=1):
                     inverse[img - 1] = i
                 expected = tuple(n + 1 - inverse[n + 1 - i - 1] for i in range(1, n + 1))
-                assert unlabeled(apply_move(p, Move.FLIP).target).images == expected
+                assert unlabeled(build_path(p, "f").end).images == expected
 
 
 class TestIrreducibility:

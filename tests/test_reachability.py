@@ -24,13 +24,10 @@ PACKAGE = Path(rauzycert.__file__).resolve().parent
 
 ALLOWED = {
     "diagram:RauzyDiagram.vertices": "library view (README), used by the diagram tests",
-    "diagram:RauzyDiagram.edges": "library view (README), used by the diagram tests",
     "diagram:RauzyDiagram.successor": "perfbench hook: tracing.METHODS patches it",
     "diagram:RauzyDiagram.to_json_dict": "perfbench hook: tracing.METHODS patches it",
-    "diagram:AllowedPath.edges": "library view (README), used by the path and family tests",
     "diagram:AllowedPath.__repr__": "library view: hypothesis prints it in a falsifying example",
     "errors:ConvergenceError.__init__": "error path: a spectral bracket that does not converge",
-    "linalg:SpectralBracket.width": "library view, used by the bracket-width tests",
     "perm:LabeledPermutation.__str__": "error path: path_matrix's not-allowed message",
 }
 
