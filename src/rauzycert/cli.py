@@ -218,6 +218,8 @@ def _cmd_fg(args) -> int:
 def _cmd_penner(args) -> int:
     if args.penner_mode == "sweep":
         _reject_ignored("penner sweep", args, "genus", "n")
+        if args.gmax > penner_mod.GENUS_MAX:
+            raise ValueError("--gmax must be <= %d, got %d" % (penner_mod.GENUS_MAX, args.gmax))
         rows = []
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):

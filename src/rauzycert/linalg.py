@@ -3,7 +3,9 @@
 Everything here is exact: matrices hold arbitrary-precision integers (path
 matrix entries grow like a power of the stretch factor and overflow any
 fixed width quickly), and spectral radii are reported as rational brackets
-certified by the Collatz-Wielandt inequality rather than as floats.
+rather than as floats: certified by the Collatz-Wielandt inequality, or by
+exact bisection on the sign of a polynomial whose root the caller has shown
+to be the spectral radius.
 """
 
 from __future__ import annotations
@@ -210,6 +212,50 @@ def _log_fraction(x: Fraction, toward: float) -> float:
     if (Decimal(result) < bound) if toward > 0 else (Decimal(result) > bound):
         result = math.nextafter(result, toward)
     return result
+
+
+def _poly_sign(coeffs, num: int, den: int) -> int:
+    """Sign of the integer polynomial ``coeffs`` (highest power first) at
+    num/den, den > 0, read off the integer den^d * p(num/den)."""
+    acc, den_power = 0, 1
+    for c in coeffs:
+        acc = acc * num + c * den_power
+        den_power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
+    """Bracket a root of the integer polynomial ``coeffs`` (highest power
+    first) in [low, high], halving until the width is at most ``tol``.
+
+    Every sign is exact: the polynomial is evaluated at num/den as the
+    integer den^d * p(num/den).  It must be at most 0 at ``low`` and at
+    least 0 at ``high``; each halving keeps that, so the bracket holds a
+    root.  A midpoint that is a root returns the bracket [root, root].
+    ``iterations`` counts the halvings.
+    """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    low, high = Fraction(low), Fraction(high)
+    den = low.denominator * high.denominator
+    lo, hi = low.numerator * high.denominator, high.numerator * low.denominator
+    if lo > hi or _poly_sign(coeffs, lo, den) > 0 or _poly_sign(coeffs, hi, den) < 0:
+        raise ValueError("the polynomial does not change sign from <= 0 to >= 0 on [%s, %s]"
+                         % (low, high))
+    halvings = 0
+    while (hi - lo) * tol.denominator > tol.numerator * den:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        sign = _poly_sign(coeffs, mid, den)
+        halvings += 1
+        if sign == 0:
+            lo = hi = mid
+        elif sign < 0:
+            lo = mid
+        else:
+            hi = mid
+    return SpectralBracket(Fraction(lo, den), Fraction(hi, den), halvings)
 
 
 _SHIFT_WARMUP = 48

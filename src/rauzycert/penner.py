@@ -8,7 +8,8 @@ block form whose minimum row sum is n + 1, so the stretch factor grows like
 n^(1/g) while the rotation orbit of b keeps the stable curve-graph
 translation length at most 1/(g-1).  Choosing n = g^g then sends the
 stretch translation length to infinity while the curve-graph length still
-tends to zero.
+tends to zero.  The stretch factor itself is bracketed as the one root above
+1 of a closed-form polynomial Q_n of degree 2g (see ``twist_polynomial``).
 
 The final helper checks the homology block identity used to separate
 conjugacy classes: powers of [[1, b], [0, A]] keep the block-triangular
@@ -20,7 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import DEFAULT_TOL, IntMatrix, SpectralBracket, min_row_sum, spectral_radius
+from .errors import NotPrimitiveError
+from .linalg import (
+    DEFAULT_TOL,
+    IntMatrix,
+    SpectralBracket,
+    bisect_root,
+    min_positive_power,
+    min_row_sum,
+)
+
+# Largest genus that build accepts, and so ``penner --genus`` and ``penner
+# sweep --gmax``.  The printed 3g x 3g matrix, the primitivity search and
+# the exact power identity all grow with g^2 or faster; see the README for
+# measured times.  The cap guards runtime, not exactness.
+GENUS_MAX = 150
 
 
 def _block_a(n: int) -> IntMatrix:
@@ -64,6 +79,8 @@ def build(g: int, n: int) -> PennerMatrices:
     """
     if g < 3:
         raise ValueError("twist family needs g >= 3, got %d" % g)
+    if g > GENUS_MAX:
+        raise ValueError("twist family needs g <= %d, got %d" % (GENUS_MAX, g))
     if n < 1:
         raise ValueError("twist count must be >= 1, got %d" % n)
     a = _block_a(n)
@@ -118,15 +135,69 @@ class StretchReport:
         return all(self.checks.values())
 
 
+def twist_polynomial(g: int, n: int) -> list[int]:
+    """Coefficients, highest power first, of
+    Q_n(x) = x^(2g) - x^(g+1) - (n+4) x^g - x^(g-1) + 1.
+
+    The characteristic polynomial of M_n is (x^g - 1) Q_n(x).  Block rows 0
+    and 2..g-1 of M_n only shift, so an eigenvector for x has blocks
+    v_i = x^-(i-1) v_1, and x != 0 is an eigenvalue exactly when
+    det(x^g I - x^(g-1) B - x C - A_n) = 0; that 3 x 3 determinant expands
+    to (x^g - 1) Q_n(x).  The tests check the identity against exact
+    characteristic polynomials of ``build(g, n).m``.
+
+    Q_n has exactly one root above 1.  Q_n(x) / x^g = h(x) with
+    h(x) = x^g + x^-g - x - x^-1 - (n+4).  For x > 1,
+    h'(x) = g (x^(g-1) - x^(-g-1)) - (1 - x^-2) >= (g^2 - 1)(1 - x^-2) > 0,
+    since g (x^(g-1) - x^(-g-1)) = g (x^2 - 1) * sum_{k<g} x^(2k-g-1) and the
+    terms of that sum pair off (k with g-1-k) into sums of at least 2 x^-2.
+    With h(1) = -(n+4) < 0 and h growing without bound, Q_n < 0 on (1, root)
+    and Q_n > 0 past it.
+    """
+    coeffs = [0] * (2 * g + 1)
+    coeffs[0] = coeffs[2 * g] = 1
+    coeffs[g - 1] = coeffs[g + 1] = -1
+    coeffs[g] = -(n + 4)
+    return coeffs
+
+
+def _power(m: IntMatrix, exponent: int) -> IntMatrix:
+    """m**exponent (exponent >= 1) by exponent - 1 sparse row products: row
+    i of P * m is the sum of P[i][j] * (row j of m) over the nonzero P[i][j]."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+    power = sparse
+    for _ in range(exponent - 1):
+        product = []
+        for row in power:
+            acc: dict[int, int] = {}
+            for j, x in row.items():
+                for k, y in sparse[j].items():
+                    acc[k] = acc.get(k, 0) + x * y
+            product.append(acc)
+        power = product
+    return IntMatrix(tuple(tuple(row.get(k, 0) for k in range(m.order)) for row in power))
+
+
 def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL) -> StretchReport:
     """Bracket the stretch factor and check it is at least (n+1)^(1/g).
 
     The g-th power's minimum row sum is checked to be exactly n + 1.  By
     Collatz-Wielandt rho^g is at least that sum, so the check decides
     rho^g >= n + 1 exactly, whatever the bracket's width.
+
+    The bracket is exact bisection on the sign of Q_n (``twist_polynomial``)
+    from [1, n + 5]: Q_n(1) = -(n+4) < 0, and by Cauchy's bound every root
+    is below 1 + max|coefficient| = n + 5.  rho is that root of Q_n: rho
+    is an eigenvalue of the nonnegative M_n (Perron-Frobenius), so a root
+    of (x^g - 1) Q_n(x); it is above 1, as rho^g >= n + 1 >= 2 by the
+    minimum-row-sum check, while the roots of x^g - 1 lie on the unit
+    circle; and Q_n has only one root above 1.  Non-primitive input is
+    rejected up front.
     """
-    rho = spectral_radius(p.m, tol)
-    power = p.m**p.g
+    rho = bisect_root(twist_polynomial(p.g, p.n), 1, p.n + 5, tol)
+    if min_positive_power(p.m) is None:
+        raise NotPrimitiveError("twist matrix is not primitive")
+    power = _power(p.m, p.g)
     mrs = min_row_sum(power)
     checks = {
         "power_identity": verify_power_identity(p, power),

@@ -46,6 +46,39 @@ def bisect_largest_root(coeffs, lo, hi, tol=Fraction(1, 10**12)):
     return lo, hi
 
 
+def berkowitz_charpoly(m: IntMatrix) -> list[int]:
+    """det(xI - m), highest power first, by Berkowitz's division-free
+    algorithm (Inf. Proc. Letters 18, 1984): the polynomial of each leading
+    (k+1) x (k+1) block is a lower-triangular Toeplitz matrix with first
+    column (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C) times the polynomial
+    of the leading k x k block A, where R and C are the new row and column."""
+    a = m.rows
+    n = len(a)
+    poly = [1, -a[0][0]]
+    for k in range(1, n):
+        row = a[k][:k]
+        lead = [[(j, x) for j, x in enumerate(a[i][:k]) if x] for i in range(k)]
+        column = [1, -a[k][k]]
+        v = [a[i][k] for i in range(k)]
+        for _ in range(k):
+            column.append(-sum(r * x for r, x in zip(row, v)))
+            v = [sum(x * v[j] for j, x in sparse) for sparse in lead]
+        poly = [
+            sum(column[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly
+
+
+def poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two integer polynomials, coefficients highest power first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = [list(row) for row in m.rows]

@@ -249,6 +249,20 @@ class TestPenner:
         assert run(capsys, "penner", "--genus", "3", "--n", "5")[0] == 0
         assert calls == [(3, 5)]
 
+    def test_genus_cap_exits_before_any_work(self, capsys, monkeypatch):
+        top = penner.GENUS_MAX
+        assert run(capsys, "penner", "--genus", str(top + 1), "--n", "5") == (
+            1, "", "error: twist family needs g <= %d, got %d\n" % (top, top + 1)
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(penner, "build", fail)
+        assert run(capsys, "penner", "sweep", "--gmax", str(top + 1)) == (
+            1, "", "error: --gmax must be <= %d, got %d\n" % (top, top + 1)
+        )
+
     def test_verdicts_exact_at_coarse_tolerance(self, capsys):
         code, out, _ = run(capsys, "penner", "--genus", "5", "--n", "1000", "--tol", "1/10")
         data = json.loads(out)

@@ -39,6 +39,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
     "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
     "penner_g3_n5": ("penner", "--genus", "3", "--n", "5"),
+    "penner_g3_n10e12": ("penner", "--genus", "3", "--n", "1000000000000"),
     "perm_readme_literal": ("perm", "--perm", "A B C / C B A"),
     "perm_readme_central5": ("perm", "--central", "5"),
     "perm_readme_fg_start2_text": ("perm", "--fg-start", "2", "--format", "text"),
@@ -90,6 +91,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_loop_len_zero": ("fg", "central", "--n", "5", "--loop-len", "0"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
+    "penner_genus_above_cap": ("penner", "--genus", "151", "--n", "5"),
+    "penner_sweep_gmax_above_cap": ("penner", "sweep", "--gmax", "151"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
     "homology_check_n_above_cap": (
         "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"

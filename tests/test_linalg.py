@@ -13,6 +13,7 @@ from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
+    bisect_root,
     min_positive_power,
     min_row_sum,
     path_matrix,
@@ -285,6 +286,53 @@ class TestSpectralRadius:
         assert spectral_radius(GAMMA2_MATRIX, positive_power=power) == spectral_radius(
             GAMMA2_MATRIX
         )
+
+
+class TestBisectRoot:
+    def test_square_root_of_two(self):
+        bracket = bisect_root([1, 0, -2], 1, 2, Fraction(1, 10**12))
+        assert bracket.low**2 < 2 < bracket.high**2
+        assert bracket.high - bracket.low <= Fraction(1, 10**12)
+        assert bracket.iterations == 40  # 2^-40 <= 10^-12 < 2^-39
+
+    def test_agrees_with_the_fraction_oracle(self):
+        rng = random.Random(15)
+        for _ in range(50):
+            roots = sorted(Fraction(rng.randint(1, 400), rng.randint(1, 9)) for _ in range(3))
+            # (x - r1)(x - r2)(x - r3) scaled to integers, largest root bracketed
+            coeffs = [1]
+            for r in roots:
+                coeffs = [a * r.denominator - b * r.numerator
+                          for a, b in zip(coeffs + [0], [0] + coeffs)]
+            low, high = roots[-1] - Fraction(1, 3), roots[-1] + 1
+            if any(low < r for r in roots[:-1]):
+                continue
+            bracket = bisect_root(coeffs, low, high, Fraction(1, 10**6))
+            assert bracket.low <= roots[-1] <= bracket.high
+            oracle = bisect_largest_root(coeffs, low, high, Fraction(1, 10**6))
+            assert bracket.low <= oracle[1] and oracle[0] <= bracket.high
+
+    def test_midpoint_root_is_returned_exactly(self):
+        # x - 3/2 on [1, 2]: the first midpoint is the root
+        assert bisect_root([2, -3], 1, 2) == SpectralBracket(Fraction(3, 2), Fraction(3, 2), 1)
+
+    def test_endpoint_root_and_point_bracket(self):
+        assert bisect_root([1, -1], 1, 1) == SpectralBracket(Fraction(1), Fraction(1), 0)
+        bracket = bisect_root([1, -2], 1, 2, Fraction(1, 4))
+        assert bracket == SpectralBracket(Fraction(7, 4), Fraction(2), 2)
+
+    def test_rejects_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError, match="does not change sign"):
+            bisect_root([1, 0, -2], 2, 3)
+        with pytest.raises(ValueError, match="does not change sign"):
+            bisect_root([-1, 0, 2], 1, 2)
+        with pytest.raises(ValueError, match="does not change sign"):
+            bisect_root([1, 0, -2], 2, 1)
+
+    @pytest.mark.parametrize("tol", [0, -1, "-1/10"])
+    def test_rejects_non_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            bisect_root([1, 0, -2], 1, 2, tol)
 
 
 def contains_perron_root(m: IntMatrix, bracket: SpectralBracket) -> bool:

@@ -1,19 +1,34 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from rauzycert.linalg import IntMatrix, min_row_sum
+from rauzycert.errors import NotPrimitiveError
+from rauzycert.linalg import IntMatrix, min_positive_power, min_row_sum
 from rauzycert.penner import (
+    _power,
     build,
     DIVERGE_G_MAX,
     diverging_sequence,
+    GENUS_MAX,
     homology_power_check,
     lc_upper_rotation,
     power_closed_form,
     stretch_bounds,
+    twist_polynomial,
     verify_power_identity,
 )
+
+from helpers import berkowitz_charpoly, bisect_largest_root, poly_mul
+from test_linalg import contains_perron_root
+
+
+def q_sign(g: int, n: int, x: Fraction) -> int:
+    """Sign of Q_n at x, evaluated on fractions from its five terms."""
+    value = x ** (2 * g) - x ** (g + 1) - (n + 4) * x**g - x ** (g - 1) + 1
+    return (value > 0) - (value < 0)
 
 
 class TestBuild:
@@ -40,6 +55,23 @@ class TestBuild:
             build(2, 1)
         with pytest.raises(ValueError):
             build(3, 0)
+        with pytest.raises(ValueError, match=r"g <= %d, got %d$" % (GENUS_MAX, GENUS_MAX + 1)):
+            build(GENUS_MAX + 1, 5)
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_zero_pattern_and_exponent_do_not_depend_on_n(self, g):
+        # only the n-entries of A_n move with n, and they stay positive, so
+        # one primitivity search covers every n
+        def pattern(m):
+            return [[x != 0 for x in row] for row in m.rows]
+
+        first = build(g, 1).m
+        exponent = min_positive_power(first)
+        assert exponent is not None
+        for n in range(2, 51):
+            m = build(g, n).m
+            assert pattern(m) == pattern(first)
+            assert min_positive_power(m) == exponent
 
 
 class TestPowerIdentity:
@@ -51,6 +83,37 @@ class TestPowerIdentity:
 
     def test_closed_form_is_actually_the_power(self):
         assert power_closed_form(build(5, 7)) == build(5, 7).m ** 5
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 27, 3125])
+    def test_sparse_power_is_the_dense_power(self, g, n):
+        m = build(g, n).m
+        assert _power(m, g) == m**g
+        assert _power(m, 1) == m
+
+
+class TestTwistPolynomial:
+    X = sympy.symbols("x")
+
+    def expected_charpoly(self, g, n):
+        """(x^g - 1) Q_n(x), highest power first."""
+        return poly_mul([1] + [0] * (g - 1) + [-1], twist_polynomial(g, n))
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 9, 27, 3125])
+    def test_factorization_against_sympy(self, g, n):
+        charpoly = sympy.Matrix(build(g, n).m.rows).charpoly(self.X).as_expr()
+        coeffs = [int(c) for c in sympy.Poly(charpoly, self.X).all_coeffs()]
+        assert coeffs == self.expected_charpoly(g, n)
+
+    @pytest.mark.parametrize("g", [10, 16])
+    @pytest.mark.parametrize("n", [1, 5, 3125])
+    def test_factorization_against_berkowitz(self, g, n):
+        assert berkowitz_charpoly(build(g, n).m) == self.expected_charpoly(g, n)
+
+    def test_terms(self):
+        # x^6 - x^4 - 9 x^3 - x^2 + 1
+        assert twist_polynomial(3, 5) == [1, 0, -1, -9, -1, 0, 1]
 
 
 class TestStretchBounds:
@@ -84,6 +147,40 @@ class TestStretchBounds:
         report = stretch_bounds(build(5, 1000), tol=Fraction(1, 10))
         assert report.rho.low ** 5 < 1001 <= report.rho.high ** 5
         assert report.passed
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10), Fraction(1, 10**9), Fraction(1, 10**30)])
+    def test_brackets_rechecked_by_exact_signs(self, tol):
+        for g, n in [(3, 1), (3, 300), (3, 10**12), (4, 7), (5, 3125), (6, 20), (12, 5), (40, 2)]:
+            rho = stretch_bounds(build(g, n), tol=tol).rho
+            assert 1 <= rho.low <= rho.high <= n + 5
+            assert rho.high - rho.low <= tol
+            assert q_sign(g, n, rho.low) <= 0 <= q_sign(g, n, rho.high)
+            low, high = bisect_largest_root(twist_polynomial(g, n), 1, n + 5, tol)
+            assert rho.low <= high and low <= rho.high
+
+    @pytest.mark.parametrize("g, n", [(3, 1), (3, 250), (4, 9), (5, 3125)])
+    def test_bracket_holds_the_perron_root_of_the_matrix(self, g, n):
+        p = build(g, n)
+        assert contains_perron_root(p.m, stretch_bounds(p).rho)
+
+    def test_gap_free_at_huge_n(self):
+        # the spectral gap closes as n grows; bisection on Q_n does not read it
+        for n in (10**12, 10**30):
+            report = stretch_bounds(build(3, n))
+            assert report.passed
+            assert report.rho.high - report.rho.low <= Fraction(1, 10**9)
+
+    def test_iterations_count_the_halvings(self):
+        # from [1, n + 5] down to width tol, one halving at a time
+        rho = stretch_bounds(build(3, 5), tol=Fraction(1, 8)).rho
+        assert rho.iterations == 7 and rho.high - rho.low == Fraction(10 - 1, 2**7)
+
+    def test_rejects_non_primitive_and_bad_tolerance(self):
+        p = build(3, 1)
+        with pytest.raises(NotPrimitiveError):
+            stretch_bounds(dataclasses.replace(p, m=IntMatrix.identity(9)))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            stretch_bounds(p, tol=0)
 
     def test_power_bracket_starts_at_row_sums(self):
         from rauzycert.linalg import spectral_radius
@@ -160,8 +257,9 @@ class TestDivergingSequence:
 
     @pytest.mark.parametrize("g", [4, 5])
     def test_coarse_bracket_still_passes(self, g):
-        # the bracket's low end falls below g, but M^g applied to the
-        # all-ones vector decides rho >= g exactly
+        # halving [1, g^g + 5] down to width 1/10 stops with the low end
+        # below g, but the minimum row sum of M^g decides rho^g >= g^g + 1
+        # exactly
         report = stretch_bounds(diverging_sequence(g), tol=Fraction(1, 10))
         assert report.rho.low < g
         assert report.passed
