@@ -144,37 +144,34 @@ def min_positive_power(m: IntMatrix) -> int | None:
     """Smallest p with all entries of m**p positive, or None.
 
     Works over the boolean semiring, so entries never blow up during the
-    search.  The search stops at the Wielandt bound (n-1)^2 + 1, past which
-    no power of a non-primitive matrix ever becomes positive.
+    search.  It steps through the patterns of M, M^2, ... as bitset rows,
+    each M^(p+1) = M * M^p at one OR per nonzero of M, and stops at the
+    first of three things: a full power, whose exponent it returns; the
+    Wielandt bound (n-1)^2 + 1, the largest exponent a primitive matrix
+    can have; or a power equal to the anchor M^(2^k), re-set each time p
+    reaches a power of two (Brent's cycle search).  If
+    M^q = M^r with r < q, then M^(q+i) = M^(r+i) for every i >= 0, so every
+    later power repeats one of M^r .. M^(q-1), which were already found
+    not full: no power is ever full.  So a pattern that is never full stops
+    at the first repeat of an anchor or at the bound, whichever comes
+    first; one whose powers cycle with a period above the bound, such as a
+    block of coprime cycles beside an all-ones block, steps all the way to
+    the bound.
     """
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
-    n = m.order
-    cap = wielandt_bound(n)
-    full = (1 << n) - 1
+    full = (1 << m.order) - 1
     rows = _bool_rows(m)
-    if any(r == 0 for r in rows):
-        return None  # a zero row survives in every power
-    union = 0
-    for r in rows:
-        union |= r
-    if union != full:
-        return None  # likewise a zero column
-    # With no zero row or column, positivity is monotone in the exponent:
-    # any positive power stays positive after one more multiplication.
-    # Square up a ladder M^(2^k) until it passes cap or turns positive, then
-    # descend it to the largest p <= cap with M^p not positive.
-    ladder = [rows]
-    while 1 << len(ladder) <= cap and not all(r == full for r in ladder[-1]):
-        ladder.append(_bool_mul(ladder[-1], ladder[-1]))
-    below: list[int] | None = None  # M^p, None standing for p = 0
-    p = 0
-    for k in range(len(ladder) - 1, -1, -1):
-        if p + (1 << k) <= cap:
-            trial = ladder[k] if below is None else _bool_mul(below, ladder[k])
-            if not all(r == full for r in trial):
-                below, p = trial, p + (1 << k)
-    return None if p == cap else p + 1
+    power, anchor = rows, None
+    for p in range(1, wielandt_bound(m.order) + 1):
+        if all(r == full for r in power):
+            return p
+        if power == anchor:
+            return None
+        if p & (p - 1) == 0:
+            anchor = power
+        power = _bool_mul(rows, power)
+    return None
 
 
 @dataclass(frozen=True)
@@ -259,12 +256,13 @@ def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) ->
 
 
 _SHIFT_WARMUP = 48
+# Steps after which spectral_radius gives up with ConvergenceError.
+_MAX_ITERATIONS = 200_000
 
 
 def spectral_radius(
     m: IntMatrix,
     tol: Fraction | str | float = DEFAULT_TOL,
-    max_iterations: int = 200_000,
     positive_power: int | None = None,
 ) -> SpectralBracket:
     """Bracket the dominant eigenvalue of a primitive matrix.
@@ -296,13 +294,11 @@ def spectral_radius(
     flatten the spectral gap the way an overestimated shift would.
 
     Raises ConvergenceError, carrying the best bracket reached, when the
-    bracket is still wider than ``tol`` after ``max_iterations`` steps.
+    bracket is still wider than ``tol`` after ``_MAX_ITERATIONS`` steps.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
     if positive_power is None and min_positive_power(m) is None:
         raise NotPrimitiveError("matrix is not primitive; spectral bracket may not tighten")
     n = m.order
@@ -318,7 +314,7 @@ def spectral_radius(
     shift = 0
     # Best bracket so far as numerator/denominator pairs.
     low_num, low_den, high_num, high_den = 0, 1, 1, 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         w = [sum(a * v[j] for j, a in row) for row in rows]
         lo = hi = 0
         for i in range(1, n):
@@ -345,10 +341,10 @@ def spectral_radius(
         if iteration == _SHIFT_WARMUP:
             shift = low_num // low_den
     best = SpectralBracket(
-        Fraction(low_num, low_den), Fraction(high_num, high_den), max_iterations
+        Fraction(low_num, low_den), Fraction(high_num, high_den), _MAX_ITERATIONS
     )
     raise ConvergenceError(
         "spectral bracket did not reach width %s in %d iterations; best bracket [%s, %s]"
-        % (tol, max_iterations, best.low, best.high),
+        % (tol, _MAX_ITERATIONS, best.low, best.high),
         best,
     )

@@ -178,7 +178,6 @@ def lc_upper_bound(
             skipped.append(names[letter])
             continue
         trajectory = [letter]
-        visited = {letter}
         current = letter
         while True:
             current = sigma[current]
@@ -187,12 +186,12 @@ def lc_upper_bound(
                 if len(trajectory) - 1 > best_steps:
                     best_steps, best_trajectory = len(trajectory) - 1, trajectory
                 break
-            if current in visited:
+            if current == letter:
                 # A sigma cycle avoiding every winner would give a periodic
-                # curve orbit; no bound is drawn from it.
+                # curve orbit; no bound is drawn from it.  sigma is a
+                # permutation, so the first letter revisited is the start.
                 cycle_warnings.append(names[letter])
                 break
-            visited.add(current)
     if not best_steps:
         return None
     report = OrbitReport(

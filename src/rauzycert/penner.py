@@ -32,9 +32,9 @@ from .linalg import (
 )
 
 # Largest genus that build accepts, and so ``penner --genus`` and ``penner
-# sweep --gmax``.  The printed 3g x 3g matrix, the primitivity search and
-# the exact power identity all grow with g^2 or faster; see the README for
-# measured times.  The cap guards runtime, not exactness.
+# sweep --gmax``.  Building M^g, the exact power identity and the printed
+# 3g x 3g matrix each grow with g^2 or faster; see the README for measured
+# times.  The cap guards runtime and output size, not exactness.
 GENUS_MAX = 150
 
 
@@ -192,12 +192,15 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     of (x^g - 1) Q_n(x); it is above 1, as rho^g >= n + 1 >= 2 by the
     minimum-row-sum check, while the roots of x^g - 1 lie on the unit
     circle; and Q_n has only one root above 1.  Non-primitive input is
-    rejected up front.
+    rejected before any report.  The search runs on M^g, whose exponent is
+    about g times smaller: M^g is primitive exactly when M is, since
+    (M^g)^k = M^(gk), and if M^q is full then M has no zero row, so every
+    later power of M, M^(gq) among them, is full too.
     """
     rho = bisect_root(twist_polynomial(p.g, p.n), 1, p.n + 5, tol)
-    if min_positive_power(p.m) is None:
-        raise NotPrimitiveError("twist matrix is not primitive")
     power = _power(p.m, p.g)
+    if min_positive_power(power) is None:
+        raise NotPrimitiveError("twist matrix is not primitive")
     mrs = min_row_sum(power)
     checks = {
         "power_identity": verify_power_identity(p, power),

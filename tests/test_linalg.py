@@ -7,12 +7,14 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
+from rauzycert import linalg
 from rauzycert.diagram import AllowedPath, build_path
 from rauzycert.errors import ConvergenceError, NotAllowedError, NotPrimitiveError
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
+    _bool_mul,
     bisect_root,
     min_positive_power,
     min_row_sum,
@@ -175,6 +177,15 @@ class TestColumnUpdatesAgainstDenseProduct:
             assert path_matrix(path) == dense_path_matrix(path)
 
 
+def block_cyclic(n: int, d: int) -> IntMatrix:
+    """The 0/1 pattern with n/d-blocks, block i sending every row to every
+    column of block i + 1 mod d: imprimitive with period d when d > 1."""
+    size = n // d
+    return IntMatrix.from_rows(
+        [[int(j // size == (i // size + 1) % d) for j in range(n)] for i in range(n)]
+    )
+
+
 class TestMinPositivePower:
     def test_identity_never_positive(self):
         assert min_positive_power(IntMatrix.identity(3)) is None
@@ -212,13 +223,53 @@ class TestMinPositivePower:
 
     def test_matches_linear_search_on_random_patterns(self):
         rng = random.Random(7)
+        patterns = []
         for _ in range(300):
             n = rng.randint(1, 6)
             density = rng.choice((0.2, 0.35, 0.5, 0.7))
-            m = IntMatrix.from_rows(
+            patterns.append(
                 [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
             )
+        # imprimitive: block-cyclic of every period d dividing n, with dense
+        # and with sparse blocks
+        for n in range(1, 9):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
+                dense = block_cyclic(n, d).rows
+                patterns.append(dense)
+                patterns.append([[x if rng.random() < 0.6 else 0 for x in row] for row in dense])
+        # reducible: a zero row, a zero column, an identity block that the
+        # rest of the matrix never reaches
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            rows = [[1 if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            k = rng.randrange(n)
+            patterns.append([[0] * n if i == k else row for i, row in enumerate(rows)])
+            patterns.append([[0 if j == k else x for j, x in enumerate(row)] for row in rows])
+            patterns.append(
+                [[int(i == j) if i <= k else (0 if j <= k else x) for j, x in enumerate(row)]
+                 for i, row in enumerate(rows)]
+            )
+        for rows in patterns:
+            m = IntMatrix.from_rows(rows)
             assert min_positive_power(m) == linear_min_positive_power(m)
+
+    @pytest.mark.parametrize("d", [d for d in range(1, 49) if 48 % d == 0])
+    def test_cycle_stop_bounds_the_work(self, d, monkeypatch):
+        # A work count rather than a timing: a block-cyclic pattern of
+        # period d > 1 repeats its powers with period d and is never full.
+        # Without the cycle stop the search would step to the Wielandt bound,
+        # 2,210 products at n = 48; with it, d = 2 takes 3 and d = 48 takes
+        # 111 (the anchor M^64 comes back at M^112).
+        calls = 0
+
+        def counting_mul(a, b):
+            nonlocal calls
+            calls += 1
+            return _bool_mul(a, b)
+
+        monkeypatch.setattr(linalg, "_bool_mul", counting_mul)
+        assert min_positive_power(block_cyclic(48, d)) == (1 if d == 1 else None)
+        assert calls <= 4 * 48
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_wielandt_matrix_reaches_the_bound(self, n):
@@ -270,9 +321,10 @@ class TestSpectralRadius:
         b = spectral_radius(GAMMA2_MATRIX)
         assert (a.low, a.high, a.iterations) == (b.low, b.high, b.iterations)
 
-    def test_convergence_error_carries_best_bracket(self):
+    def test_convergence_error_carries_best_bracket(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_ITERATIONS", 5)
         with pytest.raises(ConvergenceError) as info:
-            spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**40), max_iterations=5)
+            spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**40))
         bracket = info.value.bracket
         assert bracket.iterations == 5
         root_low, root_high = bisect_largest_root([1, -1, -1, -1, 1], 1.5, 2)

@@ -22,7 +22,7 @@ from rauzycert.penner import (
 )
 
 from helpers import berkowitz_charpoly, bisect_largest_root, poly_mul
-from test_linalg import contains_perron_root
+from test_linalg import block_cyclic, contains_perron_root
 
 
 def q_sign(g: int, n: int, x: Fraction) -> int:
@@ -57,6 +57,19 @@ class TestBuild:
             build(3, 0)
         with pytest.raises(ValueError, match=r"g <= %d, got %d$" % (GENUS_MAX, GENUS_MAX + 1)):
             build(GENUS_MAX + 1, 5)
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_primitive_exactly_when_its_g_th_power_is(self, g):
+        # stretch_bounds searches M^g, whose exponent is about g times
+        # smaller.  The twist matrices are all primitive, so the identity and
+        # the block-cyclic patterns of every period d | 3g (M^g reducible
+        # when d | g, block-cyclic again otherwise) run the other branch.
+        inputs = [build(g, n).m for n in range(1, 6)] + [IntMatrix.identity(3 * g)]
+        inputs += [block_cyclic(3 * g, d) for d in range(2, 3 * g + 1) if 3 * g % d == 0]
+        primitive = [min_positive_power(m) is not None for m in inputs]
+        assert primitive == [True] * 5 + [False] * (len(inputs) - 5)
+        for m, expected in zip(inputs, primitive):
+            assert (min_positive_power(_power(m, g)) is not None) == expected
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     def test_zero_pattern_and_exponent_do_not_depend_on_n(self, g):
