@@ -18,19 +18,30 @@ factors through.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import AllowedPath, explore, injectivity_check
 from .induction import MOVES, Move, _step
-from .linalg import DEFAULT_TOL, IntMatrix, _column_product, min_positive_power
+from .linalg import DEFAULT_TOL, IntMatrix, _column_product, min_positive_power, root_above_one
 from .pa import PACertificate, certify, lc_lower_bound
 from .perm import LabeledPermutation, _images, _relabel, central, default_alphabet, fg_start
 
 
+# Largest genus that family_loop accepts, and so ``fg --genus`` and ``fg
+# table --gmax``.  The table is the slower of the two, as it reports every
+# genus up to its --gmax; see the README for measured times.  The cap
+# guards runtime and output size, not exactness.
+GENUS_MAX = 250
+
+
 def family_loop(g: int) -> AllowedPath:
     """The loop: g bottom moves, then a top move, then a flip."""
+    if g > GENUS_MAX:
+        raise ValueError("family needs g <= %d, got %d" % (GENUS_MAX, g))
     return AllowedPath(fg_start(g), (Move.BOTTOM,) * g + (Move.TOP, Move.FLIP))
 
 
@@ -99,6 +110,37 @@ def block_matrix(g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def family_polynomial(g: int) -> list[int]:
+    """Coefficients, highest power first, of
+    p_g(x) = x^(2g+1) - 2 x^(2g-1) - 2 x^2 + 1, whose root above sqrt 2 is
+    the minimal stretch factor of the hyperelliptic component
+    (Boissy-Lanneau, GAFA 22, 2012).
+
+    Every eigenvalue x of ``block_matrix(g)`` is a root of p_g.  Write
+    Mv = xv with v_0 .. v_(2g-1), u = v_(2g-1) and w = v_(2g-2).  The last
+    row gives w = (x - 1) u.  Rows 0..g-2 give v_(g-1+r) = x v_r and rows
+    g..2g-2 give v_(r-g) = x v_r, so, alternating between the two,
+    v_(g-1-k) = x^(2k-1) w for 1 <= k <= g-1 and v_(2g-1-k) = x^(2k-2) w
+    for 1 <= k <= g.  Row g-1 then reads
+    w (x + x^3 + ... + x^(2g-3) + 2 - x^(2g-1)) + u = 0.  Put w = (x - 1) u
+    and multiply by x + 1: as (x^2 - 1)(x + x^3 + ... + x^(2g-3)) =
+    x^(2g-1) - x, it becomes -u p_g(x) = 0.  u = 0 would make w and every v_i zero, so p_g(x) = 0.
+    The tests check the stronger identity (x + 1) chi(x) = p_g(x) against
+    exact characteristic polynomials of ``block_matrix(g)``.
+
+    For g >= 2 the spectral radius rho is p_g's only root above 1.  rho is
+    an eigenvalue (Perron-Frobenius), so a root of p_g, and rho >= 1, the
+    minimum row sum (Collatz-Wielandt).  On [1, sqrt 2],
+    p_g(x) = x^(2g-1) (x^2 - 2) + 1 - 2 x^2 <= -1.  On [sqrt 2, inf),
+    p_g'(x) = x^(2g-2) ((2g+1) x^2 - 2(2g-1)) - 4x >= 4x (x^(2g-3) - 1) > 0.
+    So p_g has one root above 1, it is above sqrt 2, and it is rho.
+    """
+    coeffs = [0] * (2 * g + 2)
+    coeffs[0] = coeffs[2 * g + 1] = 1
+    coeffs[2] = coeffs[2 * g - 1] = -2
+    return coeffs
+
+
 def expected_orbit_trajectory(g: int) -> tuple[str, ...]:
     """Iterates of the best starting side: odd steps land on a_{g-(k+1)/2},
     even steps on a_{2g-(k+2)/2}, ending on the winner a_g after 2g-2 steps."""
@@ -132,7 +174,20 @@ def family_report(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> FamilyRe
     """
     path = family_loop(g)
     block = block_matrix(g)
-    cert = certify(path, tol=tol)
+    polynomial = family_polynomial(g)
+    cert = certify(path, tol=tol, rho_polynomial=polynomial)
+    lam = cert.lam
+    if lam is not None and lam.low**2 < 2:
+        # lambda_g - sqrt 2 is about 1.5 * 2^-g, so a bracket of width tol
+        # decides lambda_g >= sqrt 2 only up to g near log2(1/tol).  Past
+        # sqrt 2, p_g''(x) >= (16g - 4) x^(2g-3) - 4 > 0, so p_g' grows;
+        # with p_g(sqrt 2) = -3 and p_g(lambda_g) = 0, the mean value
+        # theorem gives lambda_g - sqrt 2 >= 3 / p_g'(high).  The same
+        # bisection to a width below that puts the low end above sqrt 2.
+        h = lam.high
+        slope = (2 * g + 1) * h ** (2 * g) - 2 * (2 * g - 1) * h ** (2 * g - 2) - 4 * h
+        lam = root_above_one(polynomial, Fraction(1, 2 ** math.ceil(slope / 3).bit_length()))
+        cert = dataclasses.replace(cert, lam=lam, teich_length=lam.log_bounds())
     upper = Fraction(1, g - 1)
     lower = Fraction(1, 16 * g - 12)
 

@@ -125,6 +125,9 @@ def _bool_rows(m: IntMatrix) -> list[int]:
 def _bool_mul(a: list[int], b: list[int]) -> list[int]:
     out = []
     for row in a:
+        if row & (row - 1) == 0:  # at most one bit: most rows of a sparse matrix
+            out.append(b[row.bit_length() - 1] if row else 0)
+            continue
         acc = 0
         rest = row
         while rest:
@@ -213,11 +216,19 @@ def _log_fraction(x: Fraction, toward: float) -> float:
 
 def _poly_sign(coeffs, num: int, den: int) -> int:
     """Sign of the integer polynomial ``coeffs`` (highest power first) at
-    num/den, den > 0, read off the integer den^d * p(num/den)."""
-    acc, den_power = 0, 1
-    for c in coeffs:
-        acc = acc * num + c * den_power
-        den_power *= den
+    num/den, den > 0, read off the integer den^d * p(num/den).
+
+    Horner's rule over the nonzero coefficients only: a run of k zeros
+    costs one k-th power of num instead of k products, so the sparse
+    closed forms of the two families cost a few big products at any
+    degree."""
+    acc, den_power, last = 0, 1, 0
+    for i, c in enumerate(coeffs):
+        if c:
+            den_power *= den ** (i - last)
+            acc = acc * num ** (i - last) + c * den_power
+            last = i
+    acc *= num ** (len(coeffs) - 1 - last)
     return (acc > 0) - (acc < 0)
 
 
@@ -253,6 +264,20 @@ def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) ->
         else:
             hi = mid
     return SpectralBracket(Fraction(lo, den), Fraction(hi, den), halvings)
+
+
+def root_above_one(coeffs, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
+    """Bracket the root above 1 of the integer polynomial ``coeffs``
+    (highest power first) by ``bisect_root`` on [1, 1 + max|c|].
+
+    The caller shows that the polynomial has only one root above 1.  The
+    interval holds it: every root is below Cauchy's bound
+    1 + max|c_i| / |c_0| <= 1 + max|c|, and past that bound the sign is
+    the sign of c_0.  So the polynomial must be at most 0 at 1 and have a
+    positive leading coefficient; ``bisect_root`` raises ValueError
+    otherwise.
+    """
+    return bisect_root(coeffs, 1, 1 + max(abs(c) for c in coeffs), tol)
 
 
 _SHIFT_WARMUP = 48

@@ -38,6 +38,7 @@ from .linalg import (
     SpectralBracket,
     min_positive_power,
     path_matrix,
+    root_above_one,
     spectral_radius,
 )
 from .perm import _invert
@@ -215,12 +216,22 @@ def lc_lower_bound(genus: int, exponent: int) -> Fraction:
     return Fraction(1, diagonal_extension_steps(genus) + exponent)
 
 
-def certify(path: AllowedPath, tol: Fraction | str | float = DEFAULT_TOL) -> PACertificate:
+def certify(
+    path: AllowedPath,
+    tol: Fraction | str | float = DEFAULT_TOL,
+    rho_polynomial=None,
+) -> PACertificate:
     """Assemble the full certificate of an allowed path.
 
     Primitivity of the path matrix certifies the mapping class as
     pseudo-Anosov and the spectral bracket pins its stretch factor; both
     translation-length bound engines run when the genus admits them.
+
+    The bracket is Collatz-Wielandt on the path matrix, unless
+    ``rho_polynomial`` is given: integer coefficients, highest power first,
+    of a polynomial whose only root above 1 the caller has shown to be the
+    spectral radius.  The bracket is then exact bisection on its sign
+    (``root_above_one``), and ``iterations`` counts halvings.
     """
     if not path.allowed:
         raise NotAllowedError(
@@ -236,7 +247,12 @@ def certify(path: AllowedPath, tol: Fraction | str | float = DEFAULT_TOL) -> PAC
     if path.start.n == 2:
         warnings_list.append(WARNING_TORUS)
 
-    lam = spectral_radius(matrix, tol, positive_power=power) if primitive else None
+    if not primitive:
+        lam = None
+    elif rho_polynomial is None:
+        lam = spectral_radius(matrix, tol, positive_power=power)
+    else:
+        lam = root_above_one(rho_polynomial, tol)
     lc_upper = orbit = lower = lower_exact = None
     if surface.genus >= 2:
         check_never_winner_rows(path, matrix)

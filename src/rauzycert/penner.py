@@ -26,9 +26,9 @@ from .linalg import (
     DEFAULT_TOL,
     IntMatrix,
     SpectralBracket,
-    bisect_root,
     min_positive_power,
     min_row_sum,
+    root_above_one,
 )
 
 # Largest genus that build accepts, and so ``penner --genus`` and ``penner
@@ -185,9 +185,9 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     Collatz-Wielandt rho^g is at least that sum, so the check decides
     rho^g >= n + 1 exactly, whatever the bracket's width.
 
-    The bracket is exact bisection on the sign of Q_n (``twist_polynomial``)
-    from [1, n + 5]: Q_n(1) = -(n+4) < 0, and by Cauchy's bound every root
-    is below 1 + max|coefficient| = n + 5.  rho is that root of Q_n: rho
+    The bracket is ``root_above_one`` on Q_n (``twist_polynomial``): exact
+    bisection on its sign from 1, where Q_n(1) = -(n+4) < 0, to Cauchy's
+    bound 1 + max|coefficient| = n + 5.  rho is that root of Q_n: rho
     is an eigenvalue of the nonnegative M_n (Perron-Frobenius), so a root
     of (x^g - 1) Q_n(x); it is above 1, as rho^g >= n + 1 >= 2 by the
     minimum-row-sum check, while the roots of x^g - 1 lie on the unit
@@ -197,7 +197,7 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     (M^g)^k = M^(gk), and if M^q is full then M has no zero row, so every
     later power of M, M^(gq) among them, is full too.
     """
-    rho = bisect_root(twist_polynomial(p.g, p.n), 1, p.n + 5, tol)
+    rho = root_above_one(twist_polynomial(p.g, p.n), tol)
     power = _power(p.m, p.g)
     if min_positive_power(power) is None:
         raise NotPrimitiveError("twist matrix is not primitive")

@@ -202,6 +202,21 @@ class TestFg:
         assert code == 1
         assert "genus" in err
 
+    def test_genus_cap_exits_before_any_work(self, capsys, monkeypatch):
+        top = fg.GENUS_MAX
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(fg, "fg_start", fail)
+        assert run(capsys, "fg", "--genus", str(top + 1)) == (
+            1, "", "error: family needs g <= %d, got %d\n" % (top, top + 1)
+        )
+        monkeypatch.setattr(fg, "family_loop", fail)
+        assert run(capsys, "fg", "table", "--gmax", str(top + 1)) == (
+            1, "", "error: --gmax must be <= %d, got %d\n" % (top, top + 1)
+        )
+
 
 class TestPenner:
     def test_report(self, capsys):
@@ -261,6 +276,10 @@ class TestPenner:
         monkeypatch.setattr(penner, "build", fail)
         assert run(capsys, "penner", "sweep", "--gmax", str(top + 1)) == (
             1, "", "error: --gmax must be <= %d, got %d\n" % (top, top + 1)
+        )
+        top = cli.SWEEP_N_MAX
+        assert run(capsys, "penner", "sweep", "--nmax", str(top + 1)) == (
+            1, "", "error: --nmax must be <= %d, got %d\n" % (top, top + 1)
         )
 
     def test_verdicts_exact_at_coarse_tolerance(self, capsys):

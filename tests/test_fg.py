@@ -3,10 +3,13 @@ import types
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from rauzycert import cli
 from rauzycert.diagram import AllowedPath, build_path, explore
 from rauzycert.fg import (
     CENTRAL_N_MAX,
+    GENUS_MAX,
     _closed_forms,
     _closed_words,
     _cover_loop,
@@ -19,20 +22,29 @@ from rauzycert.fg import (
     central_after_t,
     expected_orbit_trajectory,
     expected_winner_losers,
+    family_polynomial,
     family_report,
     central_component_checks,
 )
 from rauzycert.induction import MOVES, Move
-from rauzycert.linalg import _column_product, min_positive_power, path_matrix
+from rauzycert.linalg import (
+    DEFAULT_TOL,
+    _column_product,
+    min_positive_power,
+    path_matrix,
+    spectral_radius,
+)
 from rauzycert.pa import lc_lower_bound
 from rauzycert.perm import central, fg_start, parse, unlabeled
 
 from helpers import (
+    berkowitz_charpoly,
     bisect_largest_root,
     brute_force_closed_words,
     is_positive,
     never_primitive,
     oracle_cover_loop,
+    poly_mul,
     unpruned_closed_words,
 )
 
@@ -100,6 +112,44 @@ class TestBlockMatrix:
     def test_row_after_first_block_is_first_unit_vector(self, g):
         row = block_matrix(g).rows[g]
         assert row == tuple(1 if j == 0 else 0 for j in range(2 * g))
+
+
+def p_sign(g: int, x: Fraction) -> int:
+    """Sign of p_g at x, by exact rational arithmetic."""
+    value = x ** (2 * g + 1) - 2 * x ** (2 * g - 1) - 2 * x**2 + 1
+    return (value > 0) - (value < 0)
+
+
+class TestFamilyPolynomial:
+    X = sympy.symbols("x")
+
+    def test_terms(self):
+        # x^5 - 2 x^3 - 2 x^2 + 1
+        assert family_polynomial(2) == [1, 0, -2, -2, 0, 1]
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_identity_against_sympy(self, g):
+        charpoly = sympy.Matrix(block_matrix(g).rows).charpoly(self.X).as_expr()
+        coeffs = [int(c) for c in sympy.Poly(charpoly, self.X).all_coeffs()]
+        assert poly_mul([1, 1], coeffs) == family_polynomial(g)
+
+    @pytest.mark.parametrize("g", [16, 20])
+    def test_identity_against_berkowitz(self, g):
+        assert poly_mul([1, 1], berkowitz_charpoly(block_matrix(g))) == family_polynomial(g)
+
+    def test_table_brackets_overlap_collatz_wielandt(self, capsys):
+        # The CW bracket of block_matrix(g) stays an independent oracle.  The
+        # table's decimals are truncated after 12 places, hence the slack.
+        assert cli.main(["fg", "table", "--gmax", "30"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(2, 31))
+        slack = Fraction(1, 10**12)
+        for row in rows:
+            g, low, high = row.split(",")[:3]
+            low, high = Fraction(low), Fraction(high)
+            cw = spectral_radius(block_matrix(int(g)))
+            assert low <= cw.high and cw.low <= high + slack, g
+            assert high - low <= DEFAULT_TOL + slack
 
 
 def _updates(d, src, word):
@@ -247,6 +297,24 @@ class TestTheorem11:
         report = family_report(g)
         assert report.passed, {k: v for k, v in report.checks.items() if not v}
 
+    @pytest.mark.parametrize("g", [190, 200])
+    def test_all_checks_pass_past_the_default_tolerance(self, g):
+        # lambda_g - sqrt 2 is about 1.5 * 2^-g, far below the default width
+        report = family_report(g)
+        assert report.passed, {k: v for k, v in report.checks.items() if not v}
+        lam = report.certificate.lam
+        assert lam.low**2 >= 2
+        assert p_sign(g, lam.low) <= 0 <= p_sign(g, lam.high)
+        assert report.certificate.teich_length == lam.log_bounds()
+
+    @pytest.mark.parametrize("g", [2, 12, 24])
+    def test_bracket_is_the_bisection_at_the_tolerance(self, g):
+        # from [1, 3] to width 10^-9 takes 31 halvings; below g = 30 the
+        # bracket already decides lambda_g >= sqrt 2, so none is added
+        lam = family_report(g).certificate.lam
+        assert lam.iterations == 31 and lam.high - lam.low == Fraction(2, 2**31)
+        assert p_sign(g, lam.low) <= 0 <= p_sign(g, lam.high)
+
     def test_genus_two_values(self):
         report = family_report(2)
         assert report.upper_bound == 1
@@ -263,6 +331,10 @@ class TestTheorem11:
     def test_genus_ten_orbit_length(self):
         report = family_report(10)
         assert report.certificate.orbit.steps == 18
+
+    def test_genus_cap(self):
+        with pytest.raises(ValueError, match="family needs g <= %d" % GENUS_MAX):
+            family_loop(GENUS_MAX + 1)
 
     def test_orbit_trajectory_visits_all_non_winners(self):
         for g in (2, 4, 6):

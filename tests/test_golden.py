@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
     "penner_genus_above_cap": ("penner", "--genus", "151", "--n", "5"),
     "penner_sweep_gmax_above_cap": ("penner", "sweep", "--gmax", "151"),
+    "penner_sweep_nmax_above_cap": ("penner", "sweep", "--nmax", "5001"),
+    "fg_genus_above_cap": ("fg", "--genus", "251"),
+    "fg_table_gmax_above_cap": ("fg", "table", "--gmax", "251"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
     "homology_check_n_above_cap": (
         "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"
@@ -168,6 +172,44 @@ def test_stdout_and_exit_match_golden(name):
 @pytest.mark.parametrize("preset, spelled", ALIASES)
 def test_preset_matches_its_spelled_out_command_line(preset, spelled):
     assert run_case(preset) == run_case(spelled)
+
+
+# The lambda brackets of fg_genus_2 .. fg_genus_12 as (low, high) numerator
+# and denominator pairs, when those files held Collatz-Wielandt brackets.
+# fg_table_gmax12 printed the same brackets, truncated to decimals.
+COLLATZ_WIELANDT_FAMILY_BRACKETS = {
+    2: ((8746437060, 5078984561), (5020699207, 2915479020)),
+    3: ((7193414736, 4622927485), (8708455627, 5596585255)),
+    4: ((3159103423977, 2123801272381), (1919746732333, 1290606859904)),
+    5: ((1031557480532273, 709889138944736), (1434233707338873, 986999706959221)),
+    6: ((400852324088928562, 279371996375964075), (358848024414075051, 250097312365185070)),
+    7: ((8462665207468912311, 5938690472940050081), (1440206646485001971, 1010667594185496701)),
+    8: ((90735543781499906845, 63907966731724350792),
+        (131899935196549094307, 92901373742249432188)),
+    9: ((21281584119806604198999, 15018154278667873729301),
+        (8930408854194723093068, 6302080573374355025819)),
+    10: ((920014932423355263277319, 649887078457041268225073),
+         (63734574749441035635404, 45021308994385665842041)),
+    11: ((1169249416153128290522209, 826360332588248965833751),
+         (1946648612237033545751902, 1375782763969848536176437)),
+    12: ((12718658005700721155488021, 8991133528466425275249113),
+         (122714313963027505328173151, 86749779849161804227176699)),
+}
+
+
+def test_family_brackets_overlap_the_collatz_wielandt_ones():
+    def exact(side):
+        return Fraction(int(side["num"]), int(side["den"]))
+
+    table = (GOLDEN / "fg_table_gmax12.out").read_text().splitlines()[1:]
+    assert len(table) == len(COLLATZ_WIELANDT_FAMILY_BRACKETS)
+    slack = Fraction(1, 10**12)  # the table truncates to 12 decimal places
+    for row in table:
+        g, low, high = row.split(",")[:3]
+        (old_low, old_high) = (Fraction(*pair) for pair in COLLATZ_WIELANDT_FAMILY_BRACKETS[int(g)])
+        lam = json.loads((GOLDEN / ("fg_genus_%s.out" % g)).read_text())["certificate"]["lambda"]
+        assert exact(lam["low"]) <= old_high and old_low <= exact(lam["high"]), g
+        assert Fraction(low) <= old_high and old_low <= Fraction(high) + slack, g
 
 
 def test_shared_parser_leaks_no_state():

@@ -10,18 +10,22 @@ from hypothesis import given, settings
 from rauzycert import linalg
 from rauzycert.diagram import AllowedPath, build_path
 from rauzycert.errors import ConvergenceError, NotAllowedError, NotPrimitiveError
+from rauzycert.fg import family_polynomial
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
     _bool_mul,
+    _poly_sign,
     bisect_root,
     min_positive_power,
     min_row_sum,
     path_matrix,
+    root_above_one,
     spectral_radius,
     wielandt_bound,
 )
+from rauzycert.penner import twist_polynomial
 from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, parse
 
 from helpers import (
@@ -385,6 +389,41 @@ class TestBisectRoot:
     def test_rejects_non_positive_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             bisect_root([1, 0, -2], 1, 2, tol)
+
+    def test_sign_skips_zero_coefficients(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            coeffs = [rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(1, 30))]
+            num, den = rng.randint(-50, 50), rng.randint(1, 40)
+            value = sum(c * Fraction(num, den) ** (len(coeffs) - 1 - i)
+                        for i, c in enumerate(coeffs))
+            assert _poly_sign(coeffs, num, den) == (value > 0) - (value < 0)
+
+
+class TestRootAboveOne:
+    def test_is_bisection_from_one_to_cauchys_bound(self):
+        for coeffs in ([1, 0, -2], [1, -1, -1, -1, 1], [2, -3, 0, -5]):
+            bound = 1 + max(abs(c) for c in coeffs)
+            assert root_above_one(coeffs) == bisect_root(coeffs, 1, bound)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 0, 1], [1, -5, 6], [-1, 0, 0]],
+        ids=["no real root", "two roots above 1", "negative lead"],
+    )
+    def test_precondition_sign_at_one_and_at_the_bound(self, coeffs):
+        # it needs p(1) <= 0 and p > 0 at 1 + max|c|, so a positive lead
+        with pytest.raises(ValueError, match="does not change sign"):
+            root_above_one(coeffs)
+
+    @pytest.mark.parametrize("g", [2, 3, 7, 30])
+    def test_both_families_meet_the_precondition(self, g):
+        polynomials = [family_polynomial(g)]
+        if g >= 3:
+            polynomials += [twist_polynomial(g, n) for n in (1, 5, 10**12)]
+        for coeffs in polynomials:
+            bound = 1 + max(abs(c) for c in coeffs)
+            assert _poly_sign(coeffs, 1, 1) < 0 < _poly_sign(coeffs, bound, 1)
 
 
 def contains_perron_root(m: IntMatrix, bracket: SpectralBracket) -> bool:
