@@ -3,8 +3,8 @@
 ``explore`` closes a seed permutation under the top and bottom moves (plus
 the flip when augmented) by breadth-first search with a fixed child order
 t, b, f; vertex numbering is therefore reproducible across runs.  A
-component is stored as integer tables: the index rows of each vertex and,
-per move, the successor, winner and loser of each vertex.
+component is stored as integer tables: the index rows of each vertex as one
+``bytes`` (so at most 256 letters) and, per move, its successor, winner and loser.
 
 A path is a start permutation plus a sequence of moves in execution order.
 It is *allowed* when its endpoints define the same unlabeled permutation;
@@ -31,12 +31,12 @@ MAX_MOVES = 10**6
 class RauzyDiagram:
     """A component as integer tables over ``alphabet``.
 
-    ``rows[v]`` is the (top, bottom) pair of letter-index rows of vertex v,
-    in BFS order from the seed, vertex 0.  ``succ[move][v]`` is the vertex
-    the move leads to from v, with move index 0 = t, 1 = b and, when
-    augmented, 2 = f.  ``winner[move][v]`` and ``loser[move][v]`` are the
-    letter indices of the t and b edges; a flip has neither.  ``vertices``
-    is the view of the rows as permutation objects, built on first use.
+    ``rows[v]`` is vertex v, in BFS order from the seed (vertex 0), as one
+    ``bytes`` of 2n letter indices, top row then bottom row; ``pair(v)``
+    splits it.  ``succ[move][v]`` is the vertex the move leads to from v
+    (move 0 = t, 1 = b and, when augmented, 2 = f), and ``winner[move][v]``
+    and ``loser[move][v]`` are the letter indices of the t and b edges.
+    ``vertices`` views the rows as permutation objects, built on first use.
     """
 
     def __init__(self, alphabet, rows, succ):
@@ -44,8 +44,9 @@ class RauzyDiagram:
         self.rows = rows
         self.succ = succ
         self.augmented = len(succ) == 3
-        top_last = [top[-1] for top, _ in rows]
-        bottom_last = [bottom[-1] for _, bottom in rows]
+        n = len(self.alphabet)
+        top_last = [row[n - 1] for row in rows]
+        bottom_last = [row[-1] for row in rows]
         # t: the top-last letter beats the bottom-last one; b: the reverse.
         self.winner = (top_last, bottom_last)
         self.loser = (bottom_last, top_last)
@@ -53,9 +54,14 @@ class RauzyDiagram:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def pair(self, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (top, bottom) index rows of vertex ``v``."""
+        n = len(self.alphabet)
+        return tuple(self.rows[v][:n]), tuple(self.rows[v][n:])
+
     @cached_property
     def vertices(self) -> tuple[LabeledPermutation, ...]:
-        return tuple(LabeledPermutation(self.alphabet, top, bottom) for top, bottom in self.rows)
+        return tuple(LabeledPermutation(self.alphabet, *self.pair(v)) for v in range(len(self)))
 
     def successor(self, index: int, move: Move) -> int:
         """Index of the target of the given move from vertex ``index``."""
@@ -78,22 +84,27 @@ def explore(
 ) -> RauzyDiagram:
     """Breadth-first closure of ``seed`` under the moves.
 
-    Raises ReducibleError for a reducible seed and EnumerationCapError when
-    the component exceeds ``cap`` vertices.
+    Raises ReducibleError for a reducible seed and EnumerationCapError past
+    256 letters (one byte per letter in a row) or ``cap`` vertices.
     """
+    n = seed.n
+    if n > 256:
+        raise EnumerationCapError("diagrams hold at most 256 letters, got %d" % n)
     # The seed's check covers every vertex: t and b keep a permutation
     # irreducible (acceptance criterion 9), and a flip maps the first k
     # letters of both rows to the last k, so a flip of an irreducible
     # permutation has no invariant prefix either.
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
-    rows = [(seed.top, seed.bottom)]
+    rows = [bytes(seed.top + seed.bottom)]
     index = {rows[0]: 0}
     succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
     # The loop visits the rows appended while it runs, in BFS order.
-    for top, bottom in rows:
+    for row in rows:
+        top, bottom = row[:n], row[n:]
         for move, table in enumerate(succ):
-            target = _step(top, bottom, move)[:2]
+            top_after, bottom_after, _ = _step(top, bottom, move)
+            target = top_after + bottom_after
             v = index.get(target)
             if v is None:
                 if len(rows) >= cap:
@@ -108,7 +119,10 @@ def explore(
 
 def injectivity_check(d: RauzyDiagram) -> bool:
     """No two distinct vertices define the same unlabeled permutation."""
-    return len({_images(top, bottom) for top, bottom in d.rows}) == len(d)
+    n = len(d.alphabet)
+    positions = bytes(range(n))
+    # letters to bottom positions: top half ``perm._images`` - 1, bottom half 0..n-1
+    return len({row.translate(bytes.maketrans(row[n:], positions)) for row in d.rows}) == len(d)
 
 
 _TOKEN_RE = re.compile(r"([tbf])(?:\^(\d+))?|(\S)")
@@ -193,16 +207,23 @@ def build_path(
     return AllowedPath(start, execution)
 
 
+def _interleave(per_move: list[list[str]]) -> list[str]:
+    """The items of each move's list, in (vertex, move) order."""
+    out = [""] * sum(map(len, per_move))
+    for move, items in enumerate(per_move):
+        out[move :: len(per_move)] = items
+    return out
+
+
 def to_dot(d: RauzyDiagram) -> str:
     """Deterministic DOT rendering: vertices by BFS index, edges labeled t/b/f."""
+    n = len(d.alphabet)
     spaced = cache(lambda row: " ".join([d.alphabet[i] for i in row]))
     parts = ['digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
-    for v, (top, bottom) in enumerate(d.rows):
-        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced(top), spaced(bottom)))
+    for v, row in enumerate(d.rows):
+        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced(row[:n]), spaced(row[n:])))
     lines = ['  v%%d -> v%%d [label="%s"];\n' % move.value for move in MOVES]
-    for v in range(len(d.rows)):
-        for move, table in enumerate(d.succ):
-            parts.append(lines[move] % (v, table[v]))
+    parts += _interleave([[line % e for e in enumerate(t)] for line, t in zip(lines, d.succ)])
     parts.append("}\n")
     return "".join(parts)
 
@@ -219,14 +240,11 @@ def to_json(d: RauzyDiagram) -> str:
     the tables and reads exactly as ``json.dumps(document, indent=2)``."""
     n = len(d.alphabet)
     letters = [json.dumps(name) for name in d.alphabet]
-    listed = cache(
-        lambda row: "".join(_json_list(",\n".join(["        " + letters[i] for i in row]), "      "))
-    )
-    alphabet = listed(tuple(range(n)))
+    items = ["        " + name for name in letters]
+    listed = cache(lambda row: "".join(_json_list(",\n".join([items[i] for i in row]), "      ")))
+    alphabet = listed(bytes(range(n)))
     vertex = '    {\n      "alphabet": %s,\n      "top": %s,\n      "bottom": %s\n    }'
-    vertices = ",\n".join(
-        [vertex % (alphabet, listed(top), listed(bottom)) for top, bottom in d.rows]
-    )
+    vertices = ",\n".join([vertex % (alphabet, listed(row[:n]), listed(row[n:])) for row in d.rows])
     # The kind, winner and loser lines of an edge, by move, winner and loser.
     tail = '"kind": "%s",\n      "winner": %s,\n      "loser": %s\n    }'
     tails = [
@@ -235,15 +253,14 @@ def to_json(d: RauzyDiagram) -> str:
     ]
     flip = tail % ("f", "null", "null")
     edge = '    {\n      "src": %d,\n      "dst": %d,\n      %s'
-    winner, loser = d.winner, d.loser
-    edges = ",\n".join(
-        [
-            edge % (v, table[v], flip if move == 2 else tails[move][winner[move][v]][loser[move][v]])
-            for v in range(len(d))
-            for move, table in enumerate(d.succ)
-        ]
-    )
-    seed = " / ".join(" ".join([d.alphabet[i] for i in row]) for row in d.rows[0])
+    per_move = [
+        [edge % (v, dst, by[w][l]) for v, dst, w, l in zip(range(len(d)), table, won, lost)]
+        for table, by, won, lost in zip(d.succ, tails, d.winner, d.loser)
+    ]
+    per_move += [[edge % (v, dst, flip) for v, dst in enumerate(table)] for table in d.succ[2:]]
+    edges = ",\n".join(_interleave(per_move))
+    del per_move  # frees the edge strings before the document is joined: a lower peak
+    seed = " / ".join(" ".join([d.alphabet[i] for i in row]) for row in d.pair(0))
     return "".join(
         ['{\n  "augmented": %s,\n  "vertices": ' % json.dumps(d.augmented)]
         + _json_list(vertices, "  ")

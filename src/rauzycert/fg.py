@@ -393,10 +393,10 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
     return tuple(word)
 
 
-# Largest n that central_component_checks accepts: n = 20 (524,287 vertices)
-# takes about 6-8 s and 330 MiB on a 2-vCPU VM, and each further letter doubles
-# both; n = 21 (1,048,575 vertices) would pass explore's default cap of 10^6.
-CENTRAL_N_MAX = 20
+# Largest n that central_component_checks accepts: on a 2-vCPU VM n = 20
+# (524,287 vertices) takes about 5 s at 220 MiB, and each further letter
+# doubles both, to 16-17 s at 810 MiB for n = 22 (2,097,151 vertices).
+CENTRAL_N_MAX = 22
 
 
 def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
@@ -441,7 +441,7 @@ def central_component_checks(
     if loop_len < 1:
         raise ValueError("need loop_len >= 1, got %d" % loop_len)
     g = n // 2
-    diagram = explore(central(n), augmented=False)
+    diagram = explore(central(n), cap=2 ** (n - 1) - 1)
     power = 4 * g + 2
 
     # Distinct vertices have distinct unlabeled permutations.
@@ -449,13 +449,13 @@ def central_component_checks(
 
     # Closed forms of the loop of top moves, walked on the t table from the
     # seed, vertex 0: walk[m] is the vertex after m top moves.
-    rows = diagram.rows
+    pair = diagram.pair
     walk = [0]
     loop_ok = True
     for m in range(1, n):
         walk.append(diagram.succ[0][walk[-1]])
         expected = central_after_t(n, m)
-        loop_ok = loop_ok and rows[walk[m]] == (expected.top, expected.bottom)
+        loop_ok = loop_ok and pair(walk[m]) == (expected.top, expected.bottom)
     checks["central_loop_closed_forms"] = loop_ok and walk[-1] == 0
 
     # Each flipped loop vertex has exactly one unlabeled partner in the
@@ -469,8 +469,8 @@ def central_component_checks(
     flip_paths = []
     for m in range(1, n):
         src, dst = walk[m], walk[n - m - 1]
-        partner_ok = partner_ok and _images(*_step(*rows[src], 2)[:2]) == _images(*rows[dst])
-        relabel = _relabel(rows[src][0], _step(*rows[dst], 2)[0])
+        partner_ok = partner_ok and _images(*_step(*pair(src), 2)[:2]) == _images(*pair(dst))
+        relabel = _relabel(pair(src)[0], _step(*pair(dst), 2)[0])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
         flip_paths.append((src, dst, relabel, _cycle_masks(relabel)))
     checks["flip_partner_identity"] = partner_ok
@@ -496,7 +496,7 @@ def central_component_checks(
         sampled.append(
             SampledPath(
                 family=family,
-                start_display=LabeledPermutation(diagram.alphabet, *rows[src]).display(),
+                start_display=LabeledPermutation(diagram.alphabet, *pair(src)).display(),
                 word=_word_text(word) + ("f" if family == 2 else ""),
                 primitive_exponent=exponent,
                 diagonal_positive=min(diagonal if family == 1 else diagonal[-1:]) >= 1,

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .errors import PermutationParseError
 
+# Most letters ``central`` and ``fg_start`` build (10^5: about 2 s, 140 MiB).
+MAX_LETTERS = 10**5
+
 
 def _invert(seq: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(seq)
@@ -203,6 +206,8 @@ def central(n: int) -> LabeledPermutation:
     """
     if n < 2:
         raise PermutationParseError("central permutation needs n >= 2, got %d" % n)
+    if n > MAX_LETTERS:
+        raise PermutationParseError("central permutation needs n <= %d, got %d" % (MAX_LETTERS, n))
     return LabeledPermutation(default_alphabet(n), tuple(range(n)), tuple(range(n - 1, -1, -1)))
 
 
@@ -216,6 +221,8 @@ def fg_start(g: int) -> LabeledPermutation:
     """
     if g < 2:
         raise PermutationParseError("family needs g >= 2, got %d" % g)
+    if 2 * g > MAX_LETTERS:
+        raise PermutationParseError("family needs 2g <= %d letters, got g = %d" % (MAX_LETTERS, g))
     n = 2 * g
     bottom = (n - 1,) + tuple(range(g - 2, -1, -1)) + tuple(range(n - 2, g - 2, -1))
     return LabeledPermutation(default_alphabet(n), tuple(range(n)), bottom)

@@ -366,8 +366,20 @@ class TestErrorPrefixes:
                 "reducible error: bottom move undefined on reducible permutation B C A / C B A",
             ),
             (
-                ("fg", "central", "--n", "21"),
-                "error: need n <= 20 (the component has 2^(n-1) - 1 vertices), got 21",
+                ("fg", "central", "--n", "23"),
+                "error: need n <= 22 (the component has 2^(n-1) - 1 vertices), got 23",
+            ),
+            (
+                ("diagram", "--central", "257"),
+                "cap error: diagrams hold at most 256 letters, got 257",
+            ),
+            (
+                ("perm", "--central", "100001"),
+                "parse error: central permutation needs n <= 100000, got 100001",
+            ),
+            (
+                ("diagram", "--central", "10000000"),
+                "parse error: central permutation needs n <= 100000, got 10000000",
             ),
         ],
     )

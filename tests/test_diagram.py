@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from helpers import oracle_diagram_doc, oracle_dot, oracle_explore, random_irreducible
 from rauzycert.diagram import (
@@ -16,7 +17,17 @@ from rauzycert.diagram import (
 )
 from rauzycert.errors import EnumerationCapError, PermutationParseError, ReducibleError
 from rauzycert.induction import MOVES, Move
-from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, parse, unlabeled
+from rauzycert.perm import (
+    LabeledPermutation,
+    _images,
+    central,
+    default_alphabet,
+    fg_start,
+    from_rows,
+    is_irreducible,
+    parse,
+    unlabeled,
+)
 
 
 class TestExplore:
@@ -70,6 +81,14 @@ class TestExplore:
         with pytest.raises(EnumerationCapError):
             explore(central(6), cap=10)
 
+    def test_rows_hold_at_most_256_letters(self):
+        # one byte per letter index: 256 letters reach the vertex cap, 257 are
+        # refused before any row is built
+        with pytest.raises(EnumerationCapError, match="1-vertex cap"):
+            explore(central(256), cap=1)
+        with pytest.raises(EnumerationCapError, match="at most 256 letters, got 257"):
+            explore(central(257), cap=1)
+
     def test_reducible_seed_rejected(self):
         with pytest.raises(ReducibleError):
             explore(parse("A B / A B"))
@@ -91,8 +110,23 @@ class TestInjectivity:
         # both vertices define the unlabeled permutation (3, 2, 1)
         p = parse("A B C / C B A")
         q = from_rows(p.alphabet, "B C A".split(), "A C B".split())
-        fake = RauzyDiagram(p.alphabet, [(p.top, p.bottom), (q.top, q.bottom)], ())
+        fake = RauzyDiagram(p.alphabet, [bytes(p.top + p.bottom), bytes(q.top + q.bottom)], ())
         assert not injectivity_check(fake)
+
+    @given(st.integers(3, 7).flatmap(lambda n: st.permutations(range(n))), st.data(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_check_counts_distinct_images(self, top, data, augmented):
+        # the byte-translate check against the tuple rows and ``_images``;
+        # both verdicts occur among these seeds
+        bottom = tuple(data.draw(st.permutations(top)))
+        seed = LabeledPermutation(default_alphabet(len(top)), tuple(top), bottom)
+        assume(is_irreducible(seed))
+        try:
+            component = explore(seed, augmented=augmented, cap=3000)
+        except EnumerationCapError:
+            reject()
+        images = {_images(*component.pair(v)) for v in range(len(component))}
+        assert injectivity_check(component) == (len(images) == len(component))
 
     def test_unlabeled_equality_forces_vertex_equality(self):
         # corollary of injectivity: inside an unaugmented central component
@@ -217,7 +251,10 @@ class TestAgainstObjectOracle:
     def test_vertex_order_and_edges(self, seed, augmented):
         component = explore(seed, augmented=augmented)
         vertices, out_edges = oracle_explore(seed, augmented)
-        assert component.rows == [(v.top, v.bottom) for v in vertices]
+        assert component.rows == [bytes(v.top + v.bottom) for v in vertices]
+        assert [component.pair(v) for v in range(len(component))] == [
+            (v.top, v.bottom) for v in vertices
+        ]
         assert list(component.vertices) == vertices
         letter = seed.alphabet.index
         for move, table in enumerate(component.succ):

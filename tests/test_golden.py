@@ -14,6 +14,7 @@ so that a new case can be added without touching the captured ones.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -88,7 +89,9 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"
     ),
-    "fg_central_n_above_cap": ("fg", "central", "--n", "21"),
+    "fg_central_n_above_cap": ("fg", "central", "--n", "23"),
+    "diagram_central_above_row_letters": ("diagram", "--central", "257"),
+    "perm_central_above_max_letters": ("perm", "--central", "100001"),
     "fg_central_loop_len_zero": ("fg", "central", "--n", "5", "--loop-len", "0"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
@@ -172,6 +175,21 @@ def test_stdout_and_exit_match_golden(name):
 @pytest.mark.parametrize("preset, spelled", ALIASES)
 def test_preset_matches_its_spelled_out_command_line(preset, spelled):
     assert run_case(preset) == run_case(spelled)
+
+
+# Outputs too large for the corpus, pinned by the SHA-1 of their stdout.
+LARGE_OUTPUT_SHA1 = {
+    ("diagram", "--central", "12"): "bb78e445a205919f92f842de09378aef9c7473b6",
+    ("diagram", "--central", "12", "--format", "dot"): "6556a43c367224311f1bf544f1ba31df3cbee535",
+    ("diagram", "--central", "6", "--augmented"): "c7e514c9f25a6664a9592b275b4ee57dc8b65658",
+    ("fg", "central", "--n", "14"): "6c1b16a8593a30eb03bf98e352beeefb054c2caf",
+}
+
+
+@pytest.mark.parametrize("argv, sha1", LARGE_OUTPUT_SHA1.items())
+def test_large_output_sha1(argv, sha1):
+    code, stdout = run_case(argv)
+    assert (code, hashlib.sha1(stdout).hexdigest()) == (0, sha1)
 
 
 # The lambda brackets of fg_genus_2 .. fg_genus_12 as (low, high) numerator

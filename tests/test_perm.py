@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from rauzycert.diagram import build_path
 from rauzycert.errors import PermutationParseError
 from rauzycert.perm import (
+    MAX_LETTERS,
     LabeledPermutation,
     central,
     default_alphabet,
@@ -129,6 +130,13 @@ class TestConstructors:
     def test_family_start_displays(self):
         assert fg_start(2).display() == "a1 a2 a3 a4 / a4 a1 a3 a2"
         assert fg_start(3).display() == "a1 a2 a3 a4 a5 a6 / a6 a2 a1 a5 a4 a3"
+
+    def test_built_starts_stop_at_max_letters(self):
+        assert central(MAX_LETTERS).n == fg_start(MAX_LETTERS // 2).n == MAX_LETTERS
+        with pytest.raises(PermutationParseError, match="n <= 100000, got 100001"):
+            central(MAX_LETTERS + 1)
+        with pytest.raises(PermutationParseError, match="2g <= 100000 letters, got g = 50001"):
+            fg_start(MAX_LETTERS // 2 + 1)
 
     def test_family_start_rejects_small_genus(self):
         with pytest.raises(PermutationParseError):
