@@ -25,7 +25,7 @@ from . import fg as fg_mod
 from . import penner as penner_mod
 from .errors import RauzyError
 from .induction import Move
-from .jsonutil import bracket_json, decimal_str, rational_json
+from .jsonutil import bracket_json, decimal_str, dumps, rational_json
 from .linalg import DEFAULT_TOL, IntMatrix, _column_product
 from .pa import certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
@@ -46,7 +46,7 @@ def _emit(document: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+    _emit(dumps(obj))
 
 
 def _emit_report(doc: dict, report) -> int:

@@ -22,6 +22,7 @@ from functools import cache, cached_property
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
 from .induction import MOVES, Move, _step
+from .jsonutil import _json_list, dumps
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
 DEFAULT_CAP = 10**6
@@ -228,18 +229,12 @@ def to_dot(d: RauzyDiagram) -> str:
     return "".join(parts)
 
 
-def _json_list(body: str, indent: str) -> list[str]:
-    """The pieces of a list whose items, joined by ",\\n", make ``body``,
-    laid out as ``json.dumps(..., indent=2)`` lays it out."""
-    return ["[\n", body, "\n" + indent + "]"] if body else ["[]"]
-
-
 def to_json(d: RauzyDiagram) -> str:
     """The ``diagram`` command's document: ``to_json_dict()`` plus the seed
     (vertex 0), the size and the injectivity verdict.  It is written from
-    the tables and reads exactly as ``json.dumps(document, indent=2)``."""
+    the tables and reads exactly as ``jsonutil.dumps(document)``."""
     n = len(d.alphabet)
-    letters = [json.dumps(name) for name in d.alphabet]
+    letters = [dumps(name) for name in d.alphabet]
     items = ["        " + name for name in letters]
     listed = cache(lambda row: "".join(_json_list(",\n".join([items[i] for i in row]), "      ")))
     alphabet = listed(bytes(range(n)))
@@ -262,12 +257,12 @@ def to_json(d: RauzyDiagram) -> str:
     del per_move  # frees the edge strings before the document is joined: a lower peak
     seed = " / ".join(" ".join([d.alphabet[i] for i in row]) for row in d.pair(0))
     return "".join(
-        ['{\n  "augmented": %s,\n  "vertices": ' % json.dumps(d.augmented)]
+        ['{\n  "augmented": %s,\n  "vertices": ' % dumps(d.augmented)]
         + _json_list(vertices, "  ")
         + [',\n  "edges": ']
         + _json_list(edges, "  ")
         + [
             ',\n  "seed": %s,\n  "size": %d,\n  "injective": %s\n}'
-            % (json.dumps(seed), len(d), json.dumps(injectivity_check(d)))
+            % (dumps(seed), len(d), dumps(injectivity_check(d)))
         ]
     )

@@ -49,12 +49,6 @@ def family_loop(g: int) -> AllowedPath:
 _Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _fg_after_b(g: int, k: int) -> _Rows:
-    """Closed form after k bottom moves, 0 <= k <= g (k = g returns the start)."""
-    n = 2 * g
-    return tuple(range(g)) + tuple(range(n - k, n)) + tuple(range(g, n - k)), fg_start(g).bottom
-
-
 def _fg_after_tb(g: int) -> _Rows:
     """Closed form after the top move following the g bottom moves."""
     n = 2 * g
@@ -76,7 +70,15 @@ def _stations(path: AllowedPath) -> list[_Rows]:
 
 
 def _closed_forms(g: int) -> list[_Rows]:
-    return [_fg_after_b(g, k) for k in range(1, g + 1)] + [_fg_after_tb(g), _fg_end(g)]
+    """The closed forms after each move of the loop.  After k bottom moves,
+    1 <= k <= g, the last k letters of the start's top row sit right after
+    its first g, and the bottom row is the start's (k = g gives the start)."""
+    n, bottom = 2 * g, fg_start(g).bottom
+    after_b = [
+        (tuple(range(g)) + tuple(range(n - k, n)) + tuple(range(g, n - k)), bottom)
+        for k in range(1, g + 1)
+    ]
+    return after_b + [_fg_after_tb(g), _fg_end(g)]
 
 
 def expected_winner_losers(g: int) -> list[tuple[str, str]]:
@@ -95,19 +97,9 @@ def block_matrix(g: int) -> IntMatrix:
     has 1s in columns 2g-1 and 2g.
     """
     n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for r in range(g):
-        if r == g - 1:
-            for c in range(g - 1):
-                rows[r][c] = 1
-        rows[r][g - 1 + r] = 2 if r == g - 1 else 1
-        if r == g - 1:
-            rows[r][n - 1] = 1
-    for r in range(g, n - 1):
-        rows[r][r - g] = 1
-    rows[n - 1][n - 2] = 1
-    rows[n - 1][n - 1] = 1
-    return IntMatrix.from_rows(rows)
+    unit = IntMatrix.identity(n).rows
+    corner = (1,) * (g - 1) + (0,) * (g - 1) + (2, 1)
+    return IntMatrix(unit[g - 1 : n - 2] + (corner,) + unit[: g - 1] + ((0,) * (n - 2) + (1, 1),))
 
 
 def family_polynomial(g: int) -> list[int]:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, NotAllowedError, NotPrimitiveError
@@ -46,7 +48,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.order != other.order:
@@ -80,7 +82,7 @@ class IntMatrix:
         return result
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self.rows for x in row)
+        return min(map(min, self.rows)) >= 0
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(self.order))
@@ -118,24 +120,15 @@ def path_matrix(path: "AllowedPath") -> IntMatrix:
     return _column_product(path.start.n, path.updates, path.relabel)
 
 
-def _bool_rows(m: IntMatrix) -> list[int]:
-    return [sum(1 << j for j, x in enumerate(row) if x) for row in m.rows]
-
-
-def _bool_mul(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        if row & (row - 1) == 0:  # at most one bit: most rows of a sparse matrix
-            out.append(b[row.bit_length() - 1] if row else 0)
-            continue
-        acc = 0
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            acc |= b[j]
-            rest &= rest - 1
-        out.append(acc)
-    return out
+def _times(pickers, power: list[int]) -> list[int]:
+    """Bitset rows of M * P, from the row pickers of M and the bitset rows
+    of P: a one-nonzero row of M picks the row of P at its column, a row
+    with several nonzeros ORs the rows its itemgetter picks, a zero row
+    (picker None) gives 0."""
+    return [
+        power[pick] if pick.__class__ is int else reduce(or_, pick(power)) if pick else 0
+        for pick in pickers
+    ]
 
 
 def wielandt_bound(n: int) -> int:
@@ -148,7 +141,8 @@ def min_positive_power(m: IntMatrix) -> int | None:
 
     Works over the boolean semiring, so entries never blow up during the
     search.  It steps through the patterns of M, M^2, ... as bitset rows,
-    each M^(p+1) = M * M^p at one OR per nonzero of M, and stops at the
+    each M^(p+1) = M * M^p at one OR per nonzero of M (the supports of
+    M's rows are found once, see ``_times``), and stops at the
     first of three things: a full power, whose exponent it returns; the
     Wielandt bound (n-1)^2 + 1, the largest exponent a primitive matrix
     can have; or a power equal to the anchor M^(2^k), re-set each time p
@@ -164,16 +158,17 @@ def min_positive_power(m: IntMatrix) -> int | None:
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
     full = (1 << m.order) - 1
-    rows = _bool_rows(m)
-    power, anchor = rows, None
+    supports = [[j for j, x in enumerate(row) if x] for row in m.rows]
+    pickers = [s[0] if len(s) == 1 else itemgetter(*s) if s else None for s in supports]
+    power, anchor = [sum(1 << j for j in s) for s in supports], None
     for p in range(1, wielandt_bound(m.order) + 1):
-        if all(r == full for r in power):
+        if min(power) == full:
             return p
         if power == anchor:
             return None
         if p & (p - 1) == 0:
             anchor = power
-        power = _bool_mul(rows, power)
+        power = _times(pickers, power)
     return None
 
 

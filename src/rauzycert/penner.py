@@ -236,10 +236,15 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
     )
 
 
-# Largest power homology_power_check accepts.  Entries of A^n grow like
-# rho(A)^n, so the cost is about n^2: n = 10^4 takes 0.1 s for [[2,1],[1,1]],
-# 0.8 s for a 4 x 4 matrix of 5s and 7 s for an 8 x 8 of 9s (2-vCPU VM).
+# Largest power, matrix order and absolute entry (of A and of b) that
+# homology_power_check accepts.  Entries of A^n grow like rho(A)^n, so at
+# n = 10^4 the cost grows with the order and the entries: 0.2 s for
+# [[1,1],[1,1]], 1.7 s for a 4 x 4 matrix of 5s, 6.6-6.8 s for the largest
+# accepted input, a 6 x 6 matrix and a vector of 10s (or of -10s), and
+# 9.3 s for 6 x 6 of 100s, 9.9 s for 8 x 8 of 1s (2-vCPU VM).
 HOMOLOGY_N_MAX = 10**4
+HOMOLOGY_DIM_MAX = 6
+HOMOLOGY_ENTRY_MAX = 10
 
 
 def homology_power_check(a: IntMatrix, b, n: int) -> bool:
@@ -252,6 +257,13 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     b = tuple(int(x) for x in b)
     if len(b) != d:
         raise ValueError("row vector length %d != matrix order %d" % (len(b), d))
+    if d > HOMOLOGY_DIM_MAX:
+        raise ValueError("matrix order must be <= %d, got %d" % (HOMOLOGY_DIM_MAX, d))
+    largest = max(map(abs, b + sum(a.rows, ())))
+    if largest > HOMOLOGY_ENTRY_MAX:
+        raise ValueError(
+            "entries must be at most %d in absolute value, got %d" % (HOMOLOGY_ENTRY_MAX, largest)
+        )
     block = IntMatrix.from_rows(
         [[1] + list(b)] + [[0] + list(row) for row in a.rows]
     )

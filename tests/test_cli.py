@@ -381,6 +381,14 @@ class TestErrorPrefixes:
                 ("diagram", "--central", "10000000"),
                 "parse error: central permutation needs n <= 100000, got 10000000",
             ),
+            (
+                ("homology-check", "--a", str([[1] * 7] * 7), "--b", str([1] * 7), "--n", "2"),
+                "error: matrix order must be <= 6, got 7",
+            ),
+            (
+                ("homology-check", "--a", "[[1,1],[0,1]]", "--b", "[-11,0]", "--n", "2"),
+                "error: entries must be at most 10 in absolute value, got 11",
+            ),
         ],
     )
     def test_cli_input(self, capsys, argv, line):

@@ -105,6 +105,13 @@ CASES: dict[str, tuple[str, ...]] = {
         "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"
     ),
     "homology_check_random_above_cap": ("homology-check", "--random", "100001"),
+    "homology_check_order_above_cap": (
+        "homology-check", "--a", str([[1] * 7] * 7).replace(" ", ""), "--b", str([1] * 7),
+        "--n", "2",
+    ),
+    "homology_check_entry_above_cap": (
+        "homology-check", "--a", "[[1,1],[0,11]]", "--b", "[1,0]", "--n", "2"
+    ),
     "homology_check_n_max_above_cap": ("homology-check", "--random", "5", "--n-max", "10001"),
     # exit 1: a flag that the chosen mode does not read
     "homology_check_random_with_a_n": (

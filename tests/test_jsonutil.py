@@ -1,8 +1,11 @@
+import json
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rauzycert.jsonutil import bracket_json, decimal_str, rational_json
+from rauzycert.jsonutil import bracket_json, decimal_str, dumps, rational_json
 from rauzycert.linalg import SpectralBracket
 
 
@@ -51,3 +54,65 @@ class TestBracketJson:
 
     def test_none_passthrough(self):
         assert bracket_json(None) is None
+
+
+# Every scalar the CLI emits, with the edge cases of the stdlib encoder:
+# quotes, control characters and non-ASCII in strings, ints past 64 bits,
+# bools (an int subclass written as true/false), and non-finite floats.
+SCALARS = (
+    st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '))
+    | st.text()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.sampled_from((10**40, -(10**40), 2**64, -(2**63)))
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from((math.inf, -math.inf, math.nan, -0.0, 1e308, 5e-324))
+)
+DOCUMENTS = st.recursive(
+    SCALARS
+    | st.lists(st.text(), max_size=5)  # one-join lists of one scalar type, or empty
+    | st.lists(st.integers(min_value=-(2**80), max_value=2**80), max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @given(DOCUMENTS)
+    def test_matches_stdlib_indent_2(self, document):
+        assert dumps(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {},
+            (),
+            [[], {}, ()],
+            ["a", 1],
+            [1, "a", True],
+            [True, False],
+            [1, True],
+            [1.5, 2],
+            {"k": [float("nan"), float("inf"), float("-inf"), -0.0]},
+            ["\u2028", "\ud800", 'q"uote', "back\\slash"],
+            [10**100, -(10**100)],
+        ],
+    )
+    def test_matches_stdlib_on_mixed_lists(self, document):
+        assert dumps(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize(
+        "document",
+        [{1, 2}, {1: "a"}, {"a": {None: 1}}, [{"a": frozenset()}], Fraction(1, 2), b"x"],
+    )
+    def test_rejects_other_types(self, document):
+        with pytest.raises(TypeError):
+            dumps(document)

@@ -15,8 +15,8 @@ from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
-    _bool_mul,
     _poly_sign,
+    _times,
     bisect_root,
     min_positive_power,
     min_row_sum,
@@ -253,6 +253,31 @@ class TestMinPositivePower:
                 [[int(i == j) if i <= k else (0 if j <= k else x) for j, x in enumerate(row)]
                  for i, row in enumerate(rows)]
             )
+        # rows with exactly one nonzero: an n-cycle, or any permutation, plus
+        # one chord, so that every row but one takes the one-nonzero step
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            order = rng.sample(range(n), n)
+            if rng.random() < 0.7:
+                image = dict(zip(order, order[1:] + order[:1]))
+            else:
+                image = dict(zip(range(n), order))
+            rows = [[int(j == image[i]) for j in range(n)] for i in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] = 1
+            patterns.append(rows)
+        # entries above 1, which the boolean search reads as 1
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            patterns.append(
+                [[rng.choice((0, 0, 1, 2, 7, 2**70)) for _ in range(n)] for _ in range(n)]
+            )
+        # orders up to 12
+        for _ in range(60):
+            n = rng.randint(9, 12)
+            density = rng.choice((0.1, 0.2, 0.35))
+            patterns.append(
+                [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            )
         for rows in patterns:
             m = IntMatrix.from_rows(rows)
             assert min_positive_power(m) == linear_min_positive_power(m)
@@ -266,12 +291,12 @@ class TestMinPositivePower:
         # 111 (the anchor M^64 comes back at M^112).
         calls = 0
 
-        def counting_mul(a, b):
+        def counting_times(pickers, power):
             nonlocal calls
             calls += 1
-            return _bool_mul(a, b)
+            return _times(pickers, power)
 
-        monkeypatch.setattr(linalg, "_bool_mul", counting_mul)
+        monkeypatch.setattr(linalg, "_times", counting_times)
         assert min_positive_power(block_cyclic(48, d)) == (1 if d == 1 else None)
         assert calls <= 4 * 48
 

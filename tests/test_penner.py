@@ -247,6 +247,16 @@ class TestHomologyPower:
         with pytest.raises(ValueError):
             homology_power_check(a, [1, 1], 0)
 
+    def test_order_and_entry_caps(self):
+        # the largest accepted input at n = 1, then one past each cap
+        assert homology_power_check(IntMatrix.from_rows([[10] * 6] * 6), [-10] * 6, 1)
+        with pytest.raises(ValueError, match="order must be <= 6"):
+            homology_power_check(IntMatrix.from_rows([[1] * 7] * 7), [1] * 7, 1)
+        with pytest.raises(ValueError, match="at most 10 in absolute value, got 11"):
+            homology_power_check(IntMatrix.from_rows([[1, -11], [0, 1]]), [0, 0], 1)
+        with pytest.raises(ValueError, match="at most 10 in absolute value, got 11"):
+            homology_power_check(IntMatrix.from_rows([[1, 1], [0, 1]]), [0, 11], 1)
+
 
 class TestDivergingSequence:
     def test_genus_three(self):
