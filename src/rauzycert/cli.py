@@ -122,8 +122,11 @@ def _cmd_diagram(args) -> int:
         raise ValueError("enumeration cap must be positive")
     seed = _start_permutation(args)
     component = diagram_mod.explore(seed, augmented=args.augmented, cap=args.cap)
-    render = diagram_mod.to_dot if args.format == "dot" else diagram_mod.to_json
-    _emit(render(component))
+    if args.format == "dot":
+        diagram_mod.to_dot(component, sys.stdout)
+    else:
+        diagram_mod.to_json(component, sys.stdout)
+        sys.stdout.write("\n")
     return 0
 
 

@@ -5,6 +5,8 @@ the flip when augmented) by breadth-first search with a fixed child order
 t, b, f; vertex numbering is therefore reproducible across runs.  A
 component is stored as integer tables: the index rows of each vertex as one
 ``bytes`` (so at most 256 letters) and, per move, its successor, winner and loser.
+``to_json`` and ``to_dot`` write a component to a text stream, ``BLOCK``
+vertices at a time, so no whole document is held.
 
 A path is a start permutation plus a sequence of moves in execution order.
 It is *allowed* when its endpoints define the same unlabeled permutation;
@@ -16,17 +18,22 @@ b, then t, then f); pass ``reading="ltr"`` for left-to-right.
 
 from __future__ import annotations
 
+import io
 import json
 import re
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import chain, cycle
+from operator import itemgetter
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
-from .induction import MOVES, Move, _step
-from .jsonutil import _json_list, dumps
+from .induction import MOVES, Move, _duel, _step
+from .jsonutil import dumps
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
 DEFAULT_CAP = 10**6
 MAX_MOVES = 10**6
+# Vertices rendered per write of ``to_json`` and ``to_dot``.
+BLOCK = 2048
 
 
 class RauzyDiagram:
@@ -45,12 +52,8 @@ class RauzyDiagram:
         self.rows = rows
         self.succ = succ
         self.augmented = len(succ) == 3
-        n = len(self.alphabet)
-        top_last = [row[n - 1] for row in rows]
-        bottom_last = [row[-1] for row in rows]
-        # t: the top-last letter beats the bottom-last one; b: the reverse.
-        self.winner = (top_last, bottom_last)
-        self.loser = (bottom_last, top_last)
+        lasts = [list(map(itemgetter(k), rows)) for k in (len(self.alphabet) - 1, -1)]
+        self.winner, self.loser = zip(_duel(*lasts, 0), _duel(*lasts, 1))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -74,7 +77,9 @@ class RauzyDiagram:
     def to_json_dict(self) -> dict:
         """The document of ``to_json`` without its seed, size and
         injective keys."""
-        doc = json.loads(to_json(self))
+        text = io.StringIO()
+        to_json(self, text)
+        doc = json.loads(text.getvalue())
         for key in ("seed", "size", "injective"):
             del doc[key]
         return doc
@@ -88,9 +93,8 @@ def explore(
     Raises ReducibleError for a reducible seed and EnumerationCapError past
     256 letters (one byte per letter in a row) or ``cap`` vertices.
     """
-    n = seed.n
-    if n > 256:
-        raise EnumerationCapError("diagrams hold at most 256 letters, got %d" % n)
+    if seed.n > 256:
+        raise EnumerationCapError("diagrams hold at most 256 letters, got %d" % seed.n)
     # The seed's check covers every vertex: t and b keep a permutation
     # irreducible (acceptance criterion 9), and a flip maps the first k
     # letters of both rows to the last k, so a flip of an irreducible
@@ -102,10 +106,8 @@ def explore(
     succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
     # The loop visits the rows appended while it runs, in BFS order.
     for row in rows:
-        top, bottom = row[:n], row[n:]
         for move, table in enumerate(succ):
-            top_after, bottom_after, _ = _step(top, bottom, move)
-            target = top_after + bottom_after
+            target = _step(row, move)
             v = index.get(target)
             if v is None:
                 if len(rows) >= cap:
@@ -165,17 +167,20 @@ class AllowedPath:
         # Every move keeps a permutation irreducible or reducible (see
         # explore), so the start decides for every station.
         irreducible = _irreducible(start.top, start.bottom)
-        top, bottom = start.top, start.bottom
+        n = start.n
+        row = start.top + start.bottom
         updates = []
         for move in self.moves:
-            if not irreducible and move is not Move.FLIP:
-                station = LabeledPermutation(start.alphabet, top, bottom).display()
-                text = "%s move undefined on reducible permutation %s"
-                raise ReducibleError(text % (move.name.lower(), station))
-            top, bottom, duel = _step(top, bottom, MOVES.index(move))
-            if duel is not None:
-                updates.append(duel)
+            index = MOVES.index(move)
+            if index < 2:
+                if not irreducible:
+                    station = LabeledPermutation(start.alphabet, row[:n], row[n:]).display()
+                    text = "%s move undefined on reducible permutation %s"
+                    raise ReducibleError(text % (move.name.lower(), station))
+                updates.append(_duel(row[n - 1], row[-1], index))
+            row = _step(row, index)
         self.updates: tuple[tuple[int, int], ...] = tuple(updates)
+        top, bottom = row[:n], row[n:]
         self.end = LabeledPermutation(start.alphabet, top, bottom)
         self.allowed: bool = _images(start.top, start.bottom) == _images(top, bottom)
         self.relabel = _relabel(start.top, top) if self.allowed else None
@@ -208,61 +213,74 @@ def build_path(
     return AllowedPath(start, execution)
 
 
-def _interleave(per_move: list[list[str]]) -> list[str]:
-    """The items of each move's list, in (vertex, move) order."""
-    out = [""] * sum(map(len, per_move))
-    for move, items in enumerate(per_move):
-        out[move :: len(per_move)] = items
-    return out
+def _blocks(d: RauzyDiagram) -> list[tuple[int, int]]:
+    """The vertex ranges lo..hi-1 that ``to_json`` and ``to_dot`` write at once."""
+    return [(lo, min(lo + BLOCK, len(d))) for lo in range(0, len(d), BLOCK)]
 
 
-def to_dot(d: RauzyDiagram) -> str:
-    """Deterministic DOT rendering: vertices by BFS index, edges labeled t/b/f."""
+def _letters(d: RauzyDiagram, lo: int, hi: int, plain, top_last, bottom_last) -> str:
+    """Rows ``lo`` to ``hi`` - 1 of ``d`` as text, each letter index looked
+    up in ``top_last`` at the last letter of a top row, in ``bottom_last``
+    at the last of a bottom row and in ``plain`` elsewhere (lists by letter
+    index), in one pass over the joined rows."""
     n = len(d.alphabet)
-    spaced = cache(lambda row: " ".join([d.alphabet[i] for i in row]))
-    parts = ['digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
-    for v, row in enumerate(d.rows):
-        parts.append('  v%d [label="%s\\n%s"];\n' % (v, spaced(row[:n]), spaced(row[n:])))
-    lines = ['  v%%d -> v%%d [label="%s"];\n' % move.value for move in MOVES]
-    parts += _interleave([[line % e for e in enumerate(t)] for line, t in zip(lines, d.succ)])
-    parts.append("}\n")
-    return "".join(parts)
+    by_position = [plain] * (n - 1) + [top_last] + [plain] * (n - 1) + [bottom_last]
+    return "".join(map(list.__getitem__, cycle(by_position), b"".join(d.rows[lo:hi])))
 
 
-def to_json(d: RauzyDiagram) -> str:
-    """The ``diagram`` command's document: ``to_json_dict()`` plus the seed
-    (vertex 0), the size and the injectivity verdict.  It is written from
-    the tables and reads exactly as ``jsonutil.dumps(document)``."""
-    n = len(d.alphabet)
-    letters = [dumps(name) for name in d.alphabet]
-    items = ["        " + name for name in letters]
-    listed = cache(lambda row: "".join(_json_list(",\n".join([items[i] for i in row]), "      ")))
-    alphabet = listed(bytes(range(n)))
-    vertex = '    {\n      "alphabet": %s,\n      "top": %s,\n      "bottom": %s\n    }'
-    vertices = ",\n".join([vertex % (alphabet, listed(row[:n]), listed(row[n:])) for row in d.rows])
-    # The kind, winner and loser lines of an edge, by move, winner and loser.
-    tail = '"kind": "%s",\n      "winner": %s,\n      "loser": %s\n    }'
-    tails = [
-        [[tail % (kind, letters[w], letters[l]) for l in range(n)] for w in range(n)]
-        for kind in "tb"
-    ]
-    flip = tail % ("f", "null", "null")
-    edge = '    {\n      "src": %d,\n      "dst": %d,\n      %s'
-    per_move = [
-        [edge % (v, dst, by[w][l]) for v, dst, w, l in zip(range(len(d)), table, won, lost)]
-        for table, by, won, lost in zip(d.succ, tails, d.winner, d.loser)
-    ]
-    per_move += [[edge % (v, dst, flip) for v, dst in enumerate(table)] for table in d.succ[2:]]
-    edges = ",\n".join(_interleave(per_move))
-    del per_move  # frees the edge strings before the document is joined: a lower peak
+def to_dot(d: RauzyDiagram, out) -> None:
+    """Write the deterministic DOT rendering to the text stream ``out``, one
+    block of ``BLOCK`` vertices per write: vertices by BFS index, then the
+    edges labeled t/b/f in (vertex, move) order."""
+    names = [name.replace("%", "%%") for name in d.alphabet]
+    head = '  v%d [label="'
+    plain, top_last = [x + " " for x in names], [x + "\\n" for x in names]
+    bottom_last = [x + '"];\n' + head for x in names]
+    edge = '  v%%d -> v%%d [label="%s"];\n'
+    edges = "".join([edge % move.value for move in MOVES[: len(d.succ)]])
+    out.write('digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n')
+    for lo, hi in _blocks(d):
+        text = head + _letters(d, lo, hi, plain, top_last, bottom_last)
+        out.write(text[: -len(head)] % tuple(range(lo, hi)))
+    for lo, hi in _blocks(d):
+        columns = [column for table in d.succ for column in (range(lo, hi), table[lo:hi])]
+        out.write(edges * (hi - lo) % tuple(chain.from_iterable(zip(*columns))))
+    out.write("}\n")
+
+
+def to_json(d: RauzyDiagram, out) -> None:
+    """Write the ``diagram`` command's document to the text stream ``out``,
+    one block of ``BLOCK`` vertices per write: ``to_json_dict()`` plus the
+    seed (vertex 0), the size and the injectivity verdict, exactly as
+    ``jsonutil.dumps(document)`` reads it (no final newline)."""
+    names = [dumps(name) for name in d.alphabet]
+    items = ",\n".join(["        " + x for x in names])
+    head = '    {\n      "alphabet": [\n%s\n      ],\n      "top": [\n' % items
+    plain = ["        %s,\n" % x for x in names]
+    top_last = ['        %s\n      ],\n      "bottom": [\n' % x for x in names]
+    bottom_last = ["        %s\n      ]\n    },\n%s" % (x, head) for x in names]
+    out.write('{\n  "augmented": %s,\n  "vertices": [\n%s' % (dumps(d.augmented), head))
+    for lo, hi in _blocks(d):
+        text = _letters(d, lo, hi, plain, top_last, bottom_last)
+        out.write(text if hi < len(d) else text[: -len(",\n" + head)])
+    # One vertex's edges in move order, by source, target, winner and loser.
+    edge = (
+        '    {\n      "src": %%d,\n      "dst": %%d,\n      "kind": "%s",\n'
+        '      "winner": %s,\n      "loser": %s\n    },\n'
+    )
+    edges = edge % ("t", "%s", "%s") + edge % ("b", "%s", "%s")
+    edges += edge % ("f", "null", "null") if d.augmented else ""
+    out.write('\n  ],\n  "edges": [\n')
+    for lo, hi in _blocks(d):
+        columns = []
+        for move, table in enumerate(d.succ):
+            columns += [range(lo, hi), table[lo:hi]]
+            if move < 2:
+                columns += [map(names.__getitem__, x[move][lo:hi]) for x in (d.winner, d.loser)]
+        text = edges * (hi - lo) % tuple(chain.from_iterable(zip(*columns)))
+        out.write(text if hi < len(d) else text[:-2])
     seed = " / ".join(" ".join([d.alphabet[i] for i in row]) for row in d.pair(0))
-    return "".join(
-        ['{\n  "augmented": %s,\n  "vertices": ' % dumps(d.augmented)]
-        + _json_list(vertices, "  ")
-        + [',\n  "edges": ']
-        + _json_list(edges, "  ")
-        + [
-            ',\n  "seed": %s,\n  "size": %d,\n  "injective": %s\n}'
-            % (dumps(seed), len(d), dumps(injectivity_check(d)))
-        ]
+    out.write(
+        '\n  ],\n  "seed": %s,\n  "size": %d,\n  "injective": %s\n}'
+        % (dumps(seed), len(d), dumps(injectivity_check(d)))
     )

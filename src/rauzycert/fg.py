@@ -63,10 +63,13 @@ def _fg_end(g: int) -> _Rows:
 
 def _stations(path: AllowedPath) -> list[_Rows]:
     """The index rows after each move of ``path``."""
-    rows = [(path.start.top, path.start.bottom)]
+    n = path.start.n
+    row = path.start.top + path.start.bottom
+    rows = []
     for move in path.moves:
-        rows.append(_step(*rows[-1], MOVES.index(move))[:2])
-    return rows[1:]
+        row = _step(row, MOVES.index(move))
+        rows.append((row[:n], row[n:]))
+    return rows
 
 
 def _closed_forms(g: int) -> list[_Rows]:
@@ -461,8 +464,9 @@ def central_component_checks(
     flip_paths = []
     for m in range(1, n):
         src, dst = walk[m], walk[n - m - 1]
-        partner_ok = partner_ok and _images(*_step(*pair(src), 2)[:2]) == _images(*pair(dst))
-        relabel = _relabel(pair(src)[0], _step(*pair(dst), 2)[0])
+        flipped = _step(diagram.rows[src], 2)
+        partner_ok = partner_ok and _images(flipped[:n], flipped[n:]) == _images(*pair(dst))
+        relabel = _relabel(pair(src)[0], _step(diagram.rows[dst], 2)[:n])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
         flip_paths.append((src, dst, relabel, _cycle_masks(relabel)))
     checks["flip_partner_identity"] = partner_ok

@@ -2,9 +2,8 @@
 
 Rationals are emitted as a truncated decimal string plus the exact
 numerator/denominator pair (as strings, since either may exceed 64 bits).
-``dumps`` writes a document as ``json.dumps(obj, indent=2)`` does;
-``_json_list``, that layout of one list or object, is shared with
-``diagram.to_json``, which writes its document from the diagram tables.
+``dumps`` writes a document as ``json.dumps(obj, indent=2)`` does, with
+``_json_list`` the layout of one list or object.
 """
 
 from __future__ import annotations

@@ -168,33 +168,34 @@ def lc_upper_bound(
     names = path.start.alphabet
     winners = {winner for winner, _ in path.updates}
     sigma = _invert(path.relabel)
+    # steps[x]: the sigma applications from x to the first winner, found by
+    # one backward pass (relabel is sigma's inverse) from each winner; a
+    # letter whose sigma cycle holds no winner keeps 0.
+    steps = [0] * path.start.n
+    for winner in winners:
+        letter, k = path.relabel[winner], 1
+        while letter not in winners:
+            steps[letter] = k
+            letter, k = path.relabel[letter], k + 1
     skipped: list[str] = []
     cycle_warnings: list[str] = []
-    best_steps = 0
-    best_trajectory: list[int] = []
+    best_steps, best_start = 0, 0
     for letter in range(path.start.n):
         if letter in winners:
             continue
         if not surface.side_closed[names[letter]]:  # closed sides are nonzero in homology
             skipped.append(names[letter])
-            continue
-        trajectory = [letter]
-        current = letter
-        while True:
-            current = sigma[current]
-            trajectory.append(current)
-            if current in winners:
-                if len(trajectory) - 1 > best_steps:
-                    best_steps, best_trajectory = len(trajectory) - 1, trajectory
-                break
-            if current == letter:
-                # A sigma cycle avoiding every winner would give a periodic
-                # curve orbit; no bound is drawn from it.  sigma is a
-                # permutation, so the first letter revisited is the start.
-                cycle_warnings.append(names[letter])
-                break
+        elif not steps[letter]:
+            # A sigma cycle avoiding every winner would give a periodic
+            # curve orbit; no bound is drawn from it.
+            cycle_warnings.append(names[letter])
+        elif steps[letter] > best_steps:
+            best_steps, best_start = steps[letter], letter
     if not best_steps:
         return None
+    best_trajectory = [best_start]
+    for _ in range(best_steps):
+        best_trajectory.append(sigma[best_trajectory[-1]])
     report = OrbitReport(
         winners=frozenset(names[x] for x in winners),
         orbit_map={names[x]: names[image] for x, image in enumerate(sigma)},

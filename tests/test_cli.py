@@ -86,6 +86,26 @@ class TestDiagram:
         assert data["seed"] == "A B C D / D A C B"
         assert data["size"] >= 1
 
+    @pytest.mark.parametrize("fmt,bound", [("json", 1_300_000), ("dot", 210_000)])
+    def test_largest_write_is_one_block(self, fmt, bound, monkeypatch):
+        # --central 12 prints 1,687,060 characters of JSON and 317,950 of
+        # DOT; its largest write, one block of vertex text, stays below
+        # ``bound``, so a whole document or section written at once fails
+        class Recorder:
+            largest = total = 0
+
+            def write(self, text):
+                Recorder.largest = max(Recorder.largest, len(text))
+                Recorder.total += len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["diagram", "--central", "12", "--format", fmt]) == 0
+        assert Recorder.total == {"json": 1_687_060, "dot": 317_950}[fmt]
+        assert 0 < Recorder.largest < bound
+
     def test_augmented_flag(self, capsys):
         plain = json.loads(run(capsys, "diagram", "--central", "4")[1])
         augmented = json.loads(run(capsys, "diagram", "--central", "4", "--augmented")[1])

@@ -1,11 +1,14 @@
+import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from helpers import oracle_diagram_doc, oracle_dot, oracle_explore, random_irreducible
 from rauzycert.diagram import (
+    BLOCK,
     AllowedPath,
     RauzyDiagram,
     build_path,
@@ -28,6 +31,13 @@ from rauzycert.perm import (
     parse,
     unlabeled,
 )
+
+
+def _text(render, component) -> str:
+    """What ``to_json`` or ``to_dot`` writes for ``component``."""
+    out = io.StringIO()
+    render(component, out)
+    return out.getvalue()
 
 
 class TestExplore:
@@ -207,34 +217,44 @@ class TestBuildPath:
 
 class TestDot:
     def test_three_letter_component_dot(self):
-        dot = to_dot(explore(central(3)))
+        dot = _text(to_dot, explore(central(3)))
         assert dot.count(" -> ") == 6
         assert dot.count('label="t"') == 3
         assert dot.count('label="b"') == 3
         assert "v0" in dot and "v2" in dot
 
     def test_single_component_self_loops(self):
-        dot = to_dot(explore(central(2)))
+        dot = _text(to_dot, explore(central(2)))
         assert "v0 -> v0" in dot
 
     def test_byte_identical_across_runs(self):
-        first = to_dot(explore(central(4)))
-        second = to_dot(explore(central(4)))
+        first = _text(to_dot, explore(central(4)))
+        second = _text(to_dot, explore(central(4)))
         assert first == second
+
+
+# Letter names that JSON escapes, that a %-format would read, that are
+# not ASCII (one outside the BMP) or that have several characters.
+ODD_NAMES = ("%", '"q"', "b\\", "\u00e9", "%d%%", "\U0001f600", "long_name", "%s")
 
 
 def _oracle_cases():
     rng = random.Random(20261018)
     cases = [(central(n), False) for n in range(3, 10)]
+    cases.append((central(2), True))  # a one-vertex component
     cases += [(central(n), True) for n in range(3, 6)]
     for _ in range(12):
         n = rng.randint(3, 6)
         cases.append((random_irreducible(rng, n), n <= 4 and rng.random() < 0.5))
     for n, augmented in ((6, False), (8, False), (4, True)):
         cases.append((rng.choice(oracle_explore(central(n))[0]), augmented))
-    # letter names that JSON has to escape
+    # letter names that JSON has to escape, that a %-format would read, that
+    # are not ASCII or that have several characters
     p = random_irreducible(rng, 4)
     cases.append((LabeledPermutation(('x"', "é", "b\\", "%s"), p.top, p.bottom), True))
+    for names, augmented in ((ODD_NAMES[:5], False), (ODD_NAMES[:5], True), (ODD_NAMES[4:], True)):
+        p = random_irreducible(rng, len(names))
+        cases.append((LabeledPermutation(names, p.top, p.bottom), augmented))
     return cases
 
 
@@ -266,17 +286,99 @@ class TestAgainstObjectOracle:
                 assert component.loser[move] == [letter(edge.loser) for edge in edges]
 
     def test_dot_bytes(self, seed, augmented):
-        assert to_dot(explore(seed, augmented=augmented)) == oracle_dot(seed, augmented)
+        assert _text(to_dot, explore(seed, augmented=augmented)) == oracle_dot(seed, augmented)
 
     def test_json_text(self, seed, augmented):
         expected = json.dumps(oracle_diagram_doc(seed, augmented), indent=2)
-        assert to_json(explore(seed, augmented=augmented)) == expected
+        assert _text(to_json, explore(seed, augmented=augmented)) == expected
 
     def test_json_dict_view(self, seed, augmented):
         expected = oracle_diagram_doc(seed, augmented)
         for key in ("seed", "size", "injective"):
             del expected[key]
         assert explore(seed, augmented=augmented).to_json_dict() == expected
+
+
+def _table_json(d: RauzyDiagram) -> str:
+    """Oracle for ``to_json``: ``json.dumps`` of the document built from the
+    tables of ``d``, one dict per vertex and per edge."""
+    names = d.alphabet
+    spell = lambda row: [names[i] for i in row]  # noqa: E731
+    pairs = [d.pair(v) for v in range(len(d))]
+    edges = []
+    for v in range(len(d)):
+        for move, table in enumerate(d.succ):
+            duel = [names[x[move][v]] for x in (d.winner, d.loser)] if move < 2 else [None, None]
+            edge = {"src": v, "dst": table[v], "kind": MOVES[move].value}
+            edges.append(dict(edge, winner=duel[0], loser=duel[1]))
+    doc = {
+        "augmented": d.augmented,
+        "vertices": [
+            {"alphabet": list(names), "top": spell(top), "bottom": spell(bottom)}
+            for top, bottom in pairs
+        ],
+        "edges": edges,
+        "seed": " / ".join(" ".join(spell(row)) for row in pairs[0]),
+        "size": len(d),
+        "injective": len({_images(*pair) for pair in pairs}) == len(d),
+    }
+    return json.dumps(doc, indent=2)
+
+
+def _table_dot(d: RauzyDiagram) -> str:
+    """Oracle for ``to_dot``: one formatted line per vertex and per edge."""
+    lines = ["digraph rauzy {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
+    for v in range(len(d)):
+        top, bottom = (" ".join(d.alphabet[i] for i in row) for row in d.pair(v))
+        lines.append('  v%d [label="%s\\n%s"];' % (v, top, bottom))
+    for v in range(len(d)):
+        for move, table in enumerate(d.succ):
+            lines.append('  v%d -> v%d [label="%s"];' % (v, table[v], MOVES[move].value))
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _hand_built(alphabet, size: int, augmented: bool, seed: int) -> RauzyDiagram:
+    """A diagram of ``size`` random rows and random successor tables: the
+    writers render whatever the tables hold."""
+    rng = random.Random(seed)
+    n = len(alphabet)
+    rows = [bytes(rng.sample(range(n), n) + rng.sample(range(n), n)) for _ in range(size)]
+    succ = tuple([rng.randrange(size) for _ in range(size)] for _ in range(2 + augmented))
+    return RauzyDiagram(alphabet, rows, succ)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_odd_names_against_table_oracle(self, augmented):
+        component = _hand_built(ODD_NAMES, 40, augmented, 1)
+        assert _text(to_dot, component) == _table_dot(component)
+        assert _text(to_json, component) == _table_json(component)
+
+    @pytest.mark.parametrize("n", [86, 129, 256])
+    def test_more_than_85_letters(self, n):
+        # 3 x 85 = 255: past 85 letters an index offset by a mark inside
+        # one byte would collide with another letter's index
+        for augmented in (False, True):
+            component = _hand_built(default_alphabet(n), 5, augmented, n)
+            assert _text(to_dot, component) == _table_dot(component)
+            assert _text(to_json, component) == _table_json(component)
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_boundaries(self, size):
+        for augmented in (False, True):
+            component = _hand_built(("A", "%", '"'), size, augmented, size)
+            assert _text(to_dot, component) == _table_dot(component)
+            assert _text(to_json, component) == _table_json(component)
+
+    def test_one_write_per_block(self):
+        # the vertex text and the edges of a component of 2 * BLOCK + 1
+        # vertices take three writes each, apart from the document's frame
+        component = _hand_built(("A", "B", "C"), 2 * BLOCK + 1, True, 3)
+        for render, frame in ((to_dot, 2), (to_json, 3)):
+            writes = []
+            render(component, SimpleNamespace(write=writes.append))
+            assert len(writes) == 6 + frame
+            assert "".join(writes) == _text(render, component)
 
 
 class TestTables:

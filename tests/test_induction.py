@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from rauzycert.diagram import AllowedPath
 from rauzycert.errors import ReducibleError
-from rauzycert.induction import MOVES, Move, _step
+from rauzycert.induction import MOVES, Move, _duel, _step
 from rauzycert.linalg import IntMatrix, _column_product
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
@@ -139,11 +139,13 @@ def test_step_matches_object_oracle():
     for p, moves in _kernel_cases():
         for move in moves:
             edge = oracle_move(p, move)
-            duel = None
+            index = MOVES.index(move)
+            row, target = p.top + p.bottom, edge.target.top + edge.target.bottom
+            # the same move on a path's tuple row and a diagram's bytes row
+            assert _step(row, index) == target, (p.display(), move)
+            assert _step(bytes(row), index) == bytes(target), (p.display(), move)
             if edge.winner is not None:
                 duel = (p.alphabet.index(edge.winner), p.alphabet.index(edge.loser))
-            assert _step(p.top, p.bottom, MOVES.index(move)) == (
-                edge.target.top, edge.target.bottom, duel
-            ), (p.display(), move)
+                assert _duel(p.top[-1], p.bottom[-1], index) == duel, (p.display(), move)
             count += 1
     assert count > 1000

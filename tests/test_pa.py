@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,45 @@ from rauzycert.perm import (
 )
 from rauzycert.surface import glue
 
-from helpers import random_allowed_paths
+from helpers import allowed_paths, random_allowed_paths
+
+
+def _walked_orbit(path, surface):
+    """Oracle for ``lc_upper_bound``: walk sigma from every admissible start
+    until a winner, or back to the start, and keep the first longest run.
+    Returns (steps, trajectory, skipped sides, cycle warnings), or None."""
+    names = path.start.alphabet
+    winners = {winner for winner, _ in path.updates}
+    sigma = {image: letter for letter, image in enumerate(path.relabel)}
+    skipped, warnings, best = [], [], []
+    for letter in range(path.start.n):
+        if letter in winners:
+            continue
+        if not surface.side_closed[names[letter]]:
+            skipped.append(names[letter])
+            continue
+        trajectory = [letter]
+        while True:
+            trajectory.append(sigma[trajectory[-1]])
+            if trajectory[-1] in winners:
+                if len(trajectory) > len(best):
+                    best = trajectory
+                break
+            if trajectory[-1] == letter:
+                warnings.append(names[letter])
+                break
+    if not best:
+        return None
+    return len(best) - 1, tuple(names[x] for x in best), tuple(skipped), tuple(warnings)
+
+
+def _orbit_fields(result):
+    """The fields of an ``lc_upper_bound`` result that ``_walked_orbit`` gives."""
+    if result is None:
+        return None
+    bound, orbit = result
+    assert bound == Fraction(2, orbit.steps) and orbit.best_start == orbit.trajectory[0]
+    return orbit.steps, orbit.trajectory, orbit.skipped_sides, orbit.cycle_warnings
 
 
 def gamma(g):
@@ -194,6 +233,33 @@ class TestUpperBound:
         bound, orbit = lc_upper_bound(path, glue(path.start))
         assert orbit.steps == best
         assert bound == Fraction(2, best)
+
+    @settings(max_examples=150, deadline=None)
+    @given(allowed_paths(max_n=7))
+    def test_matches_walk_from_every_start(self, path):
+        surface = glue(path.start)
+        if surface.genus < 2:
+            with pytest.raises(ValueError):
+                lc_upper_bound(path, surface)
+        else:
+            assert _orbit_fields(lc_upper_bound(path, surface)) == _walked_orbit(path, surface)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_walk_on_any_sigma_and_winners(self, data):
+        # lc_upper_bound reads only these fields, so any relabeling, winner
+        # set and closed sides reach every branch: skipped sides, winnerless
+        # cycles, ties between starts
+        n = data.draw(st.integers(2, 12))
+        relabel = tuple(data.draw(st.permutations(range(n))))
+        winners = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        closed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        start = SimpleNamespace(n=n, alphabet=default_alphabet(n))
+        path = SimpleNamespace(
+            allowed=True, start=start, relabel=relabel, updates=[(w, 0) for w in winners]
+        )
+        surface = SimpleNamespace(genus=2, side_closed=dict(zip(start.alphabet, closed)))
+        assert _orbit_fields(lc_upper_bound(path, surface)) == _walked_orbit(path, surface)
 
 
 class TestNeverWinnerRows:

@@ -8,6 +8,7 @@ import sympy
 from rauzycert.errors import NotPrimitiveError
 from rauzycert.linalg import IntMatrix, min_positive_power, min_row_sum
 from rauzycert.penner import (
+    _geometric_sum,
     _power,
     build,
     DIVERGE_G_MAX,
@@ -256,6 +257,18 @@ class TestHomologyPower:
             homology_power_check(IntMatrix.from_rows([[1, -11], [0, 1]]), [0, 0], 1)
         with pytest.raises(ValueError, match="at most 10 in absolute value, got 11"):
             homology_power_check(IntMatrix.from_rows([[1, 1], [0, 1]]), [0, 11], 1)
+
+    def test_doubled_sum_matches_explicit_sum(self):
+        # every n up to 70 walks each bit pattern of its low bits; orders 1 to 6
+        rng = random.Random(7)
+        for _ in range(40):
+            d = rng.randint(1, 6)
+            a = IntMatrix.from_rows([[rng.randint(-10, 10) for _ in range(d)] for _ in range(d)])
+            geometric, power = IntMatrix.identity(d), IntMatrix.identity(d)
+            for n in range(1, 71):
+                power = power * a
+                assert _geometric_sum(a, n) == (geometric, power), (a.rows, n)
+                geometric = geometric + power
 
 
 class TestDivergingSequence:
