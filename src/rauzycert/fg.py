@@ -270,35 +270,85 @@ def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
     the relabeling (bit masks, as ``_cycle_masks`` gives them) both wins
     and loses, in order of length then lexicographic (t < b).
 
-    Each length is one depth-first search in t, b order.  Each move wins
-    one letter and loses one, so a prefix is dropped when its vertex is
-    farther from ``end`` than the moves it has left (distances from a
-    breadth-first search backwards along ``preds``), or when more cycles
-    are still unwon, or still unlost, than it has moves left.
+    ``reach[k]`` maps a vertex v to two sets of cycles, one bit per cycle:
+    those that some walk of exactly k moves from v to ``end`` wins, and
+    those that some such walk loses; v is absent when no such walk exists.
+    Only vertices that a word of at most ``max_len`` moves can pass are
+    kept: v enters ``reach[k]`` only when its distance from ``start`` plus
+    k is at most ``max_len`` (distances from two breadth-first searches,
+    backwards along ``preds`` from ``end`` and then forwards from ``start``
+    inside that bound).  Level k is built from level k - 1 when the length
+    loop first reaches k.
+
+    Each length L is one depth-first search in t, b order, run only when
+    ``reach[L][start]`` wins and loses every cycle.  A prefix with k moves
+    left is dropped when its vertex is absent from ``reach[k]``, or when
+    the cycles it has won (lost) together with those ``reach[k]`` can still
+    win (lose) are not all of them.  No completion of a dropped prefix is a
+    word, so the words and their order are those of the unpruned search
+    filtered by the cycle rule.
     """
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
     far = max_len + 1
-    dist = [far] * len(step[0])
-    dist[end] = 0
+    to_end = [far] * len(step[0])
+    to_end[end] = 0
     frontier = [end]
-    for d in range(1, max_len + 1):
+    d = 0
+    while frontier and d < max_len:
+        d += 1
         nxt = []
         for v in frontier:
             for u in preds[v]:
-                if dist[u] == far:
-                    dist[u] = d
+                if to_end[u] == far:
+                    to_end[u] = d
                     nxt.append(u)
         frontier = nxt
-    cycle_of = [next(c for c in cycles if c >> x & 1) for x in range(len(diagram.alphabet))]
+    if to_end[start] > max_len:
+        return
+    # room[v] is the most moves a word can have left on reaching v.
+    room = {start: max_len}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            moves_left = room[u] - 1
+            for table in step:
+                v = table[u]
+                if v not in room and to_end[v] <= moves_left:
+                    room[v] = moves_left
+                    nxt.append(v)
+        frontier = nxt
+    bit = [0] * len(diagram.alphabet)
+    for i, cycle in enumerate(cycles):
+        for x in range(cycle.bit_length()):
+            if cycle >> x & 1:
+                bit[x] = 1 << i
+    full = (1 << len(cycles)) - 1
+    reach = [{end: (0, 0)}]
     # moves[d] is the move last tried at depth d (-1 before the first);
-    # states[d] is the vertex it leaves from, won[d] and lost[d] the letter
-    # masks won and lost before it, and unwon[d] and unlost[d] the numbers
-    # of cycles disjoint from those masks.
+    # states[d] is the vertex it leaves from, won[d] and lost[d] the cycles
+    # won and lost before it.
     moves = [0] * max_len
     states = [start] * max_len
     won, lost = [0] * max_len, [0] * max_len
-    unwon, unlost = [len(cycles)] * max_len, [len(cycles)] * max_len
-    for length in range(max(1, dist[start]), max_len + 1):
+    for length in range(1, max_len + 1):
+        last, level = reach[-1], {}
+        for u in last:
+            for v in preds[u]:
+                if v in level or room.get(v, -1) < length:
+                    continue
+                w = l = 0
+                for move, table in enumerate(step):
+                    masks = last.get(table[v])
+                    if masks is not None:
+                        w |= masks[0] | bit[winner[move][v]]
+                        l |= masks[1] | bit[loser[move][v]]
+                level[v] = (w, l)
+        if not level:
+            return
+        reach.append(level)
+        if level.get(start) != (full, full):
+            continue
         depth = 0
         moves[0] = -1
         while depth >= 0:
@@ -310,20 +360,18 @@ def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
             vertex = states[depth]
             state = step[move][vertex]
             left = length - depth - 1
-            if dist[state] > left:
+            masks = reach[left].get(state)
+            if masks is None:
                 continue
-            w, l = winner[move][vertex], loser[move][vertex]
-            now_unwon = unwon[depth] - (not won[depth] & cycle_of[w])
-            now_unlost = unlost[depth] - (not lost[depth] & cycle_of[l])
-            if now_unwon > left or now_unlost > left:
+            w = won[depth] | bit[winner[move][vertex]]
+            l = lost[depth] | bit[loser[move][vertex]]
+            if w | masks[0] != full or l | masks[1] != full:
                 continue
             if left == 0:
                 yield tuple(moves[:length])
             else:
                 states[depth + 1] = state
-                won[depth + 1] = won[depth] | 1 << w
-                lost[depth + 1] = lost[depth] | 1 << l
-                unwon[depth + 1], unlost[depth + 1] = now_unwon, now_unlost
+                won[depth + 1], lost[depth + 1] = w, l
                 depth += 1
                 moves[depth] = -1
 
@@ -393,6 +441,17 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
 # doubles both, to 16-17 s at 810 MiB for n = 22 (2,097,151 vertices).
 CENTRAL_N_MAX = 22
 
+# Largest loop_len and samples that central_component_checks accepts, timed
+# on a 2-vCPU VM.  The closed-word search grows about fourfold per letter
+# near the n where closed loops at the central vertex first win every
+# letter (3.5n to 4n moves): loop_len 48 with 12 samples takes about 15 s at
+# n = 13, its slowest n below 22 (n = 14 takes 21 s at loop_len 52).  Each
+# shape-1 sample past the enumerated words is a cover loop, one
+# breadth-first search per letter in the whole component: at n = 22, 12
+# samples take about 20 s at 812 MiB, 16 take 30 s and 22 take 36 s.
+LOOP_LEN_MAX = 48
+SAMPLES_MAX = 12
+
 
 def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
     """The cycles of the letter map ``relabel``, each as a bit mask of letters."""
@@ -419,7 +478,8 @@ def central_component_checks(
     (closed loops; loop-vertex-to-partner paths ending in one flip) and
     verifies the positive diagonal entry and the positivity of the
     (4g+2)-nd matrix power behind the 1/(16g-10) bound.  The bound needs
-    genus >= 2, so n = 3 has none.  ``loop_len`` (default 2n, at least 1)
+    genus >= 2, so n = 3 has none.  ``samples`` is at most
+    ``SAMPLES_MAX``.  ``loop_len`` (default 2n, 1 to ``LOOP_LEN_MAX``)
     bounds the length of the enumerated candidate words only: the cover
     loops that fill the closed-loop quota may be longer.
     """
@@ -431,10 +491,14 @@ def central_component_checks(
         )
     if samples < 0:
         raise ValueError("need samples >= 0, got %d" % samples)
+    if samples > SAMPLES_MAX:
+        raise ValueError("need samples <= %d, got %d" % (SAMPLES_MAX, samples))
     if loop_len is None:
         loop_len = 2 * n
     if loop_len < 1:
         raise ValueError("need loop_len >= 1, got %d" % loop_len)
+    if loop_len > LOOP_LEN_MAX:
+        raise ValueError("need loop_len <= %d, got %d" % (LOOP_LEN_MAX, loop_len))
     g = n // 2
     diagram = explore(central(n), cap=2 ** (n - 1) - 1)
     power = 4 * g + 2
@@ -507,7 +571,10 @@ def central_component_checks(
     # closed loops that win and lose every letter are enumerated first; up
     # to length 2n there are 10 at n = 3, 2 at n = 4 and none for n = 5..20,
     # so deterministic cover loops (one per rotation of the alphabet) fill
-    # the remaining quota.
+    # the remaining quota.  From n = 5 the search's reachability masks rule
+    # out the lengths below about 1.4n at its root and cut every branch of
+    # the longer ones within a few moves (the first such loop has 2.4n
+    # moves at n = 5 and 3.7n at n = 12).
     covers = (
         _cover_loop(step, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
     )

@@ -10,6 +10,8 @@ from rauzycert.diagram import AllowedPath, build_path, explore
 from rauzycert.fg import (
     CENTRAL_N_MAX,
     GENUS_MAX,
+    LOOP_LEN_MAX,
+    SAMPLES_MAX,
     _closed_forms,
     _closed_words,
     _cover_loop,
@@ -189,6 +191,21 @@ def _rule_keeps(d, src, dst, max_len, cycles):
     ]
 
 
+def _walks(d, src, max_len):
+    """Every word of 1..max_len moves from vertex ``src`` of ``d``, in order
+    of length then lexicographic, with the vertex it ends at and the masks
+    of the letters it wins and loses."""
+    walks, layer = [], [((), src, 0, 0)]
+    for _ in range(max_len):
+        layer = [
+            (word + (move,), table[v], won | 1 << d.winner[move][v], lost | 1 << d.loser[move][v])
+            for word, v, won, lost in layer
+            for move, table in enumerate(d.succ)
+        ]
+        walks += layer
+    return walks
+
+
 def _unwon_unlost(updates, cycles) -> tuple[int, int]:
     """How many cycles never win, and how many never lose, in ``updates``."""
     won = {w for w, _ in updates}
@@ -211,16 +228,20 @@ class TestClosedWords:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_yields_the_candidates_the_cycle_rule_keeps(self, n):
         # the same words, in the same order, as filtering the unpruned
-        # candidates through never_primitive
+        # candidates through never_primitive; up to n = 7 also at
+        # max_len = 3n, where closed loops at the central vertex that win
+        # and lose every letter exist (the first has 2.4n moves at n = 5,
+        # 3n at n = 8), so the masks no longer decide shape 1 at its root
         d = explore(central(n))
         preds = _predecessors(d.succ)
-        kept = 0
-        for _, src, dst, relabel in _shapes(d, n):
-            cycles = _cycle_masks(relabel)
-            expected = _rule_keeps(d, src, dst, 2 * n, cycles)
-            assert list(_closed_words(d, preds, src, dst, 2 * n, cycles)) == expected
-            kept += len(expected)
-        assert kept > 0
+        for max_len in (2 * n, 3 * n) if n <= 7 else (2 * n,):
+            kept = 0
+            for _, src, dst, relabel in _shapes(d, n):
+                cycles = _cycle_masks(relabel)
+                expected = _rule_keeps(d, src, dst, max_len, cycles)
+                assert list(_closed_words(d, preds, src, dst, max_len, cycles)) == expected
+                kept += len(expected)
+            assert kept > 0
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_any_endpoints_and_cycles(self, n):
@@ -238,9 +259,28 @@ class TestClosedWords:
                     expected = _rule_keeps(d, src, dst, 2 * n, cycles)
                     assert list(_closed_words(d, preds, src, dst, 2 * n, cycles)) == expected
 
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_any_endpoints_and_cycles_past_2n(self, n):
+        # The same comparison at max_len = 3n, with the candidates of each
+        # start enumerated once for every end and both cycle sets, and
+        # never_primitive's rule read off their won and lost letters.
+        d = explore(central(n))
+        preds = _predecessors(d.succ)
+        relabel = list(range(n))
+        random.Random(n).shuffle(relabel)
+        for src in range(len(d)):
+            walks = _walks(d, src, 3 * n)
+            for cycles in (_cycle_masks(tuple(range(n))), _cycle_masks(tuple(relabel))):
+                expected: dict[int, list[tuple[int, ...]]] = {dst: [] for dst in range(len(d))}
+                for word, dst, won, lost in walks:
+                    if all(cycle & won and cycle & lost for cycle in cycles):
+                        expected[dst].append(word)
+                for dst, words in expected.items():
+                    assert list(_closed_words(d, preds, src, dst, 3 * n, cycles)) == words
+
     def test_prunes_inside_the_search(self):
         # A work count rather than a timing: at n = 12 the closed loops at
-        # the central vertex take about a thirteenth of the successor
+        # the central vertex take about a sixty-eighth of the successor
         # lookups of the unpruned search, so a search that only filtered
         # finished words would fail here.
         class Counting(list):
@@ -260,22 +300,42 @@ class TestClosedWords:
         cycles = _cycle_masks(tuple(range(n)))
         kept = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, cycles))
         assert len(words) > len(kept)
-        assert Counting.lookups * 10 < unpruned
+        assert Counting.lookups * 60 < unpruned
 
-    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("n", range(3, 17))
     def test_closed_loops_at_the_central_vertex(self, n):
         # Shape 1's enumerated candidates: 10 words at n = 3, 2 at n = 4 and
         # none from n = 5 on, where every shape-1 sample is a cover loop.
+        # Only the depth-first search indexes the successor tables by move;
+        # the breadth-first searches and the masks iterate over them.  From
+        # n = 5 the masks rule out the lengths below about 1.4n at the root
+        # and cut every branch of the longer ones within a few moves: some
+        # closed walk of each such length wins every letter, and some loses
+        # every letter, but no one walk does both.  That takes 53 to 59
+        # lookups by move, against 135 at n = 3 and 107 at n = 4.
+        class ByMove(tuple):
+            lookups = 0
+
+            def __getitem__(self, index):
+                ByMove.lookups += 1
+                return tuple.__getitem__(self, index)
+
         d = explore(central(n))
+        counted = types.SimpleNamespace(
+            succ=ByMove(d.succ), winner=d.winner, loser=d.loser, alphabet=d.alphabet
+        )
         singletons = _cycle_masks(tuple(range(n)))
-        words = list(_closed_words(d, _predecessors(d.succ), 0, 0, 2 * n, singletons))
+        words = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, singletons))
         assert len(words) == {3: 10, 4: 2}.get(n, 0)
+        assert (ByMove.lookups <= 64) == (n >= 5)
 
     @pytest.mark.parametrize("n", range(5, 8))
     def test_prune_allowance_is_tight(self, n):
-        # Some kept word has a prefix with exactly as many unwon cycles as
-        # moves left, and one with exactly as many unlost cycles: an
-        # allowance of one move fewer would drop a kept word.
+        # Each move wins one letter and loses one, so no prefix of a kept
+        # word has more unwon, or unlost, cycles than moves left.  Some
+        # kept word has a prefix with exactly as many unwon cycles as moves
+        # left, and one with exactly as many unlost cycles: a prune by these
+        # counts with an allowance of one move fewer would drop a kept word.
         d = explore(central(n))
         preds = _predecessors(d.succ)
         tight_won = tight_lost = False
@@ -422,6 +482,19 @@ class TestTheorem12:
         for loop_len in (0, -3):
             with pytest.raises(ValueError, match="loop_len >= 1"):
                 central_component_checks(5, loop_len=loop_len)
+
+    def test_rejects_samples_and_loop_len_above_caps_before_exploring(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("explore ran")
+
+        monkeypatch.setattr("rauzycert.fg.explore", fail)
+        with pytest.raises(ValueError, match="need samples <= %d" % SAMPLES_MAX):
+            central_component_checks(4, samples=SAMPLES_MAX + 1)
+        with pytest.raises(ValueError, match="need loop_len <= %d" % LOOP_LEN_MAX):
+            central_component_checks(4, loop_len=LOOP_LEN_MAX + 1)
+
+    def test_default_loop_len_is_within_its_cap(self):
+        assert 2 * CENTRAL_N_MAX <= LOOP_LEN_MAX
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_builds_a_matrix_only_for_kept_words(self, n, monkeypatch):

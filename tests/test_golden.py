@@ -34,6 +34,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_n9_loop12_samples5": (
         "fg", "central", "--n", "9", "--loop-len", "12", "--samples", "5"
     ),
+    "fg_central_n8_loop24": ("fg", "central", "--n", "8", "--loop-len", "24"),
+    "fg_central_n10_loop30": ("fg", "central", "--n", "10", "--loop-len", "30"),
     **{"fg_genus_%d" % g: ("fg", "--genus", str(g)) for g in range(2, 13)},
     "fg_table_gmax12": ("fg", "table", "--gmax", "12"),
     "certify_readme": ("certify", "--start", FG_START_2, "--moves", "ftbb"),
@@ -93,6 +95,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "diagram_central_above_row_letters": ("diagram", "--central", "257"),
     "perm_central_above_max_letters": ("perm", "--central", "100001"),
     "fg_central_loop_len_zero": ("fg", "central", "--n", "5", "--loop-len", "0"),
+    "fg_central_loop_len_above_cap": ("fg", "central", "--n", "5", "--loop-len", "49"),
+    "fg_central_samples_above_cap": ("fg", "central", "--n", "5", "--samples", "13"),
     "penner_genus_without_n": ("penner", "--genus", "3"),
     "penner_diverge_above_cap": ("penner", "diverge", "--genus", "2000"),
     "penner_genus_above_cap": ("penner", "--genus", "151", "--n", "5"),
