@@ -184,19 +184,9 @@ def _cmd_fg(args) -> int:
     if args.fg_mode == "table":
         rows = []
         for g in range(args.gmin, args.gmax + 1):
-            cert = certify(
-                fg_mod.family_loop(g), tol=tol, rho_polynomial=fg_mod.family_polynomial(g)
-            )
-            rows.append(
-                [
-                    g,
-                    decimal_str(cert.lam.low),
-                    decimal_str(cert.lam.high),
-                    str(cert.lc_upper),
-                    str(cert.lc_lower),
-                    str(cert.lc_lower_exact),
-                ]
-            )
+            cert = fg_mod.family_certificate(g, tol)
+            lam, bounds = cert.lam, (cert.lc_upper, cert.lc_lower, cert.lc_lower_exact)
+            rows.append([g, decimal_str(lam.low), decimal_str(lam.high), *map(str, bounds)])
         _emit_csv(
             ["g", "lambda_low", "lambda_high", "lc_upper", "lc_lower_cap", "lc_lower_exact"],
             rows,
@@ -273,7 +263,7 @@ def _cmd_penner(args) -> int:
             "matrix": matrices.m.to_json(),
             "min_row_sum_power": report.power_min_row_sum,
             "rho": bracket_json(report.rho),
-            "teich_length": list(report.teich_length),
+            "teich_length": list(report.rho.log_bounds()),
             "lc_upper": rational_json(rotation.bound),
             "lc_upper_orbit": list(rotation.orbit),
         },

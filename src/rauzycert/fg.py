@@ -26,7 +26,14 @@ from fractions import Fraction
 
 from .diagram import AllowedPath, explore, injectivity_check
 from .induction import MOVES, Move, _step
-from .linalg import DEFAULT_TOL, IntMatrix, _column_product, min_positive_power, root_above_one
+from .linalg import (
+    DEFAULT_TOL,
+    IntMatrix,
+    SpectralBracket,
+    _column_product,
+    min_positive_power,
+    root_above_one,
+)
 from .pa import PACertificate, certify, lc_lower_bound
 from .perm import LabeledPermutation, _images, _relabel, central, default_alphabet, fg_start
 
@@ -49,12 +56,6 @@ def family_loop(g: int) -> AllowedPath:
 _Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _fg_after_tb(g: int) -> _Rows:
-    """Closed form after the top move following the g bottom moves."""
-    n = 2 * g
-    return tuple(range(n)), (n - 1,) + tuple(range(g - 1, -1, -1)) + tuple(range(n - 2, g - 1, -1))
-
-
 def _fg_end(g: int) -> _Rows:
     """Closed form of the loop endpoint, after the final flip."""
     n = 2 * g
@@ -75,13 +76,15 @@ def _stations(path: AllowedPath) -> list[_Rows]:
 def _closed_forms(g: int) -> list[_Rows]:
     """The closed forms after each move of the loop.  After k bottom moves,
     1 <= k <= g, the last k letters of the start's top row sit right after
-    its first g, and the bottom row is the start's (k = g gives the start)."""
+    its first g, and the bottom row is the start's (k = g gives the start).
+    The top move then gives g top moves from the central permutation."""
     n, bottom = 2 * g, fg_start(g).bottom
     after_b = [
         (tuple(range(g)) + tuple(range(n - k, n)) + tuple(range(g, n - k)), bottom)
         for k in range(1, g + 1)
     ]
-    return after_b + [_fg_after_tb(g), _fg_end(g)]
+    after_t = central_after_t(n, g)
+    return after_b + [(after_t.top, after_t.bottom), _fg_end(g)]
 
 
 def expected_winner_losers(g: int) -> list[tuple[str, str]]:
@@ -136,6 +139,32 @@ def family_polynomial(g: int) -> list[int]:
     return coeffs
 
 
+def family_bracket(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
+    """A bracket of width at most ``tol`` on lambda_g, the root of
+    ``family_polynomial(g)`` above sqrt 2, whose low end is above sqrt 2.
+
+    lambda_g - sqrt 2 is about 1.5 * 2^-g, so from g = 37 at the default tol
+    the bisection's low end lies below sqrt 2; it is then lifted.  Past
+    sqrt 2, p_g''(x) >= (16g - 4) x^(2g-3) - 4 > 0, so p_g' grows; with
+    p_g(sqrt 2) = -3 and p_g(lambda_g) = 0, the mean value theorem gives
+    lambda_g - sqrt 2 >= 3 / p_g'(high) > 2^-k, k = bitlen(ceil(p_g'(high) / 3)).
+    So ceil(sqrt 2 * 2^k) / 2^k, above the old low end, is in (sqrt 2, lambda_g).
+    """
+    lam = root_above_one(family_polynomial(g), tol)
+    if lam.low**2 < 2:
+        h = lam.high
+        slope = (2 * g + 1) * h ** (2 * g) - 2 * (2 * g - 1) * h ** (2 * g - 2) - 4 * h
+        k = math.ceil(slope / 3).bit_length()
+        # sqrt 2 * 2^k is irrational, so its ceiling is isqrt(2 * 4^k) + 1
+        lam = dataclasses.replace(lam, low=Fraction(math.isqrt(2 << 2 * k) + 1, 1 << k))
+    return lam
+
+
+def family_certificate(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> PACertificate:
+    """The certificate of ``family_loop(g)`` on the bracket ``family_bracket(g, tol)``."""
+    return certify(family_loop(g), tol, bracket=family_bracket(g, tol))
+
+
 def expected_orbit_trajectory(g: int) -> tuple[str, ...]:
     """Iterates of the best starting side: odd steps land on a_{g-(k+1)/2},
     even steps on a_{2g-(k+2)/2}, ending on the winner a_g after 2g-2 steps."""
@@ -167,22 +196,8 @@ def family_report(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> FamilyRe
 
     Check failures are collected per item rather than raised.
     """
-    path = family_loop(g)
-    block = block_matrix(g)
-    polynomial = family_polynomial(g)
-    cert = certify(path, tol=tol, rho_polynomial=polynomial)
-    lam = cert.lam
-    if lam is not None and lam.low**2 < 2:
-        # lambda_g - sqrt 2 is about 1.5 * 2^-g, so a bracket of width tol
-        # decides lambda_g >= sqrt 2 only up to g near log2(1/tol).  Past
-        # sqrt 2, p_g''(x) >= (16g - 4) x^(2g-3) - 4 > 0, so p_g' grows;
-        # with p_g(sqrt 2) = -3 and p_g(lambda_g) = 0, the mean value
-        # theorem gives lambda_g - sqrt 2 >= 3 / p_g'(high).  The same
-        # bisection to a width below that puts the low end above sqrt 2.
-        h = lam.high
-        slope = (2 * g + 1) * h ** (2 * g) - 2 * (2 * g - 1) * h ** (2 * g - 2) - 4 * h
-        lam = root_above_one(polynomial, Fraction(1, 2 ** math.ceil(slope / 3).bit_length()))
-        cert = dataclasses.replace(cert, lam=lam, teich_length=lam.log_bounds())
+    cert = family_certificate(g, tol)
+    path = cert.path
     upper = Fraction(1, g - 1)
     lower = Fraction(1, 16 * g - 12)
 
@@ -192,7 +207,7 @@ def family_report(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> FamilyRe
         (names[winner], names[loser]) for winner, loser in path.updates
     ] == expected_winner_losers(g)
     checks["intermediate_closed_forms"] = stations == _closed_forms(g)
-    checks["block_form"] = cert.matrix == block
+    checks["block_form"] = cert.matrix == block_matrix(g)
     checks["genus_is_g"] = cert.genus == g
     checks["exact_exponent_at_most_4g_minus_4"] = (
         cert.positive_power is not None and cert.positive_power <= 4 * g - 4
@@ -204,13 +219,7 @@ def family_report(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> FamilyRe
     )
     checks["lc_lower_diagonal_cap"] = cert.lc_lower == lower
 
-    return FamilyReport(
-        g=g,
-        certificate=cert,
-        upper_bound=upper,
-        lower_bound=lower,
-        checks=checks,
-    )
+    return FamilyReport(g=g, certificate=cert, upper_bound=upper, lower_bound=lower, checks=checks)
 
 
 def central_after_t(n: int, m: int) -> LabeledPermutation:

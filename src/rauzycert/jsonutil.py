@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import SpectralBracket
+from .linalg import SpectralBracket, decimal_text
 
 DECIMAL_DIGITS = 12
 
@@ -74,17 +74,18 @@ def decimal_str(x: Fraction) -> str:
     numerator, denominator = abs(x.numerator), x.denominator
     integer, remainder = divmod(numerator, denominator)
     if remainder == 0:
-        return "%s%d" % (sign, integer)
+        return sign + decimal_text(integer)
     frac = remainder * 10**DECIMAL_DIGITS // denominator
     tail = str(frac).rjust(DECIMAL_DIGITS, "0").rstrip("0")
-    return "%s%d.%s" % (sign, integer, tail)
+    return "%s%s.%s" % (sign, decimal_text(integer), tail)
 
 
 def rational_json(x: Fraction | None) -> dict | None:
     if x is None:
         return None
     x = Fraction(x)
-    return {"decimal": decimal_str(x), "num": str(x.numerator), "den": str(x.denominator)}
+    num, den = decimal_text(x.numerator), decimal_text(x.denominator)
+    return {"decimal": decimal_str(x), "num": num, "den": den}
 
 
 def bracket_json(b: SpectralBracket | None) -> dict | None:

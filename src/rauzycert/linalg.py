@@ -89,7 +89,16 @@ class IntMatrix:
 
     def to_json(self) -> list[list[str]]:
         """Row-major nested lists of decimal strings (entries may exceed 64 bits)."""
-        return [[str(x) for x in row] for row in self.rows]
+        return [[decimal_text(x) for x in row] for row in self.rows]
+
+
+def decimal_text(x: int) -> str:
+    """str(x) at any size: past the interpreter's digit limit for str()
+    (4,300 by default from CPython 3.10.7), through the exact Decimal."""
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
 
 
 def min_row_sum(m: IntMatrix) -> int:

@@ -38,7 +38,6 @@ from .linalg import (
     SpectralBracket,
     min_positive_power,
     path_matrix,
-    root_above_one,
     spectral_radius,
 )
 from .perm import _invert
@@ -95,7 +94,6 @@ class PACertificate:
     genus: int
     vertex_count: int
     lam: SpectralBracket | None = None
-    teich_length: tuple[float, float] | None = None
     lc_upper: Fraction | None = None
     orbit: OrbitReport | None = None
     lc_lower: Fraction | None = None
@@ -117,7 +115,7 @@ def certificate_to_json(cert: PACertificate) -> dict:
         "genus": cert.genus,
         "vertex_count": cert.vertex_count,
         "lambda": bracket_json(cert.lam),
-        "teich_length": list(cert.teich_length) if cert.teich_length else None,
+        "teich_length": list(cert.lam.log_bounds()) if cert.lam else None,
         "lc_upper": rational_json(cert.lc_upper),
         "orbit": cert.orbit.to_json_dict() if cert.orbit else None,
         "lc_lower": rational_json(cert.lc_lower),
@@ -220,7 +218,7 @@ def lc_lower_bound(genus: int, exponent: int) -> Fraction:
 def certify(
     path: AllowedPath,
     tol: Fraction | str | float = DEFAULT_TOL,
-    rho_polynomial=None,
+    bracket: SpectralBracket | None = None,
 ) -> PACertificate:
     """Assemble the full certificate of an allowed path.
 
@@ -228,11 +226,9 @@ def certify(
     pseudo-Anosov and the spectral bracket pins its stretch factor; both
     translation-length bound engines run when the genus admits them.
 
-    The bracket is Collatz-Wielandt on the path matrix, unless
-    ``rho_polynomial`` is given: integer coefficients, highest power first,
-    of a polynomial whose only root above 1 the caller has shown to be the
-    spectral radius.  The bracket is then exact bisection on its sign
-    (``root_above_one``), and ``iterations`` counts halvings.
+    The bracket of a primitive matrix is ``bracket``, one the caller has
+    already proven to hold the spectral radius, or else Collatz-Wielandt
+    on the path matrix to width ``tol``.
     """
     if not path.allowed:
         raise NotAllowedError(
@@ -248,12 +244,9 @@ def certify(
     if path.start.n == 2:
         warnings_list.append(WARNING_TORUS)
 
-    if not primitive:
-        lam = None
-    elif rho_polynomial is None:
+    lam = bracket if primitive else None
+    if primitive and bracket is None:
         lam = spectral_radius(matrix, tol, positive_power=power)
-    else:
-        lam = root_above_one(rho_polynomial, tol)
     lc_upper = orbit = lower = lower_exact = None
     if surface.genus >= 2:
         check_never_winner_rows(path, matrix)
@@ -285,7 +278,6 @@ def certify(
         genus=surface.genus,
         vertex_count=surface.vertex_count,
         lam=lam,
-        teich_length=lam.log_bounds() if lam else None,
         lc_upper=lc_upper,
         orbit=orbit,
         lc_lower=lower,

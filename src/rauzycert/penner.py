@@ -127,7 +127,6 @@ class StretchReport:
     n: int
     power_min_row_sum: int
     rho: SpectralBracket
-    teich_length: tuple[float, float]
     checks: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -206,8 +205,7 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
         "power_identity": verify_power_identity(p, power),
         "min_row_sum_is_n_plus_1": mrs == p.n + 1,
     }
-    return StretchReport(g=p.g, n=p.n, power_min_row_sum=mrs, rho=rho,
-                         teich_length=rho.log_bounds(), checks=checks)
+    return StretchReport(g=p.g, n=p.n, power_min_row_sum=mrs, rho=rho, checks=checks)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 from rauzycert import cli, fg, penner
 from rauzycert.cli import main
 from rauzycert.errors import ConvergenceError, NotPrimitiveError
+from rauzycert.jsonutil import decimal_str
 
 
 def run(capsys, *argv):
@@ -188,6 +189,41 @@ class TestCertify:
         cert = certify(build_path(parse(start), "ftbb"))
         assert json.loads(json.dumps(certificate_to_json(cert))) == schema_fields
 
+    def test_long_word_prints_every_digit(self, capsys):
+        # 40,000 moves: the bracket's numerator has 4,759 digits and the
+        # matrix entries up to 2,361, past the 4,300 that str() writes by
+        # default (CPython 3.10.7 on)
+        from rauzycert.diagram import build_path
+        from rauzycert.pa import certify
+        from rauzycert.perm import parse
+
+        start, word = "a1 a2 a3 a4 / a4 a1 a3 a2", "ftbb" * 10_000
+        code, out, err = run(capsys, "certify", "--start", start, "--moves", word)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        cert = certify(build_path(parse(start), word))
+        assert cert.lam.low.numerator > 10**4300
+        assert [[_digits(x) for x in row] for row in data["matrix"]] == list(
+            map(list, cert.matrix.rows)
+        )
+        for end in ("low", "high"):
+            exact = getattr(cert.lam, end)
+            printed = data["lambda"][end]
+            assert (_digits(printed["num"]), _digits(printed["den"])) == (
+                exact.numerator,
+                exact.denominator,
+            )
+            assert printed["decimal"] == decimal_str(exact)
+
+
+def _digits(text: str) -> int:
+    """int(text) read 1,000 digits at a time, below any digit limit of int()."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
 
 class TestFg:
     def test_report(self, capsys):
@@ -204,6 +240,19 @@ class TestFg:
         assert lines[0] == "g,lambda_low,lambda_high,lc_upper,lc_lower_cap,lc_lower_exact"
         assert len(lines) == 3
         assert lines[1].startswith("2,1.7220838")
+
+    @pytest.mark.parametrize("g", [2, 12, 36, 37, 40, 120])
+    def test_table_and_report_print_one_bracket(self, capsys, g):
+        # from g = 37 the low end is lifted above sqrt 2, in both
+        _, table, _ = run(capsys, "fg", "table", "--gmin", str(g), "--gmax", str(g))
+        code, report, _ = run(capsys, "fg", "--genus", str(g))
+        lam = json.loads(report)["certificate"]["lambda"]
+        assert code == 0
+        assert table.splitlines()[1].split(",")[:3] == [
+            str(g),
+            lam["low"]["decimal"],
+            lam["high"]["decimal"],
+        ]
 
     def test_central_checks(self, capsys):
         code, out, _ = run(capsys, "fg", "central", "--n", "4")

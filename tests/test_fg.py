@@ -24,6 +24,7 @@ from rauzycert.fg import (
     central_after_t,
     expected_orbit_trajectory,
     expected_winner_losers,
+    family_bracket,
     family_polynomial,
     family_report,
     central_component_checks,
@@ -34,6 +35,7 @@ from rauzycert.linalg import (
     _column_product,
     min_positive_power,
     path_matrix,
+    root_above_one,
     spectral_radius,
 )
 from rauzycert.pa import lc_lower_bound
@@ -117,9 +119,38 @@ class TestBlockMatrix:
 
 
 def p_sign(g: int, x: Fraction) -> int:
-    """Sign of p_g at x, by exact rational arithmetic."""
-    value = x ** (2 * g + 1) - 2 * x ** (2 * g - 1) - 2 * x**2 + 1
+    """Sign of p_g at x = a/b, read off the integer b^(2g+1) p_g(a/b)."""
+    a, b = x.numerator, x.denominator
+    value = a ** (2 * g + 1) - 2 * a ** (2 * g - 1) * b**2
+    value += b ** (2 * g + 1) - 2 * a**2 * b ** (2 * g - 1)
     return (value > 0) - (value < 0)
+
+
+class TestFamilyBracket:
+    def _holds(self, g, lam, tol):
+        assert p_sign(g, lam.low) < 0 < p_sign(g, lam.high), g
+        assert lam.low**2 >= 2 and lam.high - lam.low <= tol, g
+
+    def test_every_genus(self):
+        for g in range(2, GENUS_MAX + 1):
+            self._holds(g, family_bracket(g), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**3), Fraction(1, 10**20), Fraction(1, 10**40)])
+    def test_other_tolerances(self, tol):
+        # the lift first applies at g = 11, 69 and 135 (37 at the default)
+        for g in (2, 5, 10, 11, 37, 68, 69, 134, 135, 200, GENUS_MAX):
+            self._holds(g, family_bracket(g, tol), tol)
+
+    @pytest.mark.parametrize("g", [37, 40, 120, GENUS_MAX])
+    def test_lift_keeps_the_bisection_but_its_low_end(self, g):
+        bisection = root_above_one(family_polynomial(g))
+        lam = family_bracket(g)
+        assert bisection.low**2 < 2 < lam.low**2
+        assert (lam.high, lam.iterations) == (bisection.high, bisection.iterations)
+        # the low end is the least multiple of 1 / 2^k above sqrt 2
+        step = Fraction(1, lam.low.denominator)
+        assert lam.low.denominator & (lam.low.denominator - 1) == 0
+        assert (lam.low - step) ** 2 < 2
 
 
 class TestFamilyPolynomial:
@@ -365,12 +396,11 @@ class TestTheorem11:
         lam = report.certificate.lam
         assert lam.low**2 >= 2
         assert p_sign(g, lam.low) <= 0 <= p_sign(g, lam.high)
-        assert report.certificate.teich_length == lam.log_bounds()
 
-    @pytest.mark.parametrize("g", [2, 12, 24])
+    @pytest.mark.parametrize("g", [2, 12, 24, 36])
     def test_bracket_is_the_bisection_at_the_tolerance(self, g):
-        # from [1, 3] to width 10^-9 takes 31 halvings; below g = 30 the
-        # bracket already decides lambda_g >= sqrt 2, so none is added
+        # from [1, 3] to width 10^-9 takes 31 halvings; up to g = 36 the
+        # bracket already decides lambda_g >= sqrt 2, so its low end stays
         lam = family_report(g).certificate.lam
         assert lam.iterations == 31 and lam.high - lam.low == Fraction(2, 2**31)
         assert p_sign(g, lam.low) <= 0 <= p_sign(g, lam.high)

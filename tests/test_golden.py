@@ -38,6 +38,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "fg_central_n10_loop30": ("fg", "central", "--n", "10", "--loop-len", "30"),
     **{"fg_genus_%d" % g: ("fg", "--genus", str(g)) for g in range(2, 13)},
     "fg_table_gmax12": ("fg", "table", "--gmax", "12"),
+    # the low end is lifted above sqrt 2 from g = 37
+    "fg_table_gmin36_gmax40": ("fg", "table", "--gmin", "36", "--gmax", "40"),
     "certify_readme": ("certify", "--start", FG_START_2, "--moves", "ftbb"),
     "certify_inconclusive": ("certify", "--start", FG_START_2, "--moves", "bb"),
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),

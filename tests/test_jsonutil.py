@@ -26,6 +26,10 @@ class TestDecimalStr:
 
     def test_huge_values(self):
         assert decimal_str(Fraction(10**30)) == str(10**30)
+        # past the 4,300 digits that str() writes by default
+        assert decimal_str(Fraction(10**5000)) == "1" + "0" * 5000
+        assert decimal_str(Fraction(-(10**5000) - 1, 2)) == "-5" + "0" * 4999 + ".5"
+        assert rational_json(Fraction(10**5000, 3))["num"] == "1" + "0" * 5000
 
 
 class TestRationalJson:

@@ -143,7 +143,7 @@ class TestCertify:
 
     def test_stretch_length_is_log_of_bracket(self):
         cert = certify(gamma(2))
-        low, high = cert.teich_length
+        low, high = cert.lam.log_bounds()
         assert math.isclose(low, math.log(float(cert.lam.low)), rel_tol=1e-9)
         assert low <= high
 

@@ -277,7 +277,7 @@ class TestDivergingSequence:
         assert report.n == 27
         assert report.passed
         assert report.rho.low >= 3
-        assert report.teich_length[0] >= 1.09  # log 3 ~ 1.0986
+        assert report.rho.log_bounds()[0] >= 1.09  # log 3 ~ 1.0986
 
     def test_genus_four(self):
         report = stretch_bounds(diverging_sequence(4))
