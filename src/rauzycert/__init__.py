@@ -12,7 +12,6 @@ from .diagram import (
     to_json,
 )
 from .errors import (
-    ConvergenceError,
     EnumerationCapError,
     NotAllowedError,
     NotPrimitiveError,
@@ -27,7 +26,6 @@ from .linalg import (
     min_positive_power,
     min_row_sum,
     path_matrix,
-    spectral_radius,
 )
 from .pa import PACertificate, certify, lc_lower_bound, lc_upper_bound
 from .perm import (
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllowedPath",
-    "ConvergenceError",
     "EnumerationCapError",
     "GluedSurface",
     "IntMatrix",
@@ -74,7 +71,6 @@ __all__ = [
     "min_row_sum",
     "parse",
     "path_matrix",
-    "spectral_radius",
     "stratum_of_central",
     "to_dot",
     "to_json",

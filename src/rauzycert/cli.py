@@ -27,7 +27,7 @@ from .errors import RauzyError
 from .induction import Move
 from .jsonutil import bracket_json, decimal_str, dumps, rational_json
 from .linalg import DEFAULT_TOL, IntMatrix, _column_product
-from .pa import certificate_to_json, certify
+from .pa import LETTERS_MAX, certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
 
@@ -153,6 +153,8 @@ def _cmd_certify(args) -> int:
     if args.tol <= 0:
         raise ValueError("tolerance must be positive")
     start = parse(args.start)
+    if start.n > LETTERS_MAX:
+        raise ValueError("certify needs at most %d letters, got %d" % (LETTERS_MAX, start.n))
     path = diagram_mod.build_path(start, args.moves, reading=args.reading)
     cert = certify(path, tol=args.tol)
     out = certificate_to_json(cert)

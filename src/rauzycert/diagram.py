@@ -129,6 +129,7 @@ def injectivity_check(d: RauzyDiagram) -> bool:
 
 
 _TOKEN_RE = re.compile(r"([tbf])(?:\^(\d+))?|(\S)")
+_MOVE_OF = {move.value: move for move in Move}
 
 
 def parse_move_word(word: str) -> tuple[Move, ...]:
@@ -147,7 +148,7 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
             count = int(repeat) if len(repeat) <= len(str(MAX_MOVES)) else MAX_MOVES + 1
         if len(moves) + count > MAX_MOVES:
             raise PermutationParseError("move word expands past %d moves" % MAX_MOVES)
-        moves.extend([Move(letter)] * count)
+        moves.extend([_MOVE_OF[letter]] * count)
     return tuple(moves)
 
 

@@ -39,15 +39,3 @@ class EnumerationCapError(RauzyError, RuntimeError):
 
     prefix = "cap error"
 
-
-class ConvergenceError(RauzyError, RuntimeError):
-    """Iterative bracketing failed to reach the requested tolerance.
-
-    ``bracket`` is the best certified bracket reached before giving up,
-    with the number of iterations spent."""
-
-    prefix = "convergence error"
-
-    def __init__(self, message: str, bracket):
-        super().__init__(message)
-        self.bracket = bracket

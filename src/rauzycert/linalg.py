@@ -3,9 +3,10 @@
 Everything here is exact: matrices hold arbitrary-precision integers (path
 matrix entries grow like a power of the stretch factor and overflow any
 fixed width quickly), and spectral radii are reported as rational brackets
-rather than as floats: certified by the Collatz-Wielandt inequality, or by
-exact bisection on the sign of a polynomial whose root the caller has shown
-to be the spectral radius.
+rather than as floats, each proven by exact signs of a polynomial: by a
+witness on the characteristic polynomial (``perron_bracket``), or by
+bisection on a polynomial whose root the caller has shown to be the
+spectral radius (``bisect_root``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, NotAllowedError, NotPrimitiveError
+from .errors import NotAllowedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .diagram import AllowedPath
@@ -218,22 +219,19 @@ def _log_fraction(x: Fraction, toward: float) -> float:
     return result
 
 
-def _poly_sign(coeffs, num: int, den: int) -> int:
-    """Sign of the integer polynomial ``coeffs`` (highest power first) at
-    num/den, den > 0, read off the integer den^d * p(num/den).
-
-    Horner's rule over the nonzero coefficients only: a run of k zeros
-    costs one k-th power of num instead of k products, so the sparse
-    closed forms of the two families cost a few big products at any
-    degree."""
+def _poly_value(coeffs, num: int, den: int) -> int:
+    """den^d * p(num/den) for the integer polynomial p = ``coeffs`` (highest
+    power first) of degree d and den > 0, by Horner's rule over the nonzero
+    coefficients only: a run of k zeros costs one k-th power of num instead
+    of k products, so the sparse closed forms of the two families cost a
+    few big products at any degree."""
     acc, den_power, last = 0, 1, 0
     for i, c in enumerate(coeffs):
         if c:
             den_power *= den ** (i - last)
             acc = acc * num ** (i - last) + c * den_power
             last = i
-    acc *= num ** (len(coeffs) - 1 - last)
-    return (acc > 0) - (acc < 0)
+    return acc * num ** (len(coeffs) - 1 - last)
 
 
 def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
@@ -252,18 +250,18 @@ def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) ->
     low, high = Fraction(low), Fraction(high)
     den = low.denominator * high.denominator
     lo, hi = low.numerator * high.denominator, high.numerator * low.denominator
-    if lo > hi or _poly_sign(coeffs, lo, den) > 0 or _poly_sign(coeffs, hi, den) < 0:
+    if lo > hi or _poly_value(coeffs, lo, den) > 0 or _poly_value(coeffs, hi, den) < 0:
         raise ValueError("the polynomial does not change sign from <= 0 to >= 0 on [%s, %s]"
                          % (low, high))
     halvings = 0
     while (hi - lo) * tol.denominator > tol.numerator * den:
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
         mid = (lo + hi) // 2
-        sign = _poly_sign(coeffs, mid, den)
+        value = _poly_value(coeffs, mid, den)
         halvings += 1
-        if sign == 0:
+        if value == 0:
             lo = hi = mid
-        elif sign < 0:
+        elif value < 0:
             lo = mid
         else:
             hi = mid
@@ -284,96 +282,104 @@ def root_above_one(coeffs, tol: Fraction | str | float = DEFAULT_TOL) -> Spectra
     return bisect_root(coeffs, 1, 1 + max(abs(c) for c in coeffs), tol)
 
 
-_SHIFT_WARMUP = 48
-# Steps after which spectral_radius gives up with ConvergenceError.
-_MAX_ITERATIONS = 200_000
+def charpoly(m: IntMatrix) -> list[int]:
+    """det(xI - m), highest power first, by Berkowitz's division-free
+    algorithm (Inf. Proc. Letters 18, 1984): the polynomial of each leading
+    (k+1) x (k+1) block is the lower-triangular Toeplitz matrix with first
+    column (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C) times that of the
+    leading k x k block A, R and C the new row and column."""
+    a = m.rows
+    poly, lead = [1, -a[0][0]], []  # lead: the rows of A as {column: nonzero}
+    for k in range(1, m.order):
+        for nonzeros, full in zip(lead, a):
+            if full[k - 1]:
+                nonzeros[k - 1] = full[k - 1]
+        lead.append({j: x for j, x in enumerate(a[k - 1][:k]) if x})
+        row, v = a[k][:k], [r[k] for r in a[:k]]
+        column = [1, -a[k][k], -sum(map(mul, row, v))]
+        for _ in range(k - 1):
+            v = [sum(map(mul, r.values(), map(v.__getitem__, r))) for r in lead]
+            column.append(-sum(map(mul, row, v)))
+        poly = [sum(map(mul, column[i::-1], poly)) for i in range(k + 2)]
+    return poly
 
 
-def spectral_radius(
-    m: IntMatrix,
-    tol: Fraction | str | float = DEFAULT_TOL,
-    positive_power: int | None = None,
-) -> SpectralBracket:
-    """Bracket the dominant eigenvalue of a primitive matrix.
+def _shift_positive(coeffs, x: Fraction) -> bool:
+    """Whether p(x + u) has only positive coefficients as a polynomial in u:
+    with x = a/b, b^d p((a + v)/b) has the coefficients c_i b^i in powers
+    of a + v, and each Horner pass of the Taylor shift by a fixes one."""
+    a, shifted = x.numerator, [c * x.denominator**i for i, c in enumerate(coeffs)]
+    for end in range(len(shifted), 1, -1):
+        acc = 0
+        shifted = [acc := acc * a + c for c in shifted[:end]]
+        if acc <= 0:
+            return False
+    return shifted[0] > 0
 
-    Iterates v <- M v from the all-ones vector; at each step the quotients
-    (Mv)_i / v_i of the current positive integer vector bracket the spectral
-    radius (Collatz-Wielandt), and for a primitive matrix the bracket
-    tightens to any tolerance.  Non-primitive input is rejected up front:
-    its bracket need not tighten at all.  ``positive_power``, when given,
-    is a primitivity exponent of ``m`` already found by min_positive_power,
-    and the search is not repeated.
 
-    The quotients bracket the radius for *any* positive vector, so the
-    iterate is kept short: after each step one right shift truncates it so
-    that its smallest entry keeps 2 * bitlen(ceil(1/tol)) + 64 bits, plus
-    the bits of the largest row sum (an upper bound on the radius).  Every
-    quotient is then known to far better than ``tol``, so the bracket
-    cannot stall on precision, and the precision only sets how fast the
-    bracket shrinks, never whether it is valid.  Quotients are compared by
-    integer cross-multiplication; fractions are built only for the returned
-    bracket.
+def perron_witness(chi, low: Fraction, high: Fraction) -> bool:
+    """Whether chi(low) < 0 and chi(high + u) has only positive coefficients,
+    which proves low < rho < high for chi = det(xI - M) and the spectral
+    radius rho of a nonnegative M: the monic chi has a real root above low
+    and none at or above high, and rho is its largest (Perron-Frobenius)."""
+    return _poly_value(chi, low.numerator, low.denominator) < 0 and _shift_positive(chi, high)
 
-    After a short warmup the iteration switches to M + s*I with s the floor
-    of the best lower bound so far, still reporting quotients of M itself.
-    The shift keeps the Perron vector and pushes complex subdominant
-    eigenvalues off the dominant ray, which otherwise make the quotients
-    converge arbitrarily slowly on matrices with near-rotational spectrum.
-    As s <= rho it never passes the dominant eigenvalue, so it cannot
-    flatten the spectral gap the way an overestimated shift would.
 
-    Raises ConvergenceError, carrying the best bracket reached, when the
-    bracket is still wider than ``tol`` after ``_MAX_ITERATIONS`` steps.
-    """
-    tol = Fraction(tol)
+def _float_seed(chi, top: int) -> Fraction:
+    """Float Newton on chi from ``top`` >= rho, its largest real root, up to
+    a step outside (2^-45 y, y), raised by 2^-20.  With x = y 2^bitlen(top),
+    the step is y sum c_i x^-i / sum (d - i) c_i x^-i, by Horner's rule in
+    1/y; each term is at most binomial(d, i) for x >= rho, so none overflows."""
+    e = top.bit_length()
+    scaled, y = [c / (1 << (e * i)) for i, c in enumerate(chi)][::-1], top / (1 << e)
+    while True:
+        value = slope = 0.0
+        for i, c in enumerate(scaled):
+            value, slope = value / y + c, slope / y + i * c
+        if not (slope > 0 and 2.0**-45 < value / slope < 1):
+            return Fraction(y + y * 2.0**-20) * (1 << e)
+        y -= y * value / slope
+
+
+def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
+    """Bracket the spectral radius rho of a primitive matrix to width ``tol``.
+
+    Newton on chi = ``charpoly(m)`` steps down to rho from above: for
+    x > rho, chi'/chi(x) sums 1/(x - r) over the roots r, each of positive
+    real part and modulus at most 1/(x - rho), so delta = chi/chi'(x) puts
+    rho in [x - d delta, x - delta].  The steps are rounded up to a grid
+    2^-b that starts 64 bits below the start point, at most tol / (2d + 2),
+    and doubles its bits when the next point is no lower.  The start is
+    ``_float_seed`` if chi(seed + u) has only positive coefficients, else
+    the least of the largest row and column sums.  A grid where chi(low) < 0
+    and the bounds are within ``tol`` ends it, as rho is a simple root, and
+    ``perron_witness`` must then prove the bracket (RuntimeError, a fault
+    here, if not).  ``iterations`` counts the Newton steps."""
+    tol = min(Fraction(tol), Fraction(1, 2))  # rho >= 1, so the low end stays positive
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if positive_power is None and min_positive_power(m) is None:
-        raise NotPrimitiveError("matrix is not primitive; spectral bracket may not tighten")
-    n = m.order
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
-    # Truncating v changes a quotient by about rho * 2^-(precision-2); the
-    # largest row sum bounds rho, so its bits keep that error below tol^2.
-    precision = (
-        2 * (-(-tol.denominator // tol.numerator)).bit_length()
-        + 64
-        + max(sum(row) for row in m.rows).bit_length()
-    )
-    v = [1] * n
-    shift = 0
-    # Best bracket so far as numerator/denominator pairs.
-    low_num, low_den, high_num, high_den = 0, 1, 1, 0
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        w = [sum(a * v[j] for j, a in row) for row in rows]
-        lo = hi = 0
-        for i in range(1, n):
-            if w[i] * v[lo] < w[lo] * v[i]:
-                lo = i
-            elif w[i] * v[hi] > w[hi] * v[i]:
-                hi = i
-        if w[lo] * low_den > low_num * v[lo]:
-            low_num, low_den = w[lo], v[lo]
-        if w[hi] * high_den < high_num * v[hi]:
-            high_num, high_den = w[hi], v[hi]
-        if (high_num * low_den - low_num * high_den) * tol.denominator <= (
-            tol.numerator * high_den * low_den
-        ):
-            return SpectralBracket(
-                Fraction(low_num, low_den), Fraction(high_num, high_den), iteration
-            )
-        if shift:
-            w = [x + shift * y for x, y in zip(w, v)]
-        excess = min(w).bit_length() - precision
-        if excess > 0:
-            w = [x >> excess for x in w]
-        v = w
-        if iteration == _SHIFT_WARMUP:
-            shift = low_num // low_den
-    best = SpectralBracket(
-        Fraction(low_num, low_den), Fraction(high_num, high_den), _MAX_ITERATIONS
-    )
-    raise ConvergenceError(
-        "spectral bracket did not reach width %s in %d iterations; best bracket [%s, %s]"
-        % (tol, _MAX_ITERATIONS, best.low, best.high),
-        best,
-    )
+    chi, d = charpoly(m), m.order
+    slope = [c * (d - i) for i, c in enumerate(chi[:-1])]
+    top = min(max(map(sum, m.rows)), max(map(sum, zip(*m.rows))))
+    seed = _float_seed(chi, top)
+    start = seed if _shift_positive(chi, seed) else Fraction(top)
+    need = ((2 * (d + 1) * tol.denominator - 1) // tol.numerator).bit_length()
+    bits = min(need, 64 - int(start).bit_length())
+    high, steps = math.ceil(start * Fraction(2) ** bits), 0
+    while True:
+        lift, den = max(-bits, 0), 1 << max(bits, 0)
+        value = _poly_value(chi, high << lift, den)
+        divisor = _poly_value(slope, high << lift, den) << lift
+        whole, part = divmod(value, divisor)  # delta is whole + part / divisor grid steps
+        low, step_to = high - 1 - d * whole - d * part // divisor, high + 1 - whole - (part > 0)
+        wide = (step_to - low) * tol.denominator > tol.numerator * den
+        if not wide and _poly_value(chi, low, den) < 0:
+            break
+        if step_to < high:
+            high, steps = step_to, steps + 1
+        else:
+            high, bits = high << high.bit_length(), bits + high.bit_length()
+    bracket = SpectralBracket(Fraction(low, den), Fraction(step_to, den), steps)
+    if not perron_witness(chi, bracket.low, bracket.high):
+        raise RuntimeError("internal error: no witness for [%s, %s]" % (bracket.low, bracket.high))
+    return bracket

@@ -10,7 +10,7 @@ import pytest
 
 from rauzycert import cli, fg, penner
 from rauzycert.cli import main
-from rauzycert.errors import ConvergenceError, NotPrimitiveError
+from rauzycert.errors import NotPrimitiveError
 from rauzycert.jsonutil import decimal_str
 
 
@@ -177,6 +177,23 @@ class TestCertify:
         assert data["positive_power"] == 4
         assert data["lc_lower_exact"] == {"decimal": "0.0625", "num": "1", "den": "16"}
 
+    def test_letters_cap_is_checked_before_the_path(self, capsys, monkeypatch):
+        from rauzycert.pa import LETTERS_MAX
+        from rauzycert.perm import central
+
+        def start(n):
+            return central(n).display()
+
+        # 97 letters: refused before any move is walked
+        monkeypatch.setattr(cli.diagram_mod, "build_path", None)
+        assert run(capsys, "certify", "--start", start(LETTERS_MAX + 1), "--moves", "b") == (
+            1, "", "error: certify needs at most 96 letters, got 97\n"
+        )
+        monkeypatch.undo()
+        # 96 letters pass the cap; b alone is not a loop there
+        code, out, err = run(capsys, "certify", "--start", start(LETTERS_MAX), "--moves", "b")
+        assert (code, out) == (1, "") and err.startswith("path error: cannot certify")
+
     def test_emitted_json_roundtrips_through_schema(self, capsys):
         from rauzycert.diagram import build_path
         from rauzycert.pa import certificate_to_json, certify
@@ -190,19 +207,20 @@ class TestCertify:
         assert json.loads(json.dumps(certificate_to_json(cert))) == schema_fields
 
     def test_long_word_prints_every_digit(self, capsys):
-        # 40,000 moves: the bracket's numerator has 4,759 digits and the
-        # matrix entries up to 2,361, past the 4,300 that str() writes by
+        # 80,000 moves: the bracket's numerator has 4,732 digits and the
+        # matrix entries up to 4,722, past the 4,300 that str() writes by
         # default (CPython 3.10.7 on)
         from rauzycert.diagram import build_path
         from rauzycert.pa import certify
         from rauzycert.perm import parse
 
-        start, word = "a1 a2 a3 a4 / a4 a1 a3 a2", "ftbb" * 10_000
+        start, word = "a1 a2 a3 a4 / a4 a1 a3 a2", "ftbb" * 20_000
         code, out, err = run(capsys, "certify", "--start", start, "--moves", word)
         assert (code, err) == (0, "")
         data = json.loads(out)
         cert = certify(build_path(parse(start), word))
         assert cert.lam.low.numerator > 10**4300
+        assert max(map(max, cert.matrix.rows)) > 10**4300
         assert [[_digits(x) for x in row] for row in data["matrix"]] == list(
             map(list, cert.matrix.rows)
         )
@@ -463,14 +481,12 @@ class TestErrorPrefixes:
     def test_cli_input(self, capsys, argv, line):
         assert run(capsys, *argv) == (1, "", line + "\n")
 
-    # No known command line raises these two: certify brackets only primitive
-    # matrices, and no known path matrix exhausts the bracket loop's
-    # iteration cap.  They are raised from inside the command instead.
+    # No known command line raises this: certify brackets only primitive
+    # matrices.  It is raised from inside the command instead.
     @pytest.mark.parametrize(
         "exc, line",
         [
             (NotPrimitiveError("not primitive"), "matrix error: not primitive"),
-            (ConvergenceError("no bracket", None), "convergence error: no bracket"),
         ],
     )
     def test_raised_in_command(self, capsys, monkeypatch, exc, line):

@@ -35,8 +35,8 @@ from rauzycert.linalg import (
     _column_product,
     min_positive_power,
     path_matrix,
+    perron_bracket,
     root_above_one,
-    spectral_radius,
 )
 from rauzycert.pa import lc_lower_bound
 from rauzycert.perm import central, fg_start, parse, unlabeled
@@ -171,8 +171,10 @@ class TestFamilyPolynomial:
         assert poly_mul([1, 1], berkowitz_charpoly(block_matrix(g))) == family_polynomial(g)
 
     def test_table_brackets_overlap_collatz_wielandt(self, capsys):
-        # The CW bracket of block_matrix(g) stays an independent oracle.  The
-        # table's decimals are truncated after 12 places, hence the slack.
+        # The chi-witness bracket of block_matrix(g) (Collatz-Wielandt's until
+        # that engine went) stays an independent oracle: it reads the matrix,
+        # not the family polynomial.  The table's decimals are truncated
+        # after 12 places, hence the slack.
         assert cli.main(["fg", "table", "--gmax", "30"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(2, 31))
@@ -180,8 +182,8 @@ class TestFamilyPolynomial:
         for row in rows:
             g, low, high = row.split(",")[:3]
             low, high = Fraction(low), Fraction(high)
-            cw = spectral_radius(block_matrix(int(g)))
-            assert low <= cw.high and cw.low <= high + slack, g
+            own = perron_bracket(block_matrix(int(g)))
+            assert low <= own.high and own.low <= high + slack, g
             assert high - low <= DEFAULT_TOL + slack
 
 

@@ -28,6 +28,7 @@ from rauzycert.cli import build_parser, main
 GOLDEN = Path(__file__).parent / "golden"
 
 FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
+LETTERS_97 = ["a%d" % i for i in range(1, 98)]
 
 CASES: dict[str, tuple[str, ...]] = {
     **{"fg_central_n%d" % n: ("fg", "central", "--n", str(n)) for n in range(3, 15)},
@@ -41,6 +42,9 @@ CASES: dict[str, tuple[str, ...]] = {
     # the low end is lifted above sqrt 2 from g = 37
     "fg_table_gmin36_gmax40": ("fg", "table", "--gmin", "36", "--gmax", "40"),
     "certify_readme": ("certify", "--start", FG_START_2, "--moves", "ftbb"),
+    "certify_readme_tol_1e300": (
+        "certify", "--start", FG_START_2, "--moves", "ftbb", "--tol", "1e-300"
+    ),
     "certify_inconclusive": ("certify", "--start", FG_START_2, "--moves", "bb"),
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
     "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
@@ -105,6 +109,10 @@ CASES: dict[str, tuple[str, ...]] = {
     "penner_sweep_gmax_above_cap": ("penner", "sweep", "--gmax", "151"),
     "penner_sweep_nmax_above_cap": ("penner", "sweep", "--nmax", "5001"),
     "fg_genus_above_cap": ("fg", "--genus", "251"),
+    "certify_letters_above_cap": (
+        "certify", "--start", "%s / %s" % (" ".join(LETTERS_97), " ".join(LETTERS_97[::-1])),
+        "--moves", "b",
+    ),
     "fg_table_gmax_above_cap": ("fg", "table", "--gmax", "251"),
     "homology_check_n_only": ("homology-check", "--n", "3"),
     "homology_check_n_above_cap": (
@@ -241,6 +249,22 @@ def test_family_brackets_overlap_the_collatz_wielandt_ones():
         lam = json.loads((GOLDEN / ("fg_genus_%s.out" % g)).read_text())["certificate"]["lambda"]
         assert exact(lam["low"]) <= old_high and old_low <= exact(lam["high"]), g
         assert Fraction(low) <= old_high and old_low <= Fraction(high) + slack, g
+
+
+# The lambda bracket of certify_readme as (low, high) numerator and
+# denominator pairs, when that file held a Collatz-Wielandt bracket.
+COLLATZ_WIELANDT_CERTIFY_README = ((8746437060, 5078984561), (5020699207, 2915479020))
+
+
+def test_certify_bracket_overlaps_the_collatz_wielandt_one():
+    def exact(side):
+        return Fraction(int(side["num"]), int(side["den"]))
+
+    old_low, old_high = (Fraction(*pair) for pair in COLLATZ_WIELANDT_CERTIFY_README)
+    lam = json.loads((GOLDEN / "certify_readme.out").read_text())["lambda"]
+    low, high = exact(lam["low"]), exact(lam["high"])
+    assert low <= old_high and old_low <= high
+    assert high - low <= Fraction(1, 10**9)
 
 
 def test_shared_parser_leaks_no_state():

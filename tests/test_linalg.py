@@ -1,4 +1,5 @@
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -7,22 +8,24 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
-from rauzycert import linalg
+from rauzycert import linalg, pa
 from rauzycert.diagram import AllowedPath, build_path
-from rauzycert.errors import ConvergenceError, NotAllowedError, NotPrimitiveError
+from rauzycert.errors import NotAllowedError
 from rauzycert.fg import family_polynomial
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
-    _poly_sign,
+    _poly_value,
     _times,
     bisect_root,
+    charpoly,
     min_positive_power,
     min_row_sum,
     path_matrix,
+    perron_bracket,
+    perron_witness,
     root_above_one,
-    spectral_radius,
     wielandt_bound,
 )
 from rauzycert.penner import twist_polynomial
@@ -30,6 +33,7 @@ from rauzycert.perm import LabeledPermutation, central, fg_start, from_rows, par
 
 from helpers import (
     allowed_paths,
+    berkowitz_charpoly,
     bisect_largest_root,
     dense_path_matrix,
     det,
@@ -318,55 +322,106 @@ class TestSpectralRadius:
         charpoly = sympy.Matrix(GAMMA2_MATRIX.rows).charpoly(x).as_expr()
         assert sympy.expand(charpoly - (x**4 - x**3 - x**2 - x + 1)) == 0
         root_low, root_high = bisect_largest_root([1, -1, -1, -1, 1], 1.5, 2)
-        bracket = spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**9))
+        bracket = perron_bracket(GAMMA2_MATRIX, Fraction(1, 10**9))
         # both intervals contain the dominant eigenvalue, so they intersect
         assert bracket.low <= root_high and root_low <= bracket.high
         assert bracket.high - bracket.low <= Fraction(1, 10**9)
 
     def test_low_end_at_least_min_row_sum(self):
         m = path_matrix(gamma(3))
-        bracket = spectral_radius(m)
+        bracket = perron_bracket(m)
         assert bracket.low >= min_row_sum(m)
 
     def test_power_brackets_match_powered_endpoints(self):
         tol = Fraction(1, 10**9)
-        base = spectral_radius(GAMMA2_MATRIX, tol)
+        base = perron_bracket(GAMMA2_MATRIX, tol)
         for k in (2, 3):
-            powered = spectral_radius(GAMMA2_MATRIX**k, tol)
+            powered = perron_bracket(GAMMA2_MATRIX**k, tol)
             assert abs(powered.low - base.low**k) < Fraction(1, 10**6)
             assert abs(powered.high - base.high**k) < Fraction(1, 10**6)
 
-    def test_rejects_permutation_matrix(self):
-        cycle = IntMatrix.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(NotPrimitiveError):
-            spectral_radius(cycle)
+    def test_rejects_permutation_matrix(self, monkeypatch):
+        # The engine asks for a primitive matrix, and certify only runs it on
+        # one: the identity of the empty path gets no bracket.
+        def fail(*args):
+            raise AssertionError("bracket asked for a non-primitive matrix")
+
+        monkeypatch.setattr(pa, "perron_bracket", fail)
+        cert = pa.certify(AllowedPath(central(3), ()))
+        assert cert.matrix == IntMatrix.identity(3)
+        assert (cert.primitive, cert.lam) == (False, None)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
-            spectral_radius(GAMMA2_MATRIX, 0)
+            perron_bracket(GAMMA2_MATRIX, 0)
 
     def test_deterministic(self):
-        a = spectral_radius(GAMMA2_MATRIX)
-        b = spectral_radius(GAMMA2_MATRIX)
+        a = perron_bracket(GAMMA2_MATRIX)
+        b = perron_bracket(GAMMA2_MATRIX)
         assert (a.low, a.high, a.iterations) == (b.low, b.high, b.iterations)
 
-    def test_convergence_error_carries_best_bracket(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_MAX_ITERATIONS", 5)
-        with pytest.raises(ConvergenceError) as info:
-            spectral_radius(GAMMA2_MATRIX, Fraction(1, 10**40))
-        bracket = info.value.bracket
-        assert bracket.iterations == 5
-        root_low, root_high = bisect_largest_root([1, -1, -1, -1, 1], 1.5, 2)
-        assert bracket.low <= root_low and root_high <= bracket.high
-        message = str(info.value)
-        assert str(bracket.low) in message and str(bracket.high) in message
-        assert "in 5 iterations" in message
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 1], [2**140, 1]], [[0, 1, 0], [0, 0, 1], [2**64, 1, 0]]],
+        ids=["subdominant 1 - 2^70", "companion of x^3 - x - 2^64"],
+    )
+    def test_gapless_matrices_bracket_in_under_a_second(self, rows):
+        # Collatz-Wielandt never reached 1e-9 on these: the subdominant
+        # eigenvalue has modulus close to rho.  Newton on chi does not read
+        # the gap.
+        m = IntMatrix.from_rows(rows)
+        start = time.perf_counter()
+        bracket = perron_bracket(m)
+        assert time.perf_counter() - start < 1
+        assert bracket.high - bracket.low <= Fraction(1, 10**9)
+        assert contains_perron_root(m, bracket)
 
-    def test_given_positive_power_skips_the_search(self):
-        power = min_positive_power(GAMMA2_MATRIX)
-        assert spectral_radius(GAMMA2_MATRIX, positive_power=power) == spectral_radius(
-            GAMMA2_MATRIX
-        )
+    def test_tight_tolerance_in_under_a_second(self):
+        m = path_matrix(build_path(fg_start(2), "ftbb"))
+        tol = Fraction(1, 10**3000)
+        start = time.perf_counter()
+        bracket = perron_bracket(m, tol)
+        assert time.perf_counter() - start < 1
+        assert bracket.high - bracket.low <= tol
+        assert perron_witness(charpoly(m), bracket.low, bracket.high)
+
+
+class TestCharpoly:
+    @settings(max_examples=60, deadline=None)
+    @given(allowed_paths(max_n=8, max_moves=60))
+    def test_against_the_sparse_oracle_and_sympy(self, path):
+        m = path_matrix(path)
+        x = sympy.symbols("x")
+        own = sympy.Poly(sympy.Matrix(m.rows).charpoly(x).as_expr(), x).all_coeffs()
+        assert charpoly(m) == berkowitz_charpoly(m) == [int(c) for c in own]
+
+    def test_order_one_and_a_zero_leading_block(self):
+        assert charpoly(IntMatrix.from_rows([[5]])) == [1, -5]
+        # the leading 1 x 1 block is 0, so Berkowitz divides by nothing
+        assert charpoly(IntMatrix.from_rows([[0, 1], [1, 0]])) == [1, 0, -1]
+
+
+class TestPerronWitness:
+    def test_holds_on_the_engine_bracket(self):
+        bracket = perron_bracket(GAMMA2_MATRIX)
+        assert perron_witness(charpoly(GAMMA2_MATRIX), bracket.low, bracket.high)
+
+    def test_fails_when_an_end_crosses_rho(self):
+        chi = charpoly(GAMMA2_MATRIX)
+        bracket = perron_bracket(GAMMA2_MATRIX)
+        width = bracket.high - bracket.low
+        # the low end raised above rho, the high end lowered below it
+        assert not perron_witness(chi, bracket.high, bracket.high + width)
+        assert not perron_witness(chi, bracket.low - width, bracket.low)
+        # an end exactly at a root proves nothing either
+        assert not perron_witness([1, -3], Fraction(3), Fraction(4))
+        assert not perron_witness([1, -3], Fraction(2), Fraction(3))
+
+    def test_a_lower_real_root_inside_the_bracket_fails_it(self):
+        # (x - 3)(x - 2) is -1/4 at 5/2, so a low end below 2 sees two roots
+        chi = [1, -5, 6]
+        assert perron_witness(chi, Fraction(5, 2), Fraction(7, 2))
+        assert not perron_witness(chi, Fraction(1), Fraction(7, 2))
 
 
 class TestBisectRoot:
@@ -422,7 +477,7 @@ class TestBisectRoot:
             num, den = rng.randint(-50, 50), rng.randint(1, 40)
             value = sum(c * Fraction(num, den) ** (len(coeffs) - 1 - i)
                         for i, c in enumerate(coeffs))
-            assert _poly_sign(coeffs, num, den) == (value > 0) - (value < 0)
+            assert _poly_value(coeffs, num, den) == value * den ** (len(coeffs) - 1)
 
 
 class TestRootAboveOne:
@@ -448,7 +503,7 @@ class TestRootAboveOne:
             polynomials += [twist_polynomial(g, n) for n in (1, 5, 10**12)]
         for coeffs in polynomials:
             bound = 1 + max(abs(c) for c in coeffs)
-            assert _poly_sign(coeffs, 1, 1) < 0 < _poly_sign(coeffs, bound, 1)
+            assert _poly_value(coeffs, 1, 1) < 0 < _poly_value(coeffs, bound, 1)
 
 
 def contains_perron_root(m: IntMatrix, bracket: SpectralBracket) -> bool:
@@ -485,7 +540,7 @@ class TestBoundedPrecisionEngine:
     TOL = Fraction(1, 10**9)
 
     def check(self, m):
-        bracket = spectral_radius(m, self.TOL)
+        bracket = perron_bracket(m, self.TOL)
         assert bracket.high - bracket.low <= self.TOL
         assert contains_perron_root(m, bracket)
 
@@ -513,21 +568,12 @@ class TestBoundedPrecisionEngine:
         from rauzycert.fg import block_matrix
 
         m = block_matrix(100)
-        bracket = spectral_radius(m, self.TOL)
+        bracket = perron_bracket(m, self.TOL)
         values = np.linalg.eigvals(np.array(m.rows, dtype=float))
         root = Fraction(float(values[np.argmax(values.real)].real))
         slack = Fraction(1, 10**12)
         assert bracket.high - bracket.low <= self.TOL
         assert bracket.low - slack <= root <= bracket.high + slack
-
-    def test_iterate_precision_bounds_bracket_size(self):
-        from rauzycert.penner import build
-
-        bracket = spectral_radius(build(5, 3125).m, self.TOL)
-        limit = 2 * (1 / self.TOL).numerator.bit_length() + 64 + 64
-        for end in (bracket.low, bracket.high):
-            assert end.numerator.bit_length() < limit
-            assert end.denominator.bit_length() < limit
 
 
 def _ln60(x: Fraction) -> Decimal:

@@ -197,10 +197,10 @@ class TestStretchBounds:
             stretch_bounds(p, tol=0)
 
     def test_power_bracket_starts_at_row_sums(self):
-        from rauzycert.linalg import spectral_radius
+        from rauzycert.linalg import perron_bracket
 
         m = build(3, 2).m ** 3
-        assert spectral_radius(m).low >= min_row_sum(m) == 3
+        assert perron_bracket(m).low >= min_row_sum(m) == 3
 
 
 class TestRotationOrbit:

@@ -27,7 +27,6 @@ ALLOWED = {
     "diagram:RauzyDiagram.successor": "perfbench hook: tracing.METHODS patches it",
     "diagram:RauzyDiagram.to_json_dict": "perfbench hook: tracing.METHODS patches it",
     "diagram:AllowedPath.__repr__": "library view: hypothesis prints it in a falsifying example",
-    "errors:ConvergenceError.__init__": "error path: a spectral bracket that does not converge",
     "perm:LabeledPermutation.__str__": "error path: path_matrix's not-allowed message",
 }
 
