@@ -11,12 +11,10 @@ included.  ``main`` returns the code in every case and raises no
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -58,6 +56,8 @@ def _emit_report(doc: dict, report) -> int:
 
 
 def _emit_csv(header, rows) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -284,6 +284,8 @@ def _cmd_homology_check(args) -> int:
         _reject_ignored("homology-check --random", args, "a", "b", "n")
         if args.random > HOMOLOGY_RANDOM_MAX:
             raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
+        import random
+
         seed = 0 if args.seed is None else args.seed
         rng = random.Random(seed)
         failures = []
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
         return code
-    except (RauzyError, ValueError, json.JSONDecodeError) as exc:
+    except (RauzyError, ValueError) as exc:
         print("%s: %s" % (getattr(exc, "prefix", "error"), exc), file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -128,7 +128,9 @@ def injectivity_check(d: RauzyDiagram) -> bool:
     return len({row.translate(bytes.maketrans(row[n:], positions)) for row in d.rows}) == len(d)
 
 
-_TOKEN_RE = re.compile(r"([tbf])(?:\^(\d+))?|(\S)")
+# A run of letters that no ^ follows, one letter with an optional ^k, or
+# any other non-space character; whitespace between tokens is skipped.
+_TOKEN_RE = re.compile(r"([tbf]+)(?!\^)|([tbf])(?:\^(\d+))?|(\S)")
 _MOVE_OF = {move.value: move for move in Move}
 
 
@@ -136,10 +138,10 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
     """Parse a move word like ``"ftb^3"`` into moves in written order."""
     moves: list[Move] = []
     for match in _TOKEN_RE.finditer(word):
-        letter, repeat, bad = match.groups()
+        run, letter, repeat, bad = match.groups()
         if bad is not None:
             raise PermutationParseError("unexpected %r in move word %r" % (bad, word))
-        count = 1
+        count = len(run) if run else 1
         if repeat is not None:
             repeat = repeat.lstrip("0")
             if not repeat:
@@ -148,7 +150,7 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
             count = int(repeat) if len(repeat) <= len(str(MAX_MOVES)) else MAX_MOVES + 1
         if len(moves) + count > MAX_MOVES:
             raise PermutationParseError("move word expands past %d moves" % MAX_MOVES)
-        moves.extend([_MOVE_OF[letter]] * count)
+        moves.extend(map(_MOVE_OF.__getitem__, run) if run else [_MOVE_OF[letter]] * count)
     return tuple(moves)
 
 

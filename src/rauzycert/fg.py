@@ -18,10 +18,9 @@ factors through.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import AllowedPath, explore, injectivity_check
@@ -156,7 +155,7 @@ def family_bracket(g: int, tol: Fraction | str | float = DEFAULT_TOL) -> Spectra
         slope = (2 * g + 1) * h ** (2 * g) - 2 * (2 * g - 1) * h ** (2 * g - 2) - 4 * h
         k = math.ceil(slope / 3).bit_length()
         # sqrt 2 * 2^k is irrational, so its ceiling is isqrt(2 * 4^k) + 1
-        lam = dataclasses.replace(lam, low=Fraction(math.isqrt(2 << 2 * k) + 1, 1 << k))
+        lam = lam._replace(low=Fraction(math.isqrt(2 << 2 * k) + 1, 1 << k))
     return lam
 
 
@@ -178,13 +177,8 @@ def expected_orbit_trajectory(g: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass
-class FamilyReport:
-    g: int
-    certificate: PACertificate
-    upper_bound: Fraction
-    lower_bound: Fraction
-    checks: dict[str, bool] = field(default_factory=dict)
+class FamilyReport(namedtuple("FamilyReport", "g certificate upper_bound lower_bound checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -229,14 +223,9 @@ def central_after_t(n: int, m: int) -> LabeledPermutation:
     return LabeledPermutation(default_alphabet(n), tuple(range(n)), bottom)
 
 
-@dataclass
-class SampledPath:
-    family: int
-    start_display: str
-    word: str
-    primitive_exponent: int
-    diagonal_positive: bool
-    power_positive: bool
+class SampledPath(namedtuple("SampledPath", "family start_display word primitive_exponent"
+                             " diagonal_positive power_positive")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,14 +238,9 @@ class SampledPath:
         }
 
 
-@dataclass
-class CentralComponentReport:
-    n: int
-    g: int
-    component_size: int
-    lc_lower: Fraction | None
-    samples: list[SampledPath]
-    checks: dict[str, bool] = field(default_factory=dict)
+class CentralComponentReport(namedtuple("CentralComponentReport",
+                                        "n g component_size lc_lower samples checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

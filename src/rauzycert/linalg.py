@@ -12,32 +12,29 @@ spectral radius (``bisect_root``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
-from typing import TYPE_CHECKING
 
 from .errors import NotAllowedError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .diagram import AllowedPath
 
 # Width of a spectral bracket when the caller asks for none.
 DEFAULT_TOL = Fraction(1, 10**9)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A square matrix of Python ints, row-major."""
+class IntMatrix(namedtuple("IntMatrix", "rows")):
+    """A square matrix of Python ints, row-major: ``rows`` is a tuple of
+    int tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+    def __new__(cls, rows):
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def order(self) -> int:
@@ -182,13 +179,11 @@ def min_positive_power(m: IntMatrix) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SpectralBracket:
-    """Certified rational bracket low <= spectral radius <= high."""
+class SpectralBracket(namedtuple("SpectralBracket", "low high iterations")):
+    """Certified rational bracket low <= spectral radius <= high (Fractions),
+    and the iterations that found it."""
 
-    low: Fraction
-    high: Fraction
-    iterations: int
+    __slots__ = ()
 
     def log_bounds(self) -> tuple[float, float]:
         """Natural-log bracket, e.g. for translation lengths, rounded outward:

@@ -26,7 +26,7 @@ valid for any primitive n x n matrix with a positive diagonal entry, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import AllowedPath
@@ -65,17 +65,11 @@ ASSUMPTION_SIDE_ESSENTIALITY = (
 WARNING_TORUS = "n = 2 torus case: curve-graph bounds are not defined"
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(namedtuple("OrbitReport", "winners orbit_map best_start steps trajectory"
+                             " skipped_sides cycle_warnings", defaults=((), ()))):
     """How a never-winner side travels under the inverse map."""
 
-    winners: frozenset[str]
-    orbit_map: dict[str, str]
-    best_start: str
-    steps: int
-    trajectory: tuple[str, ...]
-    skipped_sides: tuple[str, ...] = ()
-    cycle_warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,22 +83,13 @@ class OrbitReport:
         }
 
 
-@dataclass
-class PACertificate:
-    path: AllowedPath
-    matrix: IntMatrix
-    primitive: bool
-    positive_power: int | None
-    verdict: str
-    genus: int
-    vertex_count: int
-    lam: SpectralBracket | None = None
-    lc_upper: Fraction | None = None
-    orbit: OrbitReport | None = None
-    lc_lower: Fraction | None = None
-    lc_lower_exact: Fraction | None = None
-    assumptions: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+# The fields from ``lam`` on default to None, and the last two to ().
+PACertificate = namedtuple(
+    "PACertificate",
+    "path matrix primitive positive_power verdict genus vertex_count lam lc_upper orbit"
+    " lc_lower lc_lower_exact assumptions warnings",
+    defaults=(None,) * 5 + ((), ()),
+)
 
 
 def certificate_to_json(cert: PACertificate) -> dict:

@@ -18,14 +18,13 @@ shape with top-right row b(I + A + ... + A^(n-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotPrimitiveError
 from .linalg import (
     DEFAULT_TOL,
     IntMatrix,
-    SpectralBracket,
     min_positive_power,
     min_row_sum,
     root_above_one,
@@ -46,17 +45,8 @@ _BLOCK_B = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
 _BLOCK_C = IntMatrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 1]])
 
 
-@dataclass
-class PennerMatrices:
-    """The 3x3 blocks and the assembled 3g x 3g curve-count matrix."""
-
-    g: int
-    n: int
-    a: IntMatrix
-    b: IntMatrix
-    c: IntMatrix
-    d: IntMatrix
-    m: IntMatrix
+# The 3x3 blocks and the assembled 3g x 3g curve-count matrix ``m``.
+PennerMatrices = namedtuple("PennerMatrices", "g n a b c d m")
 
 
 def _assemble(g: int, blocks: list[tuple[tuple[int, int], IntMatrix]]) -> IntMatrix:
@@ -121,13 +111,8 @@ def verify_power_identity(p: PennerMatrices, power: IntMatrix) -> bool:
     return power == power_closed_form(p)
 
 
-@dataclass
-class StretchReport:
-    g: int
-    n: int
-    power_min_row_sum: int
-    rho: SpectralBracket
-    checks: dict[str, bool] = field(default_factory=dict)
+class StretchReport(namedtuple("StretchReport", "g n power_min_row_sum rho checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -208,11 +193,7 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     return StretchReport(g=p.g, n=p.n, power_min_row_sum=mrs, rho=rho, checks=checks)
 
 
-@dataclass
-class RotationOrbitReport:
-    g: int
-    bound: Fraction
-    orbit: tuple[str, ...]
+RotationOrbitReport = namedtuple("RotationOrbitReport", "g bound orbit")
 
 
 def lc_upper_rotation(g: int) -> RotationOrbitReport:

@@ -13,7 +13,7 @@ order.  The default alphabet is a1, a2, ..., an.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PermutationParseError
 
@@ -28,9 +28,8 @@ def _invert(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class LabeledPermutation:
-    """A two-row permutation of an ordered alphabet.
+class LabeledPermutation(namedtuple("LabeledPermutation", "alphabet top bottom")):
+    """A two-row permutation of an ordered alphabet (a tuple of letter names).
 
     ``top[i]`` (resp. ``bottom[i]``) is the index of the letter in position
     ``i`` of the top (resp. bottom) row.  Both rows must be permutations of
@@ -43,21 +42,20 @@ class LabeledPermutation:
     UnlabeledPermutation(images=(3, 2, 1))
     """
 
-    alphabet: tuple[str, ...]
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.alphabet)
+    def __new__(cls, alphabet, top, bottom):
+        n = len(alphabet)
         if n < 2:
             raise PermutationParseError("need at least 2 letters, got %d" % n)
-        if len(set(self.alphabet)) != n:
+        if len(set(alphabet)) != n:
             raise PermutationParseError("alphabet letters must be distinct")
-        for name, row in (("top", self.top), ("bottom", self.bottom)):
+        for name, row in (("top", top), ("bottom", bottom)):
             if sorted(row) != list(range(n)):
                 raise PermutationParseError(
                     "%s row is not a permutation of the %d-letter alphabet" % (name, n)
                 )
+        return tuple.__new__(cls, (alphabet, top, bottom))
 
     @property
     def n(self) -> int:
@@ -90,15 +88,15 @@ class LabeledPermutation:
         }
 
 
-@dataclass(frozen=True)
-class UnlabeledPermutation:
+class UnlabeledPermutation(namedtuple("UnlabeledPermutation", "images")):
     """A permutation of {1..n}; ``images[i-1]`` is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+    def __new__(cls, images):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise PermutationParseError("images are not a bijection of {1..n}")
+        return tuple.__new__(cls, (images,))
 
 
 def from_rows(alphabet: tuple[str, ...], top_letters, bottom_letters) -> LabeledPermutation:

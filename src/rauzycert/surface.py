@@ -18,7 +18,7 @@ closed side is nontrivial in homology, because the face's boundary is zero
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .perm import LabeledPermutation, is_irreducible
 
@@ -41,14 +41,11 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-@dataclass
-class GluedSurface:
-    """Euler characteristic and per-side flags of the gluing."""
+class GluedSurface(namedtuple("GluedSurface", "vertex_count euler_char genus side_closed")):
+    """Euler characteristic and per-side flags of the gluing (``side_closed``
+    maps each letter name to a bool)."""
 
-    vertex_count: int
-    euler_char: int
-    genus: int
-    side_closed: dict[str, bool]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -180,6 +180,44 @@ class TestMoveWords:
         with pytest.raises(PermutationParseError, match="repeat must be >= 1"):
             parse_move_word("t^000")
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("t^", "unexpected '^' in move word 't^'"),
+            ("^3", "unexpected '^' in move word '^3'"),
+            ("tb^", "unexpected '^' in move word 'tb^'"),
+            ("t ^3", "unexpected '^' in move word 't ^3'"),
+            ("t^ 3", "unexpected '^' in move word 't^ 3'"),
+            ("t^3^2", "unexpected '^' in move word 't^3^2'"),
+            ("tbfx", "unexpected 'x' in move word 'tbfx'"),
+            ("t^0", "repeat must be >= 1 in move word 't^0'"),
+            ("tb^0", "repeat must be >= 1 in move word 'tb^0'"),
+        ],
+    )
+    def test_parse_error_messages(self, word, message):
+        with pytest.raises(PermutationParseError) as info:
+            parse_move_word(word)
+        assert str(info.value) == message
+
+    def test_parse_reads_runs_and_skips_whitespace(self):
+        t, b, f = Move.TOP, Move.BOTTOM, Move.FLIP
+        assert parse_move_word("t^01") == (t,)
+        assert parse_move_word("tbf") == parse_move_word(" t b\tf\n") == (t, b, f)
+        # ^k repeats the last letter of a run only
+        assert parse_move_word("ftb^2 bt") == (f, t, b, b, b, t)
+        assert parse_move_word("ftbb" * 3) == (f, t, b, b) * 3
+
+    def test_parse_caps_runs_of_plain_letters(self):
+        assert len(parse_move_word("t" * 10**6)) == 10**6
+        with pytest.raises(PermutationParseError, match="expands past 1000000"):
+            parse_move_word("t" * 10**6 + "b")
+        with pytest.raises(PermutationParseError, match="expands past 1000000"):
+            parse_move_word("t^999999 bb")
+        # the run is read up to the letter that carries ^0, and that letter's
+        # repeat is refused before its count reaches the cap
+        with pytest.raises(PermutationParseError, match="repeat must be >= 1"):
+            parse_move_word("t" * 10**6 + "^0")
+
 
 class TestBuildPath:
     @pytest.mark.parametrize("g", range(2, 7))

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -192,7 +191,7 @@ class TestStretchBounds:
     def test_rejects_non_primitive_and_bad_tolerance(self):
         p = build(3, 1)
         with pytest.raises(NotPrimitiveError):
-            stretch_bounds(dataclasses.replace(p, m=IntMatrix.identity(9)))
+            stretch_bounds(p._replace(m=IntMatrix.identity(9)))
         with pytest.raises(ValueError, match="tolerance must be positive"):
             stretch_bounds(p, tol=0)
 
