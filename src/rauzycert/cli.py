@@ -279,6 +279,12 @@ HOMOLOGY_RANDOM_MAX = 10**5
 RANDOM_DIM_MAX, RANDOM_ENTRY_MAX, RANDOM_N_MAX = 4, 5, 10
 
 
+def _is_int_list(value) -> bool:
+    """A list of JSON integers; ``json`` reads true and false as bool, an
+    int subclass, and 1.0 as a float, so neither passes."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def _cmd_homology_check(args) -> int:
     if args.random is not None:
         _reject_ignored("homology-check --random", args, "a", "b", "n")
@@ -310,8 +316,12 @@ def _cmd_homology_check(args) -> int:
     if args.a is None or args.b is None or args.n is None:
         raise ValueError("homology-check needs --a, --b and --n (or --random)")
     _reject_ignored("homology-check --a/--b/--n", args, "seed")
-    a = IntMatrix.from_rows(json.loads(args.a))
-    b = [int(x) for x in json.loads(args.b)]
+    a, b = json.loads(args.a), json.loads(args.b)
+    if not (isinstance(a, list) and all(map(_is_int_list, a))):
+        raise ValueError("--a must be a JSON list of lists of integers")
+    if not _is_int_list(b):
+        raise ValueError("--b must be a JSON list of integers")
+    a = IntMatrix.from_rows(a)
     equal = penner_mod.homology_power_check(a, b, args.n)
     _emit_json({"dim": a.order, "n": args.n, "equal": equal})
     return 0 if equal else 2

@@ -35,6 +35,7 @@ from .linalg import (
 )
 from .pa import PACertificate, certify, lc_lower_bound
 from .perm import LabeledPermutation, _images, _relabel, central, default_alphabet, fg_start
+from .perm import _invert
 
 
 # Largest genus that family_loop accepts, and so ``fg --genus`` and ``fg
@@ -247,17 +248,7 @@ class CentralComponentReport(namedtuple("CentralComponentReport",
         return all(self.checks.values())
 
 
-def _predecessors(step) -> list[list[int]]:
-    """The reverse adjacency of the successor tables: ``preds[v]`` lists
-    the vertices with an edge into v."""
-    preds: list[list[int]] = [[] for _ in step[0]]
-    for table in step:
-        for u, v in enumerate(table):
-            preds[v].append(u)
-    return preds
-
-
-def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
+def _closed_words(diagram, back, start: int, end: int, max_len: int, cycles):
     """Words over {t, b}, as tuples of move indices, of length 1..max_len
     leading from vertex ``start`` to vertex ``end`` on which every cycle of
     the relabeling (bit masks, as ``_cycle_masks`` gives them) both wins
@@ -269,9 +260,9 @@ def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
     Only vertices that a word of at most ``max_len`` moves can pass are
     kept: v enters ``reach[k]`` only when its distance from ``start`` plus
     k is at most ``max_len`` (distances from two breadth-first searches,
-    backwards along ``preds`` from ``end`` and then forwards from ``start``
-    inside that bound).  Level k is built from level k - 1 when the length
-    loop first reaches k.
+    backwards along the inverse tables ``back`` from ``end`` and then
+    forwards from ``start`` inside that bound).  Level k is built from
+    level k - 1 when the length loop first reaches k.
 
     Each length L is one depth-first search in t, b order, run only when
     ``reach[L][start]`` wins and loses every cycle.  A prefix with k moves
@@ -290,8 +281,9 @@ def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
     while frontier and d < max_len:
         d += 1
         nxt = []
-        for v in frontier:
-            for u in preds[v]:
+        for into in back:
+            for v in frontier:
+                u = into[v]
                 if to_end[u] == far:
                     to_end[u] = d
                     nxt.append(u)
@@ -326,8 +318,9 @@ def _closed_words(diagram, preds, start: int, end: int, max_len: int, cycles):
     won, lost = [0] * max_len, [0] * max_len
     for length in range(1, max_len + 1):
         last, level = reach[-1], {}
-        for u in last:
-            for v in preds[u]:
+        for into in back:
+            for u in last:
+                v = into[u]
                 if v in level or room.get(v, -1) < length:
                     continue
                 w = l = 0
@@ -373,33 +366,33 @@ def _word_text(word) -> str:
     return "".join("tb"[move] for move in word)
 
 
-def _nearest(step, src: int, is_target) -> tuple[int, list[int]]:
+def _nearest(step, back, src: int, is_target) -> tuple[int, list[int]]:
     """The lowest-index vertex satisfying ``is_target`` among those nearest
     to ``src``, and the moves of its path in the breadth-first tree that
-    tries t before b from each vertex in turn."""
-    prev: dict[int, tuple[int, int] | None] = {src: None}
+    tries t before b; ``via[v]`` is the move into v, from ``back[via[v]][v]``."""
+    via = {src: -1}
     layer = [src]
     while layer:
         hits = [v for v in layer if is_target(v)]
         if hits:
             v = target = min(hits)
             word = []
-            while prev[v] is not None:
-                v, move = prev[v]
-                word.append(move)
+            while v != src:
+                word.append(via[v])
+                v = back[word[-1]][v]
             return target, word[::-1]
         nxt = []
         for u in layer:
             for move in (0, 1):
                 v = step[move][u]
-                if v not in prev:
-                    prev[v] = (u, move)
+                if v not in via:
+                    via[v] = move
                     nxt.append(v)
         layer = nxt
     raise RuntimeError("no target reachable from vertex %d" % src)
 
 
-def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
+def _cover_loop(step, back, winner, base: int, letter_order) -> tuple[int, ...]:
     """A closed loop at ``base`` on which every letter wins at least once.
 
     Greedily walks to the nearest edge winning each still-uncovered letter
@@ -415,7 +408,7 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
         if letter in covered:
             continue
         vertex, approach = _nearest(
-            step, current, lambda v, x=letter: x in (winner[0][v], winner[1][v])
+            step, back, current, lambda v, x=letter: x in (winner[0][v], winner[1][v])
         )
         move = 0 if winner[0][vertex] == letter else 1
         word.extend(approach)
@@ -425,13 +418,13 @@ def _cover_loop(step, winner, base: int, letter_order) -> tuple[int, ...]:
             current = step[mv][current]
         covered.add(letter)
         current = step[move][vertex]
-    word.extend(_nearest(step, current, base.__eq__)[1])
+    word.extend(_nearest(step, back, current, base.__eq__)[1])
     return tuple(word)
 
 
 # Largest n that central_component_checks accepts: on a 2-vCPU VM n = 20
-# (524,287 vertices) takes about 5 s at 220 MiB, and each further letter
-# doubles both, to 16-17 s at 810 MiB for n = 22 (2,097,151 vertices).
+# (524,287 vertices) takes 3-4 s at 170 MiB, and each further letter about
+# doubles both, to 10-17 s at 585 MiB for n = 22 (2,097,151 vertices).
 CENTRAL_N_MAX = 22
 
 # Largest loop_len and samples that central_component_checks accepts, timed
@@ -441,7 +434,7 @@ CENTRAL_N_MAX = 22
 # n = 13, its slowest n below 22 (n = 14 takes 21 s at loop_len 52).  Each
 # shape-1 sample past the enumerated words is a cover loop, one
 # breadth-first search per letter in the whole component: at n = 22, 12
-# samples take about 20 s at 812 MiB, 16 take 30 s and 22 take 36 s.
+# samples take 18-21 s at 585 MiB (16 took 30 s and 22 took 36 s).
 LOOP_LEN_MAX = 48
 SAMPLES_MAX = 12
 
@@ -531,6 +524,12 @@ def central_component_checks(
 
     sampled: list[SampledPath] = []
     step, winner, loser = diagram.succ, diagram.winner, diagram.loser
+    # back[move][v] is the one vertex whose move leads to v.  explore closed
+    # the seed under t and b, so each table maps the component into itself,
+    # one-to-one and so onto: t keeps the top row and puts the loser right
+    # after the winner (the top row's last letter) in the bottom row, and
+    # moving the letter after the winner back to the end undoes it; b mirrors t.
+    back = tuple(map(_invert, step))
 
     def sample(family: int, src: int, word, relabel) -> bool:
         """Record the path of ``word`` from vertex ``src`` when its matrix is
@@ -569,12 +568,11 @@ def central_component_checks(
     # the longer ones within a few moves (the first such loop has 2.4n
     # moves at n = 5 and 3.7n at n = 12).
     covers = (
-        _cover_loop(step, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
+        _cover_loop(step, back, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
     )
     identity = tuple(range(n))
     singletons = _cycle_masks(identity)
-    preds = _predecessors(step)
-    words = itertools.chain(_closed_words(diagram, preds, 0, 0, loop_len, singletons), covers)
+    words = itertools.chain(_closed_words(diagram, back, 0, 0, loop_len, singletons), covers)
     tried: set[tuple[int, ...]] = set()
     found = 0
     while found < samples and (word := next(words, None)) is not None:
@@ -587,7 +585,7 @@ def central_component_checks(
     for src, dst, relabel, cycles in flip_paths:
         if found == samples:
             break
-        candidates = _closed_words(diagram, preds, src, dst, loop_len, cycles)
+        candidates = _closed_words(diagram, back, src, dst, loop_len, cycles)
         found += any(sample(2, src, word, relabel) for word in candidates)
 
     checks["family1_samples_found"] = any(s.family == 1 for s in sampled)

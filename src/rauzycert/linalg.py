@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
 
-from .errors import NotAllowedError
+from .errors import NotAllowedError, NotPrimitiveError
 
 # Width of a spectral bracket when the caller asks for none.
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -336,6 +336,25 @@ def _float_seed(chi, top: int) -> Fraction:
         y -= y * value / slope
 
 
+def _strongly_connected(m: IntMatrix) -> bool:
+    """Whether every vertex of the support graph of m (an edge i -> j for
+    each nonzero entry (i, j)) is reached from vertex 0 by a walk of at
+    least one edge, and reaches it by one.  For order >= 2 that is strong
+    connection, irreducibility; at order 1 it asks for a nonzero entry."""
+    full = (1 << m.order) - 1
+    for lines in (m.rows, zip(*m.rows)):
+        succ = [sum(1 << j for j, x in enumerate(line) if x) for line in lines]
+        seen = frontier = succ[0]
+        while frontier:
+            bit = frontier & -frontier
+            new = succ[bit.bit_length() - 1] & ~seen
+            seen |= new
+            frontier = (frontier ^ bit) | new
+        if seen != full:
+            return False
+    return True
+
+
 def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
     """Bracket the spectral radius rho of a primitive matrix to width ``tol``.
 
@@ -349,7 +368,13 @@ def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> S
     the least of the largest row and column sums.  A grid where chi(low) < 0
     and the bounds are within ``tol`` ends it, as rho is a simple root, and
     ``perron_witness`` must then prove the bracket (RuntimeError, a fault
-    here, if not).  ``iterations`` counts the Newton steps."""
+    here, if not).  ``iterations`` counts the Newton steps.
+
+    A root of even multiplicity never gives chi(low) < 0, so the loop can
+    stall only with the bounds within ``tol`` and chi(low) >= 0.  There a
+    matrix whose support graph is not strongly connected (the identity,
+    say) raises NotPrimitiveError; rho of an irreducible matrix is a simple
+    root (Perron-Frobenius), so for one the loop goes on and ends."""
     tol = min(Fraction(tol), Fraction(1, 2))  # rho >= 1, so the low end stays positive
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -368,8 +393,11 @@ def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> S
         whole, part = divmod(value, divisor)  # delta is whole + part / divisor grid steps
         low, step_to = high - 1 - d * whole - d * part // divisor, high + 1 - whole - (part > 0)
         wide = (step_to - low) * tol.denominator > tol.numerator * den
-        if not wide and _poly_value(chi, low, den) < 0:
-            break
+        if not wide:
+            if _poly_value(chi, low, den) < 0:
+                break
+            if not _strongly_connected(m):
+                raise NotPrimitiveError("the matrix's support graph is not strongly connected")
         if step_to < high:
             high, steps = step_to, steps + 1
         else:

@@ -397,6 +397,46 @@ class TestHomologyCheck:
         assert code == 1
         assert "error" in err
 
+    A_LINE = "error: --a must be a JSON list of lists of integers\n"
+    B_LINE = "error: --b must be a JSON list of integers\n"
+
+    @pytest.mark.parametrize(
+        "a, b, line",
+        [
+            ("[1, 2]", "[1]", A_LINE),
+            ("5", "[1]", A_LINE),
+            ("null", "[1]", A_LINE),
+            ('"[[1]]"', "[1]", A_LINE),
+            ("[[1.5, 2], [0, 1]]", "[0, 1]", A_LINE),
+            ("[[1.0]]", "[1]", A_LINE),
+            ("[[true]]", "[1]", A_LINE),
+            ('[["3"]]', "[1]", A_LINE),
+            ("[[1]]", "5", B_LINE),
+            ("[[1]]", "[[1]]", B_LINE),
+            ("[[1]]", "null", B_LINE),
+            ("[[1, 2], [0, 1]]", "[0.9, 1]", B_LINE),
+            ("[[1]]", "[true]", B_LINE),
+            ("[[1]]", '["3"]', B_LINE),
+        ],
+    )
+    def test_non_integer_input_is_an_error(self, capsys, a, b, line):
+        # int() would read 1.5 as 1, true as 1 and "3" as 3, and a value
+        # that is no list of lists would raise TypeError past main
+        assert run(capsys, "homology-check", "--a", a, "--b", b, "--n", "3") == (1, "", line)
+
+    @pytest.mark.parametrize("flag, value", [("--a", "[1, 2]"), ("--b", "[[1]]")])
+    def test_rejected_input_prints_no_traceback(self, flag, value):
+        argv = {"--a": "[[1]]", "--b": "[1]", "--n": "3", flag: value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rauzycert.cli", "homology-check", *sum(argv.items(), ())],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: %s must be" % flag)
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

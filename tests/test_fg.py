@@ -16,7 +16,6 @@ from rauzycert.fg import (
     _closed_words,
     _cover_loop,
     _cycle_masks,
-    _predecessors,
     _stations,
     FamilyReport,
     block_matrix,
@@ -39,7 +38,7 @@ from rauzycert.linalg import (
     root_above_one,
 )
 from rauzycert.pa import lc_lower_bound
-from rauzycert.perm import central, fg_start, parse, unlabeled
+from rauzycert.perm import _invert, central, fg_start, parse, unlabeled
 
 from helpers import (
     berkowitz_charpoly,
@@ -51,6 +50,10 @@ from helpers import (
     poly_mul,
     unpruned_closed_words,
 )
+
+
+def _inverse_tables(d):
+    return tuple(map(_invert, d.succ))
 
 
 def _duels(path: AllowedPath) -> list[tuple[str, str]]:
@@ -247,6 +250,19 @@ def _unwon_unlost(updates, cycles) -> tuple[int, int]:
     return sum(not c & won for c in letters), sum(not c & lost for c in letters)
 
 
+class TestInverseTables:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_successor_tables_are_permutations(self, n):
+        # central_component_checks reads every reverse edge from the inverse
+        # tables, which needs t and b to be bijections of the component
+        d = explore(central(n))
+        vertices = list(range(len(d)))
+        for table, inverse in zip(d.succ, _inverse_tables(d)):
+            assert sorted(table) == vertices
+            assert [inverse[v] for v in table] == vertices
+            assert [table[v] for v in inverse] == vertices
+
+
 class TestClosedWords:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_pruned_search_matches_brute_force(self, n):
@@ -266,13 +282,13 @@ class TestClosedWords:
         # and lose every letter exist (the first has 2.4n moves at n = 5,
         # 3n at n = 8), so the masks no longer decide shape 1 at its root
         d = explore(central(n))
-        preds = _predecessors(d.succ)
+        back = _inverse_tables(d)
         for max_len in (2 * n, 3 * n) if n <= 7 else (2 * n,):
             kept = 0
             for _, src, dst, relabel in _shapes(d, n):
                 cycles = _cycle_masks(relabel)
                 expected = _rule_keeps(d, src, dst, max_len, cycles)
-                assert list(_closed_words(d, preds, src, dst, max_len, cycles)) == expected
+                assert list(_closed_words(d, back, src, dst, max_len, cycles)) == expected
                 kept += len(expected)
             assert kept > 0
 
@@ -283,14 +299,14 @@ class TestClosedWords:
         # are exercised here; the cycles come from the identity and from a
         # seeded random relabeling.
         d = explore(central(n))
-        preds = _predecessors(d.succ)
+        back = _inverse_tables(d)
         relabel = list(range(n))
         random.Random(n).shuffle(relabel)
         for cycles in (_cycle_masks(tuple(range(n))), _cycle_masks(tuple(relabel))):
             for src in range(len(d)):
                 for dst in range(len(d)):
                     expected = _rule_keeps(d, src, dst, 2 * n, cycles)
-                    assert list(_closed_words(d, preds, src, dst, 2 * n, cycles)) == expected
+                    assert list(_closed_words(d, back, src, dst, 2 * n, cycles)) == expected
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_any_endpoints_and_cycles_past_2n(self, n):
@@ -298,7 +314,7 @@ class TestClosedWords:
         # start enumerated once for every end and both cycle sets, and
         # never_primitive's rule read off their won and lost letters.
         d = explore(central(n))
-        preds = _predecessors(d.succ)
+        back = _inverse_tables(d)
         relabel = list(range(n))
         random.Random(n).shuffle(relabel)
         for src in range(len(d)):
@@ -309,7 +325,7 @@ class TestClosedWords:
                     if all(cycle & won and cycle & lost for cycle in cycles):
                         expected[dst].append(word)
                 for dst, words in expected.items():
-                    assert list(_closed_words(d, preds, src, dst, 3 * n, cycles)) == words
+                    assert list(_closed_words(d, back, src, dst, 3 * n, cycles)) == words
 
     def test_prunes_inside_the_search(self):
         # A work count rather than a timing: at n = 12 the closed loops at
@@ -331,7 +347,7 @@ class TestClosedWords:
         words = list(unpruned_closed_words(counted.succ, 0, 0, 2 * n))
         unpruned, Counting.lookups = Counting.lookups, 0
         cycles = _cycle_masks(tuple(range(n)))
-        kept = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, cycles))
+        kept = list(_closed_words(counted, _inverse_tables(d), 0, 0, 2 * n, cycles))
         assert len(words) > len(kept)
         assert Counting.lookups * 60 < unpruned
 
@@ -358,7 +374,7 @@ class TestClosedWords:
             succ=ByMove(d.succ), winner=d.winner, loser=d.loser, alphabet=d.alphabet
         )
         singletons = _cycle_masks(tuple(range(n)))
-        words = list(_closed_words(counted, _predecessors(d.succ), 0, 0, 2 * n, singletons))
+        words = list(_closed_words(counted, _inverse_tables(d), 0, 0, 2 * n, singletons))
         assert len(words) == {3: 10, 4: 2}.get(n, 0)
         assert (ByMove.lookups <= 64) == (n >= 5)
 
@@ -370,11 +386,11 @@ class TestClosedWords:
         # left, and one with exactly as many unlost cycles: a prune by these
         # counts with an allowance of one move fewer would drop a kept word.
         d = explore(central(n))
-        preds = _predecessors(d.succ)
+        back = _inverse_tables(d)
         tight_won = tight_lost = False
         for _, src, dst, relabel in _shapes(d, n):
             cycles = _cycle_masks(relabel)
-            for word in _closed_words(d, preds, src, dst, 2 * n, cycles):
+            for word in _closed_words(d, back, src, dst, 2 * n, cycles):
                 updates = _updates(d, src, word)
                 for k in range(1, len(word)):
                     unwon, unlost = _unwon_unlost(updates[:k], cycles)
@@ -533,12 +549,12 @@ class TestTheorem12:
         # A work count rather than a timing: the closed-word search drops
         # every word the cycle rule would reject, and no cover loop breaks
         # the rule, so each word that reaches the sampler gives a primitive
-        # matrix; the reverse adjacency is built once per diagram.
-        calls = {"preds": 0, "power": 0, "imprimitive": 0, "product": 0}
+        # matrix; each successor table is inverted once per diagram.
+        calls = {"invert": 0, "power": 0, "imprimitive": 0, "product": 0}
 
-        def preds(step):
-            calls["preds"] += 1
-            return _predecessors(step)
+        def invert(table):
+            calls["invert"] += 1
+            return _invert(table)
 
         def power(matrix):
             calls["power"] += 1
@@ -550,12 +566,12 @@ class TestTheorem12:
             calls["product"] += 1
             return _column_product(*args)
 
-        monkeypatch.setattr("rauzycert.fg._predecessors", preds)
+        monkeypatch.setattr("rauzycert.fg._invert", invert)
         monkeypatch.setattr("rauzycert.fg.min_positive_power", power)
         monkeypatch.setattr("rauzycert.fg._column_product", product)
         report = central_component_checks(n)
         assert len(report.samples) == 6
-        assert calls == {"preds": 1, "power": 6, "imprimitive": 0, "product": 6}
+        assert calls == {"invert": 2, "power": 6, "imprimitive": 0, "product": 6}
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_flipped_loop_vertex_has_one_unlabeled_partner(self, n):
@@ -633,10 +649,11 @@ class TestCoverLoop:
     @pytest.mark.parametrize("n", range(3, 8))
     def test_matches_per_target_search(self, n):
         d = explore(central(n))
+        back = _inverse_tables(d)
         for base in range(len(d)):
             for r in range(n):
                 order = list(range(r, n)) + list(range(r))
-                loop = _cover_loop(d.succ, d.winner, base, order)
+                loop = _cover_loop(d.succ, back, d.winner, base, order)
                 assert loop == oracle_cover_loop(d.succ, d.winner, base, order)
 
 

@@ -127,6 +127,11 @@ CASES: dict[str, tuple[str, ...]] = {
         "homology-check", "--a", "[[1,1],[0,11]]", "--b", "[1,0]", "--n", "2"
     ),
     "homology_check_n_max_above_cap": ("homology-check", "--random", "5", "--n-max", "10001"),
+    # exit 1: --a and --b must hold JSON integers, and --a a list of lists
+    "homology_check_float_entry": (
+        "homology-check", "--a", "[[1.5,2],[0,1]]", "--b", "[0.9,1]", "--n", "3"
+    ),
+    "homology_check_a_not_a_list": ("homology-check", "--a", "5", "--b", "[1]", "--n", "2"),
     # exit 1: a flag that the chosen mode does not read
     "homology_check_random_with_a_n": (
         "homology-check", "--random", "2", "--n", "3", "--a", "[[1]]"
@@ -204,6 +209,7 @@ LARGE_OUTPUT_SHA1 = {
     ("diagram", "--central", "12", "--format", "dot"): "6556a43c367224311f1bf544f1ba31df3cbee535",
     ("diagram", "--central", "6", "--augmented"): "c7e514c9f25a6664a9592b275b4ee57dc8b65658",
     ("fg", "central", "--n", "14"): "6c1b16a8593a30eb03bf98e352beeefb054c2caf",
+    ("fg", "central", "--n", "16"): "2b9f6219e3b717bfb8746f86c0981ab8acc30444",
 }
 
 

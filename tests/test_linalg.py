@@ -1,8 +1,10 @@
 import random
+import signal
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 import sympy
@@ -10,13 +12,14 @@ from hypothesis import given, settings
 
 from rauzycert import linalg, pa
 from rauzycert.diagram import AllowedPath, build_path
-from rauzycert.errors import NotAllowedError
+from rauzycert.errors import NotAllowedError, NotPrimitiveError
 from rauzycert.fg import family_polynomial
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
     _poly_value,
+    _strongly_connected,
     _times,
     bisect_root,
     charpoly,
@@ -354,6 +357,47 @@ class TestSpectralRadius:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             perron_bracket(GAMMA2_MATRIX, 0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, 1]],
+            [[1, 1], [0, 1]],
+            [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+        ],
+        ids=["identity", "Jordan block", "block diagonal"],
+    )
+    def test_reducible_matrix_raises_within_a_second(self, rows):
+        # At a Perron root of even multiplicity chi(low) < 0 never holds, so
+        # without the check the grid kept doubling and the call never ended.
+        def stop(signum, frame):
+            raise TimeoutError("perron_bracket still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            with pytest.raises(NotPrimitiveError):
+                perron_bracket(IntMatrix.from_rows(rows))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_irreducible_but_imprimitive_matrix_is_bracketed(self):
+        bracket = perron_bracket(IntMatrix.from_rows([[0, 1], [1, 0]]))
+        assert bracket.low < 1 < bracket.high
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strong_connection_against_networkx(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            rows = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from((i, j) for i in range(n) for j in range(n) if rows[i][j])
+            # a single vertex counts only with its loop
+            expected = nx.is_strongly_connected(graph) and (n > 1 or rows[0][0] == 1)
+            assert _strongly_connected(IntMatrix.from_rows(rows)) == expected
 
     def test_deterministic(self):
         a = perron_bracket(GAMMA2_MATRIX)

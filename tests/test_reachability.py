@@ -28,6 +28,8 @@ ALLOWED = {
     "diagram:RauzyDiagram.to_json_dict": "perfbench hook: tracing.METHODS patches it",
     "diagram:AllowedPath.__repr__": "library view: hypothesis prints it in a falsifying example",
     "perm:LabeledPermutation.__str__": "error path: path_matrix's not-allowed message",
+    "linalg:_strongly_connected": "error path: perron_bracket's guard where its loop would stall,"
+    " which certify's primitive matrices never reach",
 }
 
 
