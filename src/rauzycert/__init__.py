@@ -24,7 +24,6 @@ from .linalg import (
     IntMatrix,
     SpectralBracket,
     min_positive_power,
-    min_row_sum,
     path_matrix,
 )
 from .pa import PACertificate, certify, lc_lower_bound, lc_upper_bound
@@ -68,7 +67,6 @@ __all__ = [
     "lc_lower_bound",
     "lc_upper_bound",
     "min_positive_power",
-    "min_row_sum",
     "parse",
     "path_matrix",
     "stratum_of_central",

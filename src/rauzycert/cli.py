@@ -215,9 +215,17 @@ def _cmd_fg(args) -> int:
 
 
 # Largest penner sweep --nmax: with the default --gmax 6, --nmax 5000 takes
-# 18 s at 29 MiB, and --gmax 3 --nmax 5000 takes 3.6 s (2-vCPU VM).  Like
-# the --gmax cap, it bounds the flag, not the grid.
+# 9-13 s at 28 MiB, and --gmax 3 --nmax 5000 takes 2.4 s (2-vCPU VM).
 SWEEP_N_MAX = 5000
+
+# The grid is bounded too.  One cell at genus g takes about
+# 390 + 14 g + 1.6 g^2 microseconds, n hardly mattering (least squares over
+# sweeps from --gmax 3 --nmax 5000 to --gmax 150 --nmax 5, 2-vCPU VM); the
+# estimate rounds that up to 400 + 15 g + 2 g^2, and a grid whose estimate
+# passes the budget exits 1 before any work.  --gmax 150 --nmax 5, estimated
+# at 12.5 s, took 8.9-13 s.
+_SWEEP_CELL_US = (400, 15, 2)
+_SWEEP_BUDGET_S = 30
 
 
 def _cmd_penner(args) -> int:
@@ -227,6 +235,16 @@ def _cmd_penner(args) -> int:
             raise ValueError("--gmax must be <= %d, got %d" % (penner_mod.GENUS_MAX, args.gmax))
         if args.nmax > SWEEP_N_MAX:
             raise ValueError("--nmax must be <= %d, got %d" % (SWEEP_N_MAX, args.nmax))
+        a, b, c = _SWEEP_CELL_US
+        column_us = sum(a + b * g + c * g * g for g in range(3, args.gmax + 1))
+        budget_us = _SWEEP_BUDGET_S * 10**6
+        if args.nmax * column_us > budget_us:
+            raise ValueError(
+                "--gmax %d with --nmax %d is a grid of about %d s, over the %d s budget"
+                " (at --gmax %d, --nmax must be <= %d)"
+                % (args.gmax, args.nmax, -(-args.nmax * column_us // 10**6), _SWEEP_BUDGET_S,
+                   args.gmax, budget_us // column_us)
+            )
         rows = []
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):

@@ -99,12 +99,6 @@ def decimal_text(x: int) -> str:
         return str(Decimal(x))
 
 
-def min_row_sum(m: IntMatrix) -> int:
-    """Minimum over rows of the entry sum; a Collatz-Wielandt lower bound for
-    the spectral radius of a nonnegative matrix."""
-    return min(sum(row) for row in m.rows)
-
-
 def _column_product(n: int, updates, relabel: tuple[int, ...]) -> IntMatrix:
     """(Id + E(w1, l1)) ... (Id + E(wk, lk)) P for ``updates`` = ((w1, l1), ...),
     with P the permutation matrix that has a 1 at (relabel[b], b).
@@ -164,11 +158,16 @@ def min_positive_power(m: IntMatrix) -> int | None:
     """
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
-    full = (1 << m.order) - 1
-    supports = [[j for j, x in enumerate(row) if x] for row in m.rows]
+    return _min_positive_power([[j for j, x in enumerate(row) if x] for row in m.rows])
+
+
+def _min_positive_power(supports) -> int | None:
+    """``min_positive_power`` of a nonnegative matrix given by the columns of
+    the nonzeros of each row (``supports``, one list per row)."""
+    full = (1 << len(supports)) - 1
     pickers = [s[0] if len(s) == 1 else itemgetter(*s) if s else None for s in supports]
     power, anchor = [sum(1 << j for j in s) for s in supports], None
-    for p in range(1, wielandt_bound(m.order) + 1):
+    for p in range(1, wielandt_bound(len(supports)) + 1):
         if min(power) == full:
             return p
         if power == anchor:
@@ -381,6 +380,8 @@ def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> S
     chi, d = charpoly(m), m.order
     slope = [c * (d - i) for i, c in enumerate(chi[:-1])]
     top = min(max(map(sum, m.rows)), max(map(sum, zip(*m.rows))))
+    if not top:  # only the zero matrix: no seed, and no Perron root to find
+        raise NotPrimitiveError("the zero matrix is not primitive")
     seed = _float_seed(chi, top)
     start = seed if _shift_positive(chi, seed) else Fraction(top)
     need = ((2 * (d + 1) * tol.denominator - 1) // tol.numerator).bit_length()

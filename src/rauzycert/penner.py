@@ -11,6 +11,13 @@ stretch translation length to infinity while the curve-graph length still
 tends to zero.  The stretch factor itself is bracketed as the one root above
 1 of a closed-form polynomial Q_n of degree 2g (see ``twist_polynomial``).
 
+M_n^g is never dense: ``stretch_bounds`` reads the nonzeros of M_n once and
+builds M_n^g from them as sparse rows by left products, which reuse the
+rows of the previous power that M_n's shift rows pick (``_power``).  The
+closed form is assembled as the same sparse rows and compared row by row,
+and the minimum row sum and the primitivity search read those rows too.
+The dense 3g x 3g matrix is built once, for ``PennerMatrices.m``.
+
 The final helper checks the homology block identity used to separate
 conjugacy classes: powers of [[1, b], [0, A]] keep the block-triangular
 shape with top-right row b(I + A + ... + A^(n-1)).
@@ -20,20 +27,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 
 from .errors import NotPrimitiveError
-from .linalg import (
-    DEFAULT_TOL,
-    IntMatrix,
-    min_positive_power,
-    min_row_sum,
-    root_above_one,
-)
+from .linalg import DEFAULT_TOL, IntMatrix, _min_positive_power, root_above_one
 
 # Largest genus that build accepts, and so ``penner --genus`` and ``penner
-# sweep --gmax``.  Building M^g, the exact power identity and the printed
-# 3g x 3g matrix each grow with g^2 or faster; see the README for measured
-# times.  The cap guards runtime and output size, not exactness.
+# sweep --gmax``.  The dense and the printed 3g x 3g matrix and the
+# primitivity search on M^g (g/2 + 2 steps of 3g bitset rows from g = 10)
+# grow with g^2; M^g itself takes g - 1 steps of three row sums.  See the
+# README for measured times.  The cap guards runtime and output size, not
+# exactness.
 GENUS_MAX = 150
 
 
@@ -49,16 +53,17 @@ _BLOCK_C = IntMatrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 1]])
 PennerMatrices = namedtuple("PennerMatrices", "g n a b c d m")
 
 
-def _assemble(g: int, blocks: list[tuple[tuple[int, int], IntMatrix]]) -> IntMatrix:
-    """Add 3x3 blocks, given as ((block row, block column), block) pairs,
-    into a 3g x 3g zero matrix."""
-    size = 3 * g
-    rows = [[0] * size for _ in range(size)]
+def _assemble(g: int, blocks: list[tuple[tuple[int, int], IntMatrix]]) -> list[dict[int, int]]:
+    """The 3g x 3g sum of nonnegative 3x3 blocks, given as ((block row,
+    block column), block) pairs, as sparse rows: row i is {column: entry}
+    over its nonzeros."""
+    rows = [{} for _ in range(3 * g)]
     for (bi, bj), block in blocks:
-        for i in range(3):
-            for j in range(3):
-                rows[3 * bi + i][3 * bj + j] += block.rows[i][j]
-    return IntMatrix.from_rows(rows)
+        for row, line in zip(rows[3 * bi:3 * bi + 3], block.rows):
+            for j, x in enumerate(line, 3 * bj):
+                if x:
+                    row[j] = row.get(j, 0) + x
+    return rows
 
 
 def build(g: int, n: int) -> PennerMatrices:
@@ -78,36 +83,43 @@ def build(g: int, n: int) -> PennerMatrices:
     identity = IntMatrix.identity(3)
     blocks = [((0, g - 1), identity), ((1, 0), a), ((1, 1), _BLOCK_B), ((1, g - 1), _BLOCK_C)]
     blocks += [((i, i - 1), identity) for i in range(2, g)]
-    return PennerMatrices(g=g, n=n, a=a, b=_BLOCK_B, c=_BLOCK_C, d=d, m=_assemble(g, blocks))
+    dense = [[0] * (3 * g) for _ in range(3 * g)]
+    for line, row in zip(dense, _assemble(g, blocks)):
+        for j, x in row.items():
+            line[j] = x
+    m = IntMatrix(tuple(map(tuple, dense)))
+    return PennerMatrices(g=g, n=n, a=a, b=_BLOCK_B, c=_BLOCK_C, d=d, m=m)
 
 
-def power_closed_form(p: PennerMatrices) -> IntMatrix:
-    """The expected block form of the g-th power of the companion matrix.
+def power_closed_form(p: PennerMatrices) -> list[dict[int, int]]:
+    """The expected block form of the g-th power of the companion matrix,
+    as sparse rows (see ``_assemble``).
 
     Blocks that share a position add up: at g = 3 the ``c * c`` block (and
     c * c = c) lands on ``b * a`` at (1, 2).
     """
     g, a, b, c, d = p.g, p.a, p.b, p.c, p.d
+    ba = b * a
     blocks = [
         ((0, 0), a),
         ((0, 1), b),
         ((0, g - 1), c),
         ((1, 0), c * a),
         ((1, 1), d + c * b),
-        ((1, 2), b * a),
+        ((1, 2), ba),
         ((1, g - 1), c * c),
-        ((g - 1, 0), b * a),
+        ((g - 1, 0), ba),
         ((g - 1, g - 2), c),
         ((g - 1, g - 1), d),
     ]
     for i in range(2, g - 1):
-        blocks += [((i, i - 1), c), ((i, i), d), ((i, i + 1), b * a)]
+        blocks += [((i, i - 1), c), ((i, i), d), ((i, i + 1), ba)]
     return _assemble(g, blocks)
 
 
-def verify_power_identity(p: PennerMatrices, power: IntMatrix) -> bool:
-    """Exact equality of ``power``, the g-th power of ``p.m``, with its block
-    closed form."""
+def verify_power_identity(p: PennerMatrices, power: list[dict[int, int]]) -> bool:
+    """Exact equality, row by row, of ``power``, the sparse rows of the g-th
+    power of ``p.m``, with its block closed form."""
     return power == power_closed_form(p)
 
 
@@ -145,21 +157,26 @@ def twist_polynomial(g: int, n: int) -> list[int]:
     return coeffs
 
 
-def _power(m: IntMatrix, exponent: int) -> IntMatrix:
-    """m**exponent (exponent >= 1) by exponent - 1 sparse row products: row
-    i of P * m is the sum of P[i][j] * (row j of m) over the nonzero P[i][j]."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
-    power = sparse
+def _power(rows: list[dict[int, int]], exponent: int) -> list[dict[int, int]]:
+    """Sparse rows of M**exponent (exponent >= 1) from those of M, by left
+    products M^(p+1) = M * M^p.  A row of M whose only nonzero is a 1 at
+    column j makes row j of M^p, the same dict, not a copy; any other row
+    sums x * (row j of M^p) over its nonzeros x at columns j.  Every row of
+    M_n but the three of block row 1 is such a pick, so a step costs those
+    three sums and one list of references."""
+    sums = [(i, row) for i, row in enumerate(rows) if list(row.values()) != [1]]
+    picks = [min(row, default=0) for row in rows]  # a summed row's pick is overwritten
+    power = rows
     for _ in range(exponent - 1):
-        product = []
-        for row in power:
+        product = list(map(power.__getitem__, picks))
+        for i, row in sums:
             acc: dict[int, int] = {}
             for j, x in row.items():
-                for k, y in sparse[j].items():
+                for k, y in power[j].items():
                     acc[k] = acc.get(k, 0) + x * y
-            product.append(acc)
+            product[i] = acc
         power = product
-    return IntMatrix(tuple(tuple(row.get(k, 0) for k in range(m.order)) for row in power))
+    return power
 
 
 def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL) -> StretchReport:
@@ -182,10 +199,11 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     later power of M, M^(gq) among them, is full too.
     """
     rho = root_above_one(twist_polynomial(p.g, p.n), tol)
-    power = _power(p.m, p.g)
-    if min_positive_power(power) is None:
+    columns = range(p.m.order)
+    power = _power([{j: line[j] for j in compress(columns, line)} for line in p.m.rows], p.g)
+    if _min_positive_power([list(row) for row in power]) is None:
         raise NotPrimitiveError("twist matrix is not primitive")
-    mrs = min_row_sum(power)
+    mrs = min(map(sum, map(dict.values, power)))
     checks = {
         "power_identity": verify_power_identity(p, power),
         "min_row_sum_is_n_plus_1": mrs == p.n + 1,

@@ -105,6 +105,18 @@ def is_positive(m: IntMatrix) -> bool:
     return all(x > 0 for row in m.rows for x in row)
 
 
+def min_row_sum(m: IntMatrix) -> int:
+    """Minimum over rows of the entry sum; a Collatz-Wielandt lower bound for
+    the spectral radius of a nonnegative matrix."""
+    return min(sum(row) for row in m.rows)
+
+
+def sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """Each row of m as {column: entry} over its nonzeros, the form of the
+    twist family's powers and closed form."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+
+
 def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
     """Permutation matrix of the relabeling between two unlabeled-equal
     vertices, by letter name: a letter b goes to the letter occupying, in

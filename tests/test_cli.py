@@ -369,6 +369,27 @@ class TestPenner:
             1, "", "error: --nmax must be <= %d, got %d\n" % (top, top + 1)
         )
 
+    def test_grid_budget_exits_before_any_work(self, capsys, monkeypatch):
+        # each flag within its cap, the grid over the budget: at --gmax 150
+        # one column of n is estimated at 2.5 s, so --nmax 11 passes and 12
+        # does not
+        class Reached(Exception):
+            pass
+
+        def reach(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(penner, "build", reach)
+        assert run(capsys, "penner", "sweep", "--gmax", "150", "--nmax", "12") == (
+            1, "", "error: --gmax 150 with --nmax 12 is a grid of about 31 s, over the 30 s"
+            " budget (at --gmax 150, --nmax must be <= 11)\n"
+        )
+        code, _, err = run(capsys, "penner", "sweep", "--gmax", "20", "--nmax", "5000")
+        assert code == 1 and err.endswith("(at --gmax 20, --nmax must be <= 1870)\n")
+        for gmax, nmax in ((150, 11), (20, 1870), (6, cli.SWEEP_N_MAX), (10, cli.SWEEP_N_MAX)):
+            with pytest.raises(Reached):
+                run(capsys, "penner", "sweep", "--gmax", str(gmax), "--nmax", str(nmax))
+
     def test_verdicts_exact_at_coarse_tolerance(self, capsys):
         code, out, _ = run(capsys, "penner", "--genus", "5", "--n", "1000", "--tol", "1/10")
         data = json.loads(out)

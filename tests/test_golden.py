@@ -108,6 +108,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "penner_genus_above_cap": ("penner", "--genus", "151", "--n", "5"),
     "penner_sweep_gmax_above_cap": ("penner", "sweep", "--gmax", "151"),
     "penner_sweep_nmax_above_cap": ("penner", "sweep", "--nmax", "5001"),
+    # each flag at its cap, the grid over the 30 s budget
+    "penner_sweep_grid_above_budget": ("penner", "sweep", "--gmax", "150", "--nmax", "5000"),
     "fg_genus_above_cap": ("fg", "--genus", "251"),
     "certify_letters_above_cap": (
         "certify", "--start", "%s / %s" % (" ".join(LETTERS_97), " ".join(LETTERS_97[::-1])),

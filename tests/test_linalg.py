@@ -24,7 +24,6 @@ from rauzycert.linalg import (
     bisect_root,
     charpoly,
     min_positive_power,
-    min_row_sum,
     path_matrix,
     perron_bracket,
     perron_witness,
@@ -42,6 +41,7 @@ from helpers import (
     det,
     is_positive,
     linear_min_positive_power,
+    min_row_sum,
     random_allowed_paths,
     relabel_matrix,
 )
@@ -382,6 +382,12 @@ class TestSpectralRadius:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_matrix_is_not_primitive(self, order):
+        # its row and column sums are all 0, so there is no start for Newton
+        with pytest.raises(NotPrimitiveError, match="zero matrix"):
+            perron_bracket(IntMatrix(((0,) * order,) * order))
+
     def test_irreducible_but_imprimitive_matrix_is_bracketed(self):
         bracket = perron_bracket(IntMatrix.from_rows([[0, 1], [1, 0]]))
         assert bracket.low < 1 < bracket.high
@@ -646,11 +652,3 @@ class TestLogBounds:
             x = Fraction(den + rng.randint(-den + 1, 3 * den), den)
             low, high = SpectralBracket(x, x, 1).log_bounds()
             assert Decimal(low) <= _ln60(x) <= Decimal(high)
-
-
-class TestMinRowSum:
-    def test_identity(self):
-        assert min_row_sum(IntMatrix.identity(5)) == 1
-
-    def test_genus_two_loop(self):
-        assert min_row_sum(GAMMA2_MATRIX) == 1

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from rauzycert.errors import NotPrimitiveError
-from rauzycert.linalg import IntMatrix, min_positive_power, min_row_sum
+from rauzycert.linalg import IntMatrix, _min_positive_power, min_positive_power
 from rauzycert.penner import (
     _geometric_sum,
     _power,
@@ -21,7 +21,7 @@ from rauzycert.penner import (
     verify_power_identity,
 )
 
-from helpers import berkowitz_charpoly, bisect_largest_root, poly_mul
+from helpers import berkowitz_charpoly, bisect_largest_root, min_row_sum, poly_mul, sparse_rows
 from test_linalg import block_cyclic, contains_perron_root
 
 
@@ -69,7 +69,10 @@ class TestBuild:
         primitive = [min_positive_power(m) is not None for m in inputs]
         assert primitive == [True] * 5 + [False] * (len(inputs) - 5)
         for m, expected in zip(inputs, primitive):
-            assert (min_positive_power(_power(m, g)) is not None) == expected
+            assert (min_positive_power(m**g) is not None) == expected
+            # the search stretch_bounds runs, on the supports of its sparse M^g
+            supports = [list(row) for row in _power(sparse_rows(m), g)]
+            assert _min_positive_power(supports) == min_positive_power(m**g)
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     def test_zero_pattern_and_exponent_do_not_depend_on_n(self, g):
@@ -88,21 +91,55 @@ class TestBuild:
 
 
 class TestPowerIdentity:
+    # IntMatrix.__pow__ is the oracle for both the left-product power and
+    # the closed form, each compared as sparse rows.
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
     def test_grid(self, g, n):
         p = build(g, n)
-        assert verify_power_identity(p, p.m**g)
+        assert verify_power_identity(p, sparse_rows(p.m**g))
 
     def test_closed_form_is_actually_the_power(self):
-        assert power_closed_form(build(5, 7)) == build(5, 7).m ** 5
+        assert power_closed_form(build(5, 7)) == sparse_rows(build(5, 7).m ** 5)
 
-    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7, 8])
+    @staticmethod
+    def check_power(g, n):
+        p = build(g, n)
+        rows, oracle = sparse_rows(p.m), sparse_rows(p.m**g)
+        assert _power(rows, 1) == rows
+        power = _power(rows, g)
+        assert power == oracle
+        assert power_closed_form(p) == oracle
+        assert verify_power_identity(p, power)
+
+    @pytest.mark.parametrize("g", range(3, 13))
     @pytest.mark.parametrize("n", [1, 2, 27, 3125])
     def test_sparse_power_is_the_dense_power(self, g, n):
-        m = build(g, n).m
-        assert _power(m, g) == m**g
-        assert _power(m, 1) == m
+        self.check_power(g, n)
+
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_sparse_power_is_the_dense_power_at_n_g_to_the_g(self, g):
+        self.check_power(g, g**g)
+
+    @pytest.mark.parametrize("g", [3, 4, 7])
+    def test_one_raised_entry_fails_the_identity(self, g):
+        # every position, a nonzero or a zero of M^g; rows of the power are
+        # shared dicts, so each trial raises a copy of its row
+        p = build(g, 5)
+        power = _power(sparse_rows(p.m), g)
+        for i in range(3 * g):
+            for j in range(3 * g):
+                raised = list(power)
+                raised[i] = {**power[i], j: power[i].get(j, 0) + 1}
+                assert not verify_power_identity(p, raised), (i, j)
+        assert verify_power_identity(p, power)
+
+    @pytest.mark.parametrize("g, n", [(3, 5), (5, 3125), (12, 7)])
+    def test_stretch_bounds_leaves_the_matrices_unchanged(self, g, n):
+        p = build(g, n)
+        first = stretch_bounds(p)
+        assert p == build(g, n)
+        assert stretch_bounds(p) == first
 
 
 class TestTwistPolynomial:
