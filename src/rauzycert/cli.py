@@ -245,10 +245,11 @@ def _cmd_penner(args) -> int:
                 % (args.gmax, args.nmax, -(-args.nmax * column_us // 10**6), _SWEEP_BUDGET_S,
                    args.gmax, budget_us // column_us)
             )
-        rows = []
+        rows, passed = [], True
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):
                 report = penner_mod.stretch_bounds(penner_mod.build(g, n), tol=args.tol)
+                passed = passed and report.passed
                 rows.append(
                     [
                         g,
@@ -260,7 +261,7 @@ def _cmd_penner(args) -> int:
                     ]
                 )
         _emit_csv(["g", "n", "rho_low", "rho_high", "min_row_sum_power", "lc_upper"], rows)
-        return 0
+        return 0 if passed else 2
     if args.penner_mode == "diverge":
         _reject_ignored("penner diverge", args, "n")
         matrices = penner_mod.diverging_sequence(args.genus)

@@ -34,8 +34,8 @@ from .linalg import (
     root_above_one,
 )
 from .pa import PACertificate, certify, lc_lower_bound
-from .perm import LabeledPermutation, _images, _relabel, central, default_alphabet, fg_start
-from .perm import _invert
+from .perm import LabeledPermutation, _cycles, _images, _invert, _relabel, central
+from .perm import default_alphabet, fg_start
 
 
 # Largest genus that family_loop accepts, and so ``fg --genus`` and ``fg
@@ -251,8 +251,9 @@ class CentralComponentReport(namedtuple("CentralComponentReport",
 def _closed_words(diagram, back, start: int, end: int, max_len: int, cycles):
     """Words over {t, b}, as tuples of move indices, of length 1..max_len
     leading from vertex ``start`` to vertex ``end`` on which every cycle of
-    the relabeling (bit masks, as ``_cycle_masks`` gives them) both wins
-    and loses, in order of length then lexicographic (t < b).
+    the relabeling (``cycles``, each letter's cycle number and their count,
+    from ``perm._cycles``) both wins and loses, in order of length then
+    lexicographic (t < b).
 
     ``reach[k]`` maps a vertex v to two sets of cycles, one bit per cycle:
     those that some walk of exactly k moves from v to ``end`` wins, and
@@ -303,12 +304,9 @@ def _closed_words(diagram, back, start: int, end: int, max_len: int, cycles):
                     room[v] = moves_left
                     nxt.append(v)
         frontier = nxt
-    bit = [0] * len(diagram.alphabet)
-    for i, cycle in enumerate(cycles):
-        for x in range(cycle.bit_length()):
-            if cycle >> x & 1:
-                bit[x] = 1 << i
-    full = (1 << len(cycles)) - 1
+    labels, count = cycles
+    bit = [1 << c for c in labels]
+    full = (1 << count) - 1
     reach = [{end: (0, 0)}]
     # moves[d] is the move last tried at depth d (-1 before the first);
     # states[d] is the vertex it leaves from, won[d] and lost[d] the cycles
@@ -439,22 +437,6 @@ LOOP_LEN_MAX = 48
 SAMPLES_MAX = 12
 
 
-def _cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycles of the letter map ``relabel``, each as a bit mask of letters."""
-    masks = []
-    seen = 0
-    for start in range(len(relabel)):
-        if seen >> start & 1:
-            continue
-        mask, letter = 0, start
-        while not mask >> letter & 1:
-            mask |= 1 << letter
-            letter = relabel[letter]
-        masks.append(mask)
-        seen |= mask
-    return tuple(masks)
-
-
 def central_component_checks(
     n: int, loop_len: int | None = None, samples: int = 3
 ) -> CentralComponentReport:
@@ -518,7 +500,7 @@ def central_component_checks(
         partner_ok = partner_ok and _images(flipped[:n], flipped[n:]) == _images(*pair(dst))
         relabel = _relabel(pair(src)[0], _step(diagram.rows[dst], 2)[:n])
         corner_ok = corner_ok and relabel[n - 1] == n - 1
-        flip_paths.append((src, dst, relabel, _cycle_masks(relabel)))
+        flip_paths.append((src, dst, relabel, _cycles(relabel)))
     checks["flip_partner_identity"] = partner_ok
     checks["relabel_corner_entry"] = corner_ok
 
@@ -571,7 +553,7 @@ def central_component_checks(
         _cover_loop(step, back, winner, 0, list(range(r, n)) + list(range(r))) for r in range(n)
     )
     identity = tuple(range(n))
-    singletons = _cycle_masks(identity)
+    singletons = _cycles(identity)
     words = itertools.chain(_closed_words(diagram, back, 0, 0, loop_len, singletons), covers)
     tried: set[tuple[int, ...]] = set()
     found = 0

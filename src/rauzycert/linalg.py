@@ -336,22 +336,13 @@ def _float_seed(chi, top: int) -> Fraction:
 
 
 def _strongly_connected(m: IntMatrix) -> bool:
-    """Whether every vertex of the support graph of m (an edge i -> j for
-    each nonzero entry (i, j)) is reached from vertex 0 by a walk of at
-    least one edge, and reaches it by one.  For order >= 2 that is strong
-    connection, irreducibility; at order 1 it asks for a nonzero entry."""
-    full = (1 << m.order) - 1
-    for lines in (m.rows, zip(*m.rows)):
-        succ = [sum(1 << j for j, x in enumerate(line) if x) for line in lines]
-        seen = frontier = succ[0]
-        while frontier:
-            bit = frontier & -frontier
-            new = succ[bit.bit_length() - 1] & ~seen
-            seen |= new
-            frontier = (frontier ^ bit) | new
-        if seen != full:
-            return False
-    return True
+    """Whether m is irreducible, its support graph strongly connected: for
+    order >= 2 exactly when Id + m, with a positive diagonal, is primitive.
+    At order 1 it asks for a nonzero entry."""
+    if m.order == 1:
+        return m.rows[0][0] != 0
+    supports = [[j for j, x in enumerate(row) if x or i == j] for i, row in enumerate(m.rows)]
+    return _min_positive_power(supports) is not None
 
 
 def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:

@@ -28,6 +28,22 @@ def _invert(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _cycles(seq) -> tuple[list[int], int]:
+    """The cycle number of each element of the permutation ``seq`` of
+    range(len(seq)), cycles numbered in the order of their least elements,
+    and the number of cycles."""
+    labels = [-1] * len(seq)
+    count = 0
+    for start in range(len(seq)):
+        if labels[start] < 0:
+            x = start
+            while labels[x] < 0:
+                labels[x] = count
+                x = seq[x]
+            count += 1
+    return labels, count
+
+
 class LabeledPermutation(namedtuple("LabeledPermutation", "alphabet top bottom")):
     """A two-row permutation of an ordered alphabet (a tuple of letter names).
 

@@ -2,10 +2,11 @@
 
 The 2n-gon has n top sides ordered by the top row and n bottom sides
 ordered by the bottom row; the leftmost and rightmost corners are shared
-between the two chains, giving 2n corners in total.  Both copies of each
-letter are oriented left to right and glued left-with-left and
-right-with-right; corners are identified accordingly and counted with a
-union-find.  With E = n sides and one face,
+between the two chains.  Both copies of each letter are oriented left to
+right and glued left-with-left and right-with-right, so the corner classes
+are the cycles of one permutation of the n + 1 top corners (Yoccoz,
+"Interval exchange maps and translation surfaces", Clay Math. Proc. 10,
+2010).  With E = n sides and one face,
 
     euler_char = vertex_count - n + 1,    genus = (2 - euler_char) / 2.
 
@@ -20,25 +21,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from .perm import LabeledPermutation, is_irreducible
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+from .perm import LabeledPermutation, _cycles, is_irreducible
 
 
 class GluedSurface(namedtuple("GluedSurface", "vertex_count euler_char genus side_closed")):
@@ -68,36 +51,24 @@ def glue(p: LabeledPermutation) -> GluedSurface:
     if not is_irreducible(p):
         warnings.warn("gluing a reducible permutation: %s" % p.display(), stacklevel=2)
     n = p.n
-    uf = _UnionFind(2 * n)
-
-    def bottom_corner(k: int) -> int:
-        # k-th corner of the bottom chain, 0 <= k <= n; the ends coincide
-        # with the top chain's ends.
-        return k if k in (0, n) else n + k
-
     top_pos = p.top_positions()
     bottom_pos = p.bottom_positions()
-    for letter in range(n):
-        i, j = top_pos[letter], bottom_pos[letter]
-        uf.union(i, bottom_corner(j))  # left endpoints
-        uf.union(i + 1, bottom_corner(j + 1))  # right endpoints
-
-    vertex_count = sum(uf.find(corner) == corner for corner in range(2 * n))
+    # nxt[k] is the top corner that corner k meets on the bottom chain: corner
+    # k + 1 ends top[k], so it starts the letter after top[k] there, or is n.
+    nxt = [top_pos[p.bottom[0]]]
+    for letter in p.top:
+        j = bottom_pos[letter] + 1
+        nxt.append(n if j == n else top_pos[p.bottom[j]])
+    corner_class, vertex_count = _cycles(nxt)
     euler_char = vertex_count - n + 1
     assert euler_char % 2 == 0, "gluing always yields an even Euler characteristic"
     genus = (2 - euler_char) // 2
 
-    side_closed: dict[str, bool] = {}
-    for letter in range(n):
-        i = top_pos[letter]
-        side_closed[p.alphabet[letter]] = uf.find(i) == uf.find(i + 1)
+    side_closed = {
+        name: corner_class[i] == corner_class[i + 1] for name, i in zip(p.alphabet, top_pos)
+    }
 
-    return GluedSurface(
-        vertex_count=vertex_count,
-        euler_char=euler_char,
-        genus=genus,
-        side_closed=side_closed,
-    )
+    return GluedSurface(vertex_count, euler_char, genus, side_closed)
 
 
 def stratum_of_central(n: int) -> str:

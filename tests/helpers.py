@@ -333,10 +333,27 @@ def unpruned_closed_words(step, start: int, end: int, max_len: int):
                 moves[depth] = -1
 
 
+def cycle_masks(relabel: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycles of the letter map ``relabel``, each as a bit mask of
+    letters, in the order of their least letters."""
+    masks = []
+    seen = 0
+    for start in range(len(relabel)):
+        if seen >> start & 1:
+            continue
+        mask, letter = 0, start
+        while not mask >> letter & 1:
+            mask |= 1 << letter
+            letter = relabel[letter]
+        masks.append(mask)
+        seen |= mask
+    return tuple(masks)
+
+
 def never_primitive(updates, cycles) -> bool:
-    """Whether some cycle of the relabeling (as ``_cycle_masks`` gives them)
-    never wins or never loses in ``updates``, which rules out a primitive
-    path matrix.
+    """Whether some cycle of the relabeling (bit masks, as ``cycle_masks``
+    gives them) never wins or never loses in ``updates``, which rules out a
+    primitive path matrix.
 
     In the unipotent part (Id + E(w1, l1)) ... (Id + E(wk, lk)) a letter
     that never wins keeps its unit row and one that never loses keeps its
@@ -496,6 +513,48 @@ def all_standard_permutations(n: int):
     alphabet = default_alphabet(n)
     for images in itertools.permutations(range(n)):
         yield LabeledPermutation(alphabet, tuple(range(n)), tuple(images))
+
+
+class UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def union_find_glue(p: LabeledPermutation) -> tuple[int, dict[str, bool]]:
+    """The vertex count and side flags of ``surface.glue``, from a
+    union-find over all 2n corners: top corners 0..n, and bottom corner k
+    as n + k for 0 < k < n, its ends being the top chain's."""
+    n = p.n
+    uf = UnionFind(2 * n)
+
+    def bottom_corner(k: int) -> int:
+        return k if k in (0, n) else n + k
+
+    top_pos = p.top_positions()
+    bottom_pos = p.bottom_positions()
+    for letter in range(n):
+        i, j = top_pos[letter], bottom_pos[letter]
+        uf.union(i, bottom_corner(j))  # left endpoints
+        uf.union(i + 1, bottom_corner(j + 1))  # right endpoints
+    vertex_count = sum(uf.find(corner) == corner for corner in range(2 * n))
+    side_closed = {
+        p.alphabet[letter]: uf.find(top_pos[letter]) == uf.find(top_pos[letter] + 1)
+        for letter in range(n)
+    }
+    return vertex_count, side_closed
 
 
 def face_boundary_relation(p: LabeledPermutation) -> list[int]:

@@ -321,6 +321,19 @@ class TestPenner:
         assert lines[0] == "g,n,rho_low,rho_high,min_row_sum_power,lc_upper"
         assert len(lines) == 3
 
+    def test_sweep_exits_two_when_a_cell_fails(self, capsys, monkeypatch):
+        # the same CSV, but a failed check in any cell is exit 2, as it is
+        # for the single-cell report
+        argv = ("penner", "sweep", "--gmax", "4", "--nmax", "2")
+        _, expected, _ = run(capsys, *argv)
+        real = penner.verify_power_identity
+        monkeypatch.setattr(
+            penner, "verify_power_identity", lambda p, power: (p.g, p.n) != (4, 1) and real(p, power)
+        )
+        assert run(capsys, *argv) == (2, expected, "")
+        assert run(capsys, "penner", "--genus", "4", "--n", "1")[0] == 2
+        assert run(capsys, "penner", "--genus", "3", "--n", "2")[0] == 0
+
     def test_diverge(self, capsys):
         code, out, _ = run(capsys, "penner", "diverge", "--genus", "3")
         data = json.loads(out)

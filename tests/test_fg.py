@@ -15,7 +15,6 @@ from rauzycert.fg import (
     _closed_forms,
     _closed_words,
     _cover_loop,
-    _cycle_masks,
     _stations,
     FamilyReport,
     block_matrix,
@@ -38,12 +37,13 @@ from rauzycert.linalg import (
     root_above_one,
 )
 from rauzycert.pa import lc_lower_bound
-from rauzycert.perm import _invert, central, fg_start, parse, unlabeled
+from rauzycert.perm import _cycles, _invert, central, fg_start, parse, unlabeled
 
 from helpers import (
     berkowitz_charpoly,
     bisect_largest_root,
     brute_force_closed_words,
+    cycle_masks,
     is_positive,
     never_primitive,
     oracle_cover_loop,
@@ -286,9 +286,9 @@ class TestClosedWords:
         for max_len in (2 * n, 3 * n) if n <= 7 else (2 * n,):
             kept = 0
             for _, src, dst, relabel in _shapes(d, n):
-                cycles = _cycle_masks(relabel)
-                expected = _rule_keeps(d, src, dst, max_len, cycles)
-                assert list(_closed_words(d, back, src, dst, max_len, cycles)) == expected
+                expected = _rule_keeps(d, src, dst, max_len, cycle_masks(relabel))
+                words = _closed_words(d, back, src, dst, max_len, _cycles(relabel))
+                assert list(words) == expected
                 kept += len(expected)
             assert kept > 0
 
@@ -302,10 +302,11 @@ class TestClosedWords:
         back = _inverse_tables(d)
         relabel = list(range(n))
         random.Random(n).shuffle(relabel)
-        for cycles in (_cycle_masks(tuple(range(n))), _cycle_masks(tuple(relabel))):
+        for letters in (tuple(range(n)), tuple(relabel)):
+            masks, cycles = cycle_masks(letters), _cycles(letters)
             for src in range(len(d)):
                 for dst in range(len(d)):
-                    expected = _rule_keeps(d, src, dst, 2 * n, cycles)
+                    expected = _rule_keeps(d, src, dst, 2 * n, masks)
                     assert list(_closed_words(d, back, src, dst, 2 * n, cycles)) == expected
 
     @pytest.mark.parametrize("n", range(3, 6))
@@ -319,10 +320,11 @@ class TestClosedWords:
         random.Random(n).shuffle(relabel)
         for src in range(len(d)):
             walks = _walks(d, src, 3 * n)
-            for cycles in (_cycle_masks(tuple(range(n))), _cycle_masks(tuple(relabel))):
+            for letters in (tuple(range(n)), tuple(relabel)):
+                masks, cycles = cycle_masks(letters), _cycles(letters)
                 expected: dict[int, list[tuple[int, ...]]] = {dst: [] for dst in range(len(d))}
                 for word, dst, won, lost in walks:
-                    if all(cycle & won and cycle & lost for cycle in cycles):
+                    if all(cycle & won and cycle & lost for cycle in masks):
                         expected[dst].append(word)
                 for dst, words in expected.items():
                     assert list(_closed_words(d, back, src, dst, 3 * n, cycles)) == words
@@ -346,7 +348,7 @@ class TestClosedWords:
         )
         words = list(unpruned_closed_words(counted.succ, 0, 0, 2 * n))
         unpruned, Counting.lookups = Counting.lookups, 0
-        cycles = _cycle_masks(tuple(range(n)))
+        cycles = _cycles(tuple(range(n)))
         kept = list(_closed_words(counted, _inverse_tables(d), 0, 0, 2 * n, cycles))
         assert len(words) > len(kept)
         assert Counting.lookups * 60 < unpruned
@@ -373,7 +375,7 @@ class TestClosedWords:
         counted = types.SimpleNamespace(
             succ=ByMove(d.succ), winner=d.winner, loser=d.loser, alphabet=d.alphabet
         )
-        singletons = _cycle_masks(tuple(range(n)))
+        singletons = _cycles(tuple(range(n)))
         words = list(_closed_words(counted, _inverse_tables(d), 0, 0, 2 * n, singletons))
         assert len(words) == {3: 10, 4: 2}.get(n, 0)
         assert (ByMove.lookups <= 64) == (n >= 5)
@@ -389,11 +391,11 @@ class TestClosedWords:
         back = _inverse_tables(d)
         tight_won = tight_lost = False
         for _, src, dst, relabel in _shapes(d, n):
-            cycles = _cycle_masks(relabel)
-            for word in _closed_words(d, back, src, dst, 2 * n, cycles):
+            masks = cycle_masks(relabel)
+            for word in _closed_words(d, back, src, dst, 2 * n, _cycles(relabel)):
                 updates = _updates(d, src, word)
                 for k in range(1, len(word)):
-                    unwon, unlost = _unwon_unlost(updates[:k], cycles)
+                    unwon, unlost = _unwon_unlost(updates[:k], masks)
                     assert unwon <= len(word) - k and unlost <= len(word) - k
                     tight_won = tight_won or unwon == len(word) - k
                     tight_lost = tight_lost or unlost == len(word) - k
@@ -614,7 +616,7 @@ class TestNeverPrimitive:
         identity = tuple(range(n))
         rejected = {1: 0, 2: 0}
         for family, src, dst, relabel in _shapes(d, n):
-            cycles = _cycle_masks(relabel)
+            cycles = cycle_masks(relabel)
             for word in unpruned_closed_words(d.succ, src, dst, 2 * n):
                 updates = _updates(d, src, word)
                 if never_primitive(updates, cycles):
@@ -632,17 +634,25 @@ class TestNeverPrimitive:
             relabel = list(range(n))
             rng.shuffle(relabel)
             updates = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
-            if never_primitive(updates, _cycle_masks(tuple(relabel))):
+            if never_primitive(updates, cycle_masks(tuple(relabel))):
                 rejected += 1
                 assert min_positive_power(_column_product(n, updates, tuple(relabel))) is None
         assert rejected > 0
 
     @pytest.mark.parametrize(
-        "relabel, cycles",
-        [((0, 1, 2), (1, 2, 4)), ((1, 2, 0), (7,)), ((2, 0, 1, 3), (7, 8)), ((1, 0, 3, 2), (3, 12))],
+        "relabel, labels, masks",
+        [
+            ((0, 1, 2), [0, 1, 2], (1, 2, 4)),
+            ((1, 2, 0), [0, 0, 0], (7,)),
+            ((2, 0, 1, 3), [0, 0, 0, 1], (7, 8)),
+            ((1, 0, 3, 2), [0, 0, 1, 1], (3, 12)),
+        ],
     )
-    def test_cycle_masks(self, relabel, cycles):
-        assert _cycle_masks(relabel) == cycles
+    def test_cycles(self, relabel, labels, masks):
+        # the cycle numbers _closed_words reads and the masks never_primitive
+        # reads number the same cycles
+        assert _cycles(relabel) == (labels, len(masks))
+        assert cycle_masks(relabel) == masks
 
 
 class TestCoverLoop:

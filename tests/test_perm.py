@@ -1,13 +1,17 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy.combinatorics import Permutation
 
 from rauzycert.diagram import build_path
 from rauzycert.errors import PermutationParseError
 from rauzycert.perm import (
     MAX_LETTERS,
     LabeledPermutation,
+    _cycles,
     central,
     default_alphabet,
     fg_start,
@@ -165,3 +169,30 @@ class TestEqualUnlabeled:
 
     def test_negative_case(self):
         assert unlabeled(parse("A B C / C B A")) != unlabeled(parse("A C B / C B A"))
+
+
+class TestCycles:
+    @staticmethod
+    def check(seq):
+        # sympy lists each cycle from its least element, singletons
+        # included, in the order of those least elements
+        labels, count = _cycles(seq)
+        perm = Permutation(list(seq))
+        assert count == perm.cycles
+        expected = [0] * len(seq)
+        for number, cycle in enumerate(sorted(perm.full_cyclic_form)):
+            for x in cycle:
+                expected[x] = number
+        assert labels == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_permutation_against_sympy(self, n):
+        for seq in itertools.permutations(range(n)):
+            self.check(seq)
+
+    def test_random_permutations_against_sympy(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            seq = list(range(rng.randint(1, 60)))
+            rng.shuffle(seq)
+            self.check(tuple(seq))

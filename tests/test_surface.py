@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -5,13 +6,14 @@ import networkx
 import pytest
 
 from rauzycert.diagram import explore
-from rauzycert.perm import central, fg_start, parse
+from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, parse
 from rauzycert.surface import glue, stratum_of_central
 
 from helpers import (
     all_standard_permutations,
     face_boundary_relation,
     random_labeled_permutation,
+    union_find_glue,
 )
 
 
@@ -86,6 +88,37 @@ class TestGlue:
                 v = reference_vertex_count(p)
                 assert s.vertex_count == v
                 assert p.n - v + 1 == 2 * s.genus
+
+
+class TestGlueAgainstUnionFind:
+    """``glue`` walks the cycles of one permutation of the n + 1 top
+    corners; ``union_find_glue`` joins all 2n corners by the gluing.
+    Reducible permutations are included, so the warning is silenced."""
+
+    @staticmethod
+    def check(perms):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in perms:
+                s = glue(p)
+                assert (s.vertex_count, s.side_closed) == union_find_glue(p)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_standard_permutation(self, n):
+        self.check(all_standard_permutations(n))
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_every_labeled_permutation(self, n):
+        rows = list(itertools.permutations(range(n)))
+        self.check(
+            LabeledPermutation(default_alphabet(n), top, bottom)
+            for top in rows
+            for bottom in rows
+        )
+
+    def test_random_labeled_permutations(self):
+        rng = random.Random(20261020)
+        self.check(random_labeled_permutation(rng, rng.randint(2, 60)) for _ in range(3000))
 
 
 class TestSideHomology:
