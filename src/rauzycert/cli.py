@@ -184,16 +184,19 @@ def _cmd_fg(args) -> int:
             raise ValueError("--gmax must be <= %d, got %d" % (fg_mod.GENUS_MAX, args.gmax))
     tol = DEFAULT_TOL if args.tol is None else args.tol
     if args.fg_mode == "table":
-        rows = []
+        rows, primitive = [], True
         for g in range(args.gmin, args.gmax + 1):
             cert = fg_mod.family_certificate(g, tol)
-            lam, bounds = cert.lam, (cert.lc_upper, cert.lc_lower, cert.lc_lower_exact)
-            rows.append([g, decimal_str(lam.low), decimal_str(lam.high), *map(str, bounds)])
+            primitive = primitive and cert.primitive
+            lam = cert.lam
+            # csv writes None, a bracket or bound that the cell lacks, as ""
+            low, high = (decimal_str(lam.low), decimal_str(lam.high)) if lam else (None, None)
+            rows.append([g, low, high, cert.lc_upper, cert.lc_lower, cert.lc_lower_exact])
         _emit_csv(
             ["g", "lambda_low", "lambda_high", "lc_upper", "lc_lower_cap", "lc_lower_exact"],
             rows,
         )
-        return 0
+        return 0 if primitive else 2
     if args.fg_mode == "central":
         report = fg_mod.central_component_checks(
             args.n, loop_len=args.loop_len, samples=args.samples

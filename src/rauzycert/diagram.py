@@ -2,9 +2,13 @@
 
 ``explore`` closes a seed permutation under the top and bottom moves (plus
 the flip when augmented) by breadth-first search with a fixed child order
-t, b, f; vertex numbering is therefore reproducible across runs.  A
-component is stored as integer tables: the index rows of each vertex as one
-``bytes`` (so at most 256 letters) and, per move, its successor, winner and loser.
+t, b, f; vertex numbering is therefore reproducible across runs.  The
+search runs on position rows, which hold where each letter stands: a move
+only renumbers positions, so it is one ``bytes.translate`` of the row
+(``induction._position_tables``), and the 2n position values in one byte
+allow at most 128 letters.  A component is stored as integer tables: the
+letter rows of each vertex as one ``bytes`` and, per move, its successor,
+winner and loser.
 ``to_json`` and ``to_dot`` write a component to a text stream, ``BLOCK``
 vertices at a time, so no whole document is held.
 
@@ -26,7 +30,7 @@ from itertools import chain, cycle
 from operator import itemgetter
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
-from .induction import MOVES, Move, _duel, _step
+from .induction import MOVES, Move, _duel, _position_tables, _step
 from .jsonutil import dumps
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
@@ -85,39 +89,81 @@ class RauzyDiagram:
         return doc
 
 
+def _over_cap(seed: LabeledPermutation, cap: int) -> EnumerationCapError:
+    """The error of a search from ``seed`` that finds more than ``cap`` vertices."""
+    return EnumerationCapError(
+        "component exceeds the %d-vertex cap from %s" % (cap, seed.display())
+    )
+
+
 def explore(
     seed: LabeledPermutation, augmented: bool = False, cap: int = DEFAULT_CAP
 ) -> RauzyDiagram:
     """Breadth-first closure of ``seed`` under the moves.
 
+    The search runs on position rows: byte x holds the top position of
+    letter x and byte n + x holds n plus its bottom position.  A move only
+    renumbers positions, so it is one ``bytes.translate`` of the row by a
+    table of ``induction._position_tables``.  Position rows and letter rows
+    are in bijection, so the vertex order and the tables are those of a
+    search on letter rows; each position row becomes its letter row at the end.
+
     Raises ReducibleError for a reducible seed and EnumerationCapError past
-    256 letters (one byte per letter in a row) or ``cap`` vertices.
+    128 letters (2n position values in one byte) or ``cap`` vertices.
     """
-    if seed.n > 256:
-        raise EnumerationCapError("diagrams hold at most 256 letters, got %d" % seed.n)
+    n = seed.n
+    if n > 128:
+        raise EnumerationCapError("diagrams hold at most 128 letters, got %d" % n)
     # The seed's check covers every vertex: t and b keep a permutation
     # irreducible (acceptance criterion 9), and a flip maps the first k
     # letters of both rows to the last k, so a flip of an irreducible
     # permutation has no invariant prefix either.
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
-    rows = [bytes(seed.top + seed.bottom)]
-    index = {rows[0]: 0}
-    succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
-    # The loop visits the rows appended while it runs, in BFS order.
-    for row in rows:
-        for move, table in enumerate(succ):
-            target = _step(row, move)
+    m = 2 * n
+    after, flip = _position_tables(n)
+    keys = [bytes(seed.top_positions()) + bytes(n + j for j in seed.bottom_positions())]
+    index = {keys[0]: 0}
+    t: list[int] = []
+    b: list[int] = []
+    f: list[int] = []
+    # The loop visits the rows appended while it runs, in BFS order, with
+    # one statement per move: a zip over the moves made the whole search
+    # take 1.3 to 1.45 times as long at n = 12 to 16.
+    for key in keys:
+        target = key.translate(after[key[key.index(n - 1) + n]])
+        v = index.get(target)
+        if v is None:
+            v = index[target] = len(keys)
+            if v >= cap:
+                raise _over_cap(seed, cap)
+            keys.append(target)
+        t.append(v)
+        target = key.translate(after[key[key.index(m - 1) - n]])
+        v = index.get(target)
+        if v is None:
+            v = index[target] = len(keys)
+            if v >= cap:
+                raise _over_cap(seed, cap)
+            keys.append(target)
+        b.append(v)
+        if augmented:
+            target = (key[n:] + key[:n]).translate(flip)
             v = index.get(target)
             if v is None:
-                if len(rows) >= cap:
-                    raise EnumerationCapError(
-                        "component exceeds the %d-vertex cap from %s" % (cap, seed.display())
-                    )
-                v = index[target] = len(rows)
-                rows.append(target)
-            table.append(v)
-    return RauzyDiagram(seed.alphabet, rows, succ)
+                v = index[target] = len(keys)
+                if v >= cap:
+                    raise _over_cap(seed, cap)
+                keys.append(target)
+            f.append(v)
+    # Each position row becomes its letter row in place: the letter at
+    # position p is the index of the value p in the position row, modulo n.
+    del index
+    letters = bytes(range(n)) * 2
+    maketrans = bytes.maketrans
+    for v, key in enumerate(keys):
+        keys[v] = maketrans(key, letters)[:m]
+    return RauzyDiagram(seed.alphabet, keys, (t, b, f) if augmented else (t, b))
 
 
 def injectivity_check(d: RauzyDiagram) -> bool:

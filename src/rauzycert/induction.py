@@ -7,10 +7,16 @@ the top-last letter is reinserted right of the bottom-last letter.  The
 flip reverses both rows and swaps them; it has no winner or loser.  The
 matrix of a t or b move is Id + E(winner, loser), of a flip the identity.
 
-``_step`` is the one implementation of this rule, on a packed row of letter
-indices (top row, then bottom row), and ``_duel`` the one statement of a
-move's winner and loser.  Top and bottom moves need irreducible rows, whose
-last top and bottom letters differ.
+``_step`` applies this rule to a packed row of letter indices (top row,
+then bottom row), and ``_duel`` is the one statement of a move's winner and
+loser.  Top and bottom moves need irreducible rows, whose last top and
+bottom letters differ.
+
+``_position_tables`` states the same rule on a *position row*, the inverse
+of a packed row: byte x holds the top position of letter x, and byte n + x
+holds n plus its bottom position.  A move there only renumbers positions,
+so each move is one ``bytes.translate`` of the whole row.  The diagram
+search uses it; paths, which may run to 10^5 letters, use ``_step``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ class Move(enum.Enum):
 
 # The moves by their index in ``_step`` and in the diagram tables.
 MOVES = (Move.TOP, Move.BOTTOM, Move.FLIP)
+
+_BYTES = bytes(range(256))
 
 
 def _duel(top_last, bottom_last, move: int):
@@ -61,3 +69,34 @@ def _step(row, move: int):
         k = row.index(row[-1]) + 1
         return row[:k] + row[n - 1 : n] + row[k : n - 1] + row[n:]
     return row[::-1]
+
+
+def _position_tables(n: int) -> tuple[list, bytes]:
+    """The moves on a position row of ``n`` <= 128 letters as 256-byte
+    ``bytes.translate`` tables, built afresh on each call: ``(after, flip)``.
+
+    A t or b move puts the last letter of one row right after the winner in
+    that row: ``after[v]``, for the winner's position value v in that row,
+    keeps the values up to v, adds 1 to the values from v + 1 to the row's
+    last value but one and maps the row's last value to v + 1.  On a
+    position row ``key``, t's winner is ``key.index(n - 1)``, so t is
+    ``key.translate(after[key[key.index(n - 1) + n]])``, and b's winner is
+    ``key.index(2n - 1) - n``, so b is
+    ``key.translate(after[key[key.index(2n - 1) - n]])``.  The flip is
+    ``(key[n:] + key[:n]).translate(flip)``: it swaps the two halves and maps
+    each value v to 2n - 1 - v.  A row's last value is never a winner's, so
+    ``after`` holds None there.
+
+    >>> after, flip = _position_tables(3)
+    >>> key = bytes([0, 1, 2, 5, 4, 3])  # A B C / C B A
+    >>> list(key.translate(after[key[key.index(2) + 3]]))  # t: A B C / C A B
+    [0, 1, 2, 4, 5, 3]
+    >>> list(key.translate(after[key[key.index(5) - 3]]))  # b: A C B / C B A
+    [0, 2, 1, 5, 4, 3]
+    """
+    m = 2 * n
+    after: list = [None] * m
+    for end in (n, m):
+        for v in range(end - n, end - 1):
+            after[v] = _BYTES[: v + 1] + _BYTES[v + 2 : end] + _BYTES[v + 1 : v + 2] + _BYTES[end:]
+    return after, _BYTES[m - 1 :: -1] + _BYTES[m:]

@@ -9,9 +9,9 @@ from typing import NamedTuple
 
 from hypothesis import assume, strategies as st
 
-from rauzycert.diagram import AllowedPath
+from rauzycert.diagram import AllowedPath, RauzyDiagram
 from rauzycert.errors import EnumerationCapError, NotAllowedError, ReducibleError
-from rauzycert.induction import Move
+from rauzycert.induction import Move, _step
 from rauzycert.linalg import IntMatrix, wielandt_bound
 from rauzycert.perm import (
     LabeledPermutation,
@@ -226,6 +226,28 @@ def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int =
                 vertices.append(edge.target)
         frontier += 1
     return vertices, out_edges
+
+
+def step_explore(seed: LabeledPermutation, augmented: bool = False, cap: int = 10**6):
+    """Breadth-first closure of ``seed`` on letter rows, one ``_step`` per
+    edge, the reference for ``diagram.explore``: the rows in BFS order and
+    the successor tables, as a ``RauzyDiagram``."""
+    rows = [bytes(seed.top + seed.bottom)]
+    index = {rows[0]: 0}
+    succ: tuple[list[int], ...] = ([], [], []) if augmented else ([], [])
+    for row in rows:
+        for move, table in enumerate(succ):
+            target = _step(row, move)
+            v = index.get(target)
+            if v is None:
+                if len(rows) >= cap:
+                    raise EnumerationCapError(
+                        "component exceeds the %d-vertex cap from %s" % (cap, seed.display())
+                    )
+                v = index[target] = len(rows)
+                rows.append(target)
+            table.append(v)
+    return RauzyDiagram(seed.alphabet, rows, succ)
 
 
 def oracle_diagram_doc(seed: LabeledPermutation, augmented: bool = False) -> dict:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rauzycert import cli, fg, penner
+from rauzycert import cli, fg, pa, penner
 from rauzycert.cli import main
 from rauzycert.errors import NotPrimitiveError
 from rauzycert.jsonutil import decimal_str
@@ -284,6 +284,19 @@ class TestFg:
         _, default, _ = run(capsys, "fg", "table", "--gmax", "3")
         assert before == after != default
 
+    def test_table_exits_two_on_a_cell_that_is_not_primitive(self, capsys, monkeypatch):
+        # the passing cells print as before; the cell of genus 3 (6 letters)
+        # has no bracket and no lower bounds, and the table exits 2
+        argv = ("fg", "table", "--gmax", "4")
+        _, expected, _ = run(capsys, *argv)
+        real = pa.min_positive_power
+        monkeypatch.setattr(pa, "min_positive_power", lambda m: None if m.order == 6 else real(m))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "")
+        lines, before = out.splitlines(), expected.splitlines()
+        assert lines[:2] + lines[3:] == before[:2] + before[3:]
+        assert lines[2] == "3,,,%s,," % before[2].split(",")[3]
+
     def test_genus_required_without_subcommand(self, capsys):
         code, _, err = run(capsys, "fg")
         assert code == 1
@@ -532,7 +545,7 @@ class TestErrorPrefixes:
             ),
             (
                 ("diagram", "--central", "257"),
-                "cap error: diagrams hold at most 256 letters, got 257",
+                "cap error: diagrams hold at most 128 letters, got 257",
             ),
             (
                 ("perm", "--central", "100001"),

@@ -6,7 +6,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from helpers import oracle_diagram_doc, oracle_dot, oracle_explore, random_irreducible
+from helpers import (
+    all_standard_permutations,
+    oracle_diagram_doc,
+    oracle_dot,
+    oracle_explore,
+    random_irreducible,
+    step_explore,
+)
 from rauzycert.diagram import (
     BLOCK,
     AllowedPath,
@@ -91,13 +98,13 @@ class TestExplore:
         with pytest.raises(EnumerationCapError):
             explore(central(6), cap=10)
 
-    def test_rows_hold_at_most_256_letters(self):
-        # one byte per letter index: 256 letters reach the vertex cap, 257 are
-        # refused before any row is built
+    def test_rows_hold_at_most_128_letters(self):
+        # one byte per position value, 2n of them: 128 letters reach the
+        # vertex cap, 129 are refused before any row is built
         with pytest.raises(EnumerationCapError, match="1-vertex cap"):
-            explore(central(256), cap=1)
-        with pytest.raises(EnumerationCapError, match="at most 256 letters, got 257"):
-            explore(central(257), cap=1)
+            explore(central(128), cap=1)
+        with pytest.raises(EnumerationCapError, match="at most 128 letters, got 129"):
+            explore(central(129), cap=1)
 
     def test_reducible_seed_rejected(self):
         with pytest.raises(ReducibleError):
@@ -109,6 +116,46 @@ class TestExplore:
         assert len(out["edges"]) == 6
         kinds = {e["kind"] for e in out["edges"]}
         assert kinds == {"t", "b"}
+
+
+def _search(search, seed: LabeledPermutation, augmented: bool, cap: int):
+    """The rows and successor tables a search finds from ``seed``, or None
+    when it raises at the cap."""
+    try:
+        found = search(seed, augmented=augmented, cap=cap)
+    except EnumerationCapError:
+        return None
+    return found.rows, found.succ
+
+
+class TestAgainstStepSearch:
+    """The search on position rows against the one on letter rows, one
+    ``_step`` per edge."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_irreducible_seed(self, n):
+        # a cap of 150 holds every plain component with n <= 5, every
+        # augmented one with n <= 4 and each central one; past it both
+        # searches must raise, and so must a search capped one vertex short
+        seeds = [p for p in all_standard_permutations(n) if is_irreducible(p)]
+        for seed in seeds:
+            for augmented in (False, True):
+                expected = _search(step_explore, seed, augmented, 150)
+                assert _search(explore, seed, augmented, 150) == expected, seed.display()
+                if expected is not None and len(expected[0]) > 1:
+                    assert _search(explore, seed, augmented, len(expected[0]) - 1) is None
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_from_a_non_central_vertex(self, n):
+        rows = explore(central(n)).rows
+        row = rows[random.Random(n).randrange(1, len(rows))]
+        seed = LabeledPermutation(default_alphabet(n), tuple(row[:n]), tuple(row[n:]))
+        assert _search(explore, seed, False, 10**6) == _search(step_explore, seed, False, 10**6)
+
+    def test_one_vertex_component_at_any_cap(self):
+        # the seed is never counted against the cap
+        for cap in (-1, 0, 1):
+            assert explore(central(2), cap=cap).rows == step_explore(central(2), cap=cap).rows
 
 
 class TestInjectivity:
@@ -431,6 +478,10 @@ class TestTables:
             explore(central(4)).successor(0, Move.FLIP)
 
     def test_cap_counts_vertices(self):
-        assert len(explore(central(6), cap=31)) == 31
-        with pytest.raises(EnumerationCapError):
-            explore(central(6), cap=30)
+        # the component has 31 vertices: every cap below that raises
+        for cap in range(1, 41):
+            if cap < 31:
+                with pytest.raises(EnumerationCapError, match="the %d-vertex cap" % cap):
+                    explore(central(6), cap=cap)
+            else:
+                assert len(explore(central(6), cap=cap)) == 31

@@ -99,6 +99,7 @@ CASES: dict[str, tuple[str, ...]] = {
     ),
     "fg_central_n_above_cap": ("fg", "central", "--n", "23"),
     "diagram_central_above_row_letters": ("diagram", "--central", "257"),
+    "diagram_central_129": ("diagram", "--central", "129"),
     "perm_central_above_max_letters": ("perm", "--central", "100001"),
     "fg_central_loop_len_zero": ("fg", "central", "--n", "5", "--loop-len", "0"),
     "fg_central_loop_len_above_cap": ("fg", "central", "--n", "5", "--loop-len", "49"),

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from rauzycert.diagram import AllowedPath
 from rauzycert.errors import ReducibleError
-from rauzycert.induction import MOVES, Move, _duel, _step
+from rauzycert.induction import MOVES, Move, _duel, _position_tables, _step
 from rauzycert.linalg import IntMatrix, _column_product
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
@@ -149,3 +149,42 @@ def test_step_matches_object_oracle():
                 assert _duel(p.top[-1], p.bottom[-1], index) == duel, (p.display(), move)
             count += 1
     assert count > 1000
+
+
+def _position_row(row) -> bytes:
+    """The position row of a packed letter row: byte x is the top position
+    of letter x, byte n + x is n plus its bottom position."""
+    n = len(row) // 2
+    key = bytearray(2 * n)
+    for p, x in enumerate(row):
+        key[x + n * (p >= n)] = p
+    return bytes(key)
+
+
+@pytest.mark.parametrize("n", range(2, 129))
+def test_position_tables_match_step(n):
+    # one row per value the winner's position can take: t's winner at each
+    # bottom position 0..n-2, b's at each top position 0..n-2
+    rng = random.Random(n)
+    after, flip = _position_tables(n)
+    assert [v for v, table in enumerate(after) if table is None] == [n - 1, 2 * n - 1]
+    assert {len(table) for table in after if table is not None} | {len(flip)} == {256}
+    for j in range(n - 1):
+        for move in (0, 1):
+            kept = rng.sample(range(n), n)
+            winner = kept[-1]
+            others = [x for x in range(n) if x != winner]
+            rng.shuffle(others)
+            moved = others[:j] + [winner] + others[j:]
+            row = tuple(kept + moved) if move == 0 else tuple(moved + kept)
+            key = _position_row(row)
+            if move == 0:
+                assert key.index(n - 1) == winner
+                target = key.translate(after[key[key.index(n - 1) + n]])
+            else:
+                assert key.index(2 * n - 1) - n == winner
+                target = key.translate(after[key[key.index(2 * n - 1) - n]])
+            assert target == _position_row(_step(row, move)), (n, j, move)
+        row = tuple(rng.sample(range(n), n) + rng.sample(range(n), n))
+        key = _position_row(row)
+        assert (key[n:] + key[:n]).translate(flip) == _position_row(_step(row, 2)), (n, j)
