@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from . import penner as penner_mod
 from .errors import RauzyError
 from .induction import Move
 from .jsonutil import bracket_json, decimal_str, dumps, rational_json
-from .linalg import DEFAULT_TOL, IntMatrix, _column_product
+from .linalg import DEFAULT_TOL, _column_product
 from .pa import LETTERS_MAX, certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
@@ -70,6 +69,14 @@ def _reject_ignored(mode: str, args, *dests: str) -> None:
     given = ["--" + dest for dest in dests if getattr(args, dest) is not None]
     if given:
         raise ValueError("%s ignores %s" % (mode, ", ".join(given)))
+
+
+def _check_range(flag: str, value: int, low: int, high: int) -> None:
+    """Raise before any work when ``value`` lies outside low..high."""
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (flag, low, value))
+    if value > high:
+        raise ValueError("%s must be <= %d, got %d" % (flag, high, value))
 
 
 def _start_permutation(args) -> LabeledPermutation:
@@ -121,6 +128,10 @@ def _cmd_diagram(args) -> int:
     if args.cap <= 0:
         raise ValueError("enumeration cap must be positive")
     seed = _start_permutation(args)
+    # The component of central(n) holds the hyperelliptic Rauzy class, with
+    # 2^(n-1) - 1 vertices; past 128 letters explore refuses the seed itself.
+    if args.central is not None and args.central <= 128 and 2 ** (args.central - 1) - 1 > args.cap:
+        raise diagram_mod._over_cap(seed, args.cap)
     component = diagram_mod.explore(seed, augmented=args.augmented, cap=args.cap)
     if args.format == "dot":
         diagram_mod.to_dot(component, sys.stdout)
@@ -180,8 +191,7 @@ def _cmd_fg(args) -> int:
         _reject_ignored("fg central", args, "genus", "tol")
     elif args.fg_mode == "table":
         _reject_ignored("fg table", args, "genus")
-        if args.gmax > fg_mod.GENUS_MAX:
-            raise ValueError("--gmax must be <= %d, got %d" % (fg_mod.GENUS_MAX, args.gmax))
+        _check_range("--gmax", args.gmax, args.gmin, fg_mod.GENUS_MAX)
     tol = DEFAULT_TOL if args.tol is None else args.tol
     if args.fg_mode == "table":
         rows, primitive = [], True
@@ -234,10 +244,8 @@ _SWEEP_BUDGET_S = 30
 def _cmd_penner(args) -> int:
     if args.penner_mode == "sweep":
         _reject_ignored("penner sweep", args, "genus", "n")
-        if args.gmax > penner_mod.GENUS_MAX:
-            raise ValueError("--gmax must be <= %d, got %d" % (penner_mod.GENUS_MAX, args.gmax))
-        if args.nmax > SWEEP_N_MAX:
-            raise ValueError("--nmax must be <= %d, got %d" % (SWEEP_N_MAX, args.nmax))
+        _check_range("--gmax", args.gmax, 3, penner_mod.GENUS_MAX)
+        _check_range("--nmax", args.nmax, 1, SWEEP_N_MAX)
         a, b, c = _SWEEP_CELL_US
         column_us = sum(a + b * g + c * g * g for g in range(3, args.gmax + 1))
         budget_us = _SWEEP_BUDGET_S * 10**6
@@ -293,60 +301,6 @@ def _cmd_penner(args) -> int:
         },
         report,
     )
-
-
-# Largest --random count: 10^5 instances take 10 s (2-vCPU VM).
-HOMOLOGY_RANDOM_MAX = 10**5
-# Each --random instance draws its dimension, entries and power up to these.
-RANDOM_DIM_MAX, RANDOM_ENTRY_MAX, RANDOM_N_MAX = 4, 5, 10
-
-
-def _is_int_list(value) -> bool:
-    """A list of JSON integers; ``json`` reads true and false as bool, an
-    int subclass, and 1.0 as a float, so neither passes."""
-    return isinstance(value, list) and all(type(x) is int for x in value)
-
-
-def _cmd_homology_check(args) -> int:
-    if args.random is not None:
-        _reject_ignored("homology-check --random", args, "a", "b", "n")
-        if args.random > HOMOLOGY_RANDOM_MAX:
-            raise ValueError("--random must be <= %d, got %d" % (HOMOLOGY_RANDOM_MAX, args.random))
-        import random
-
-        seed = 0 if args.seed is None else args.seed
-        rng = random.Random(seed)
-        failures = []
-        for index in range(args.random):
-            d = rng.randint(1, RANDOM_DIM_MAX)
-            a = IntMatrix.from_rows(
-                [[rng.randint(0, RANDOM_ENTRY_MAX) for _ in range(d)] for _ in range(d)]
-            )
-            b = [rng.randint(0, RANDOM_ENTRY_MAX) for _ in range(d)]
-            n = rng.randint(1, RANDOM_N_MAX)
-            if not penner_mod.homology_power_check(a, b, n):
-                failures.append({"index": index, "a": a.to_json(), "b": b, "n": n})
-        _emit_json(
-            {
-                "count": args.random,
-                "seed": seed,
-                "all_equal": not failures,
-                "failures": failures,
-            }
-        )
-        return 0 if not failures else 2
-    if args.a is None or args.b is None or args.n is None:
-        raise ValueError("homology-check needs --a, --b and --n (or --random)")
-    _reject_ignored("homology-check --a/--b/--n", args, "seed")
-    a, b = json.loads(args.a), json.loads(args.b)
-    if not (isinstance(a, list) and all(map(_is_int_list, a))):
-        raise ValueError("--a must be a JSON list of lists of integers")
-    if not _is_int_list(b):
-        raise ValueError("--b must be a JSON list of integers")
-    a = IntMatrix.from_rows(a)
-    equal = penner_mod.homology_power_check(a, b, args.n)
-    _emit_json({"dim": a.order, "n": args.n, "equal": equal})
-    return 0 if equal else 2
 
 
 @functools.cache
@@ -433,14 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     diverge.add_argument("--genus", type=int, required=True)
     diverge.add_argument("--tol", type=_tol, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_penner, penner_mode=None)
-
-    p = sub.add_parser("homology-check", help="block-triangular homology power identity")
-    p.add_argument("--a", help="square matrix as a JSON array of rows")
-    p.add_argument("--b", help="row vector as a JSON array")
-    p.add_argument("--n", type=int)
-    p.add_argument("--random", type=int, help="check COUNT random instances")
-    p.add_argument("--seed", type=int, help="seed of --random (default 0)")
-    p.set_defaults(func=_cmd_homology_check)
 
     return parser
 

@@ -18,9 +18,11 @@ closed form is assembled as the same sparse rows and compared row by row,
 and the minimum row sum and the primitivity search read those rows too.
 The dense 3g x 3g matrix is built once, for ``PennerMatrices.m``.
 
-The final helper checks the homology block identity used to separate
-conjugacy classes: powers of [[1, b], [0, A]] keep the block-triangular
-shape with top-right row b(I + A + ... + A^(n-1)).
+The final helper checks that powers of [[1, b], [0, A]] keep the
+block-triangular shape with top-right row b(I + A + ... + A^(n-1)).  The
+identity holds for every square A, row b and n >= 1, so the helper is a
+check of the exact matrix arithmetic (acceptance criterion 8), not a
+conjugacy invariant.
 """
 
 from __future__ import annotations
@@ -235,10 +237,10 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
 
 # Largest power, matrix order and absolute entry (of A and of b) that
 # homology_power_check accepts.  Entries of A^n grow like rho(A)^n, so at
-# n = 10^4 the cost grows with the order and the entries: 0.1 s for
-# [[1,1],[1,1]], 0.16 s for a 4 x 4 matrix of 5s and 0.4-0.7 s for the
-# largest accepted input, a 6 x 6 matrix and a vector of 10s (or of -10s),
-# in a fresh process on a 2-vCPU VM.
+# n = 10^4 the cost of one call grows with the order and the entries:
+# 1.4 ms for [[1,1],[1,1]], 0.06-0.07 s for a 4 x 4 matrix of 5s and
+# 0.56-0.63 s for the largest accepted input, a 6 x 6 matrix and a vector
+# of 10s (or of -10s), on a 2-vCPU VM.
 HOMOLOGY_N_MAX = 10**4
 HOMOLOGY_DIM_MAX = 6
 HOMOLOGY_ENTRY_MAX = 10

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from rauzycert import cli, fg, pa, penner
+from rauzycert import cli, diagram, fg, pa, penner
 from rauzycert.cli import main
 from rauzycert.errors import NotPrimitiveError
 from rauzycert.jsonutil import decimal_str
+from rauzycert.perm import central
 
 
 def run(capsys, *argv):
@@ -106,6 +107,22 @@ class TestDiagram:
         assert main(["diagram", "--central", "12", "--format", fmt]) == 0
         assert Recorder.total == {"json": 1_687_060, "dot": 317_950}[fmt]
         assert 0 < Recorder.largest < bound
+
+    @pytest.mark.parametrize("n, cap", [(6, 30), (21, diagram.DEFAULT_CAP), (128, 10**30)])
+    def test_central_over_cap_exits_before_explore(self, capsys, monkeypatch, n, cap):
+        # the component of central(n) has 2^(n-1) - 1 vertices, so a smaller
+        # cap is refused before the search
+        def fail(*args, **kwargs):
+            raise AssertionError("explore ran")
+
+        monkeypatch.setattr(diagram, "explore", fail)
+        assert run(capsys, "diagram", "--central", str(n), "--cap", str(cap)) == (
+            1, "", "cap error: component exceeds the %d-vertex cap from %s\n"
+            % (cap, central(n).display())
+        )
+        # a cap that the component fits is passed on to the search
+        with pytest.raises(AssertionError, match="explore ran"):
+            run(capsys, "diagram", "--central", str(n), "--cap", str(2 ** (n - 1) - 1))
 
     def test_augmented_flag(self, capsys):
         plain = json.loads(run(capsys, "diagram", "--central", "4")[1])
@@ -395,6 +412,22 @@ class TestPenner:
             1, "", "error: --nmax must be <= %d, got %d\n" % (top, top + 1)
         )
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("--gmax", "2"), "error: --gmax must be >= 3, got 2"),
+            (("--nmax", "0"), "error: --nmax must be >= 1, got 0"),
+            (("--nmax", "-1"), "error: --nmax must be >= 1, got -1"),
+        ],
+    )
+    def test_empty_grid_exits_before_any_work(self, capsys, monkeypatch, argv, line):
+        # an empty grid is an error, not a bare CSV header
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(penner, "build", fail)
+        assert run(capsys, "penner", "sweep", *argv) == (1, "", line + "\n")
+
     def test_grid_budget_exits_before_any_work(self, capsys, monkeypatch):
         # each flag within its cap, the grid over the budget: at --gmax 150
         # one column of n is estimated at 2.5 s, so --nmax 11 passes and 12
@@ -421,68 +454,6 @@ class TestPenner:
         data = json.loads(out)
         assert code == 0
         assert data["passed"] is True and all(data["checks"].values())
-
-
-class TestHomologyCheck:
-    def test_single_instance(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "homology-check", "--a", "[[2,1],[1,1]]", "--b", "[3,4]", "--n", "5",
-        )
-        data = json.loads(out)
-        assert code == 0
-        assert data == {"dim": 2, "n": 5, "equal": True}
-
-    def test_random_batch(self, capsys):
-        code, out, _ = run(capsys, "homology-check", "--random", "20", "--seed", "7")
-        data = json.loads(out)
-        assert code == 0
-        assert data["all_equal"] is True and data["failures"] == []
-
-    def test_bad_json_is_an_error(self, capsys):
-        code, _, err = run(capsys, "homology-check", "--a", "[[", "--b", "[1]", "--n", "1")
-        assert code == 1
-        assert "error" in err
-
-    A_LINE = "error: --a must be a JSON list of lists of integers\n"
-    B_LINE = "error: --b must be a JSON list of integers\n"
-
-    @pytest.mark.parametrize(
-        "a, b, line",
-        [
-            ("[1, 2]", "[1]", A_LINE),
-            ("5", "[1]", A_LINE),
-            ("null", "[1]", A_LINE),
-            ('"[[1]]"', "[1]", A_LINE),
-            ("[[1.5, 2], [0, 1]]", "[0, 1]", A_LINE),
-            ("[[1.0]]", "[1]", A_LINE),
-            ("[[true]]", "[1]", A_LINE),
-            ('[["3"]]', "[1]", A_LINE),
-            ("[[1]]", "5", B_LINE),
-            ("[[1]]", "[[1]]", B_LINE),
-            ("[[1]]", "null", B_LINE),
-            ("[[1, 2], [0, 1]]", "[0.9, 1]", B_LINE),
-            ("[[1]]", "[true]", B_LINE),
-            ("[[1]]", '["3"]', B_LINE),
-        ],
-    )
-    def test_non_integer_input_is_an_error(self, capsys, a, b, line):
-        # int() would read 1.5 as 1, true as 1 and "3" as 3, and a value
-        # that is no list of lists would raise TypeError past main
-        assert run(capsys, "homology-check", "--a", a, "--b", b, "--n", "3") == (1, "", line)
-
-    @pytest.mark.parametrize("flag, value", [("--a", "[1, 2]"), ("--b", "[[1]]")])
-    def test_rejected_input_prints_no_traceback(self, flag, value):
-        argv = {"--a": "[[1]]", "--b": "[1]", "--n": "3", flag: value}
-        proc = subprocess.run(
-            [sys.executable, "-m", "rauzycert.cli", "homology-check", *sum(argv.items(), ())],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
-        )
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.startswith("error: %s must be" % flag)
-        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
 class TestDeterminism:
@@ -527,10 +498,7 @@ class TestErrorPrefixes:
                 " a1 a2 a3 a4 a5 a6 / a6 a5 a4 a3 a2 a1",
             ),
             (("fg",), "error: fg needs --genus (or the table / central subcommand)"),
-            (
-                ("homology-check", "--a", "[[1", "--b", "[1]", "--n", "2"),
-                "error: Expecting ',' delimiter: line 1 column 4 (char 3)",
-            ),
+            (("fg", "table", "--gmin", "5", "--gmax", "3"), "error: --gmax must be >= 5, got 3"),
             (
                 ("path", "--start", "A B / A B", "--moves", "tf"),
                 "reducible error: top move undefined on reducible permutation B A / B A",
@@ -554,14 +522,6 @@ class TestErrorPrefixes:
             (
                 ("diagram", "--central", "10000000"),
                 "parse error: central permutation needs n <= 100000, got 10000000",
-            ),
-            (
-                ("homology-check", "--a", str([[1] * 7] * 7), "--b", str([1] * 7), "--n", "2"),
-                "error: matrix order must be <= 6, got 7",
-            ),
-            (
-                ("homology-check", "--a", "[[1,1],[0,1]]", "--b", "[-11,0]", "--n", "2"),
-                "error: entries must be at most 10 in absolute value, got 11",
             ),
         ],
     )
@@ -593,8 +553,8 @@ class TestIgnoredFlags:
         "argv, line",
         [
             (
-                ("homology-check", "--random", "2", "--n", "3", "--a", "[[1]]"),
-                "error: homology-check --random ignores --a, --n",
+                ("fg", "--genus", "5", "--tol", "1/10", "central", "--n", "4"),
+                "error: fg central ignores --genus, --tol",
             ),
             (("fg", "--genus", "5", "table", "--gmax", "3"), "error: fg table ignores --genus"),
             (("fg", "--genus", "5", "central", "--n", "4"), "error: fg central ignores --genus"),
@@ -604,10 +564,6 @@ class TestIgnoredFlags:
             ),
             (("penner", "--n", "5", "diverge", "--genus", "3"), "error: penner diverge ignores --n"),
             (("fg", "--tol", "1/10", "central", "--n", "4"), "error: fg central ignores --tol"),
-            (
-                ("homology-check", "--a", "[[1]]", "--b", "[1]", "--n", "5", "--seed", "7"),
-                "error: homology-check --a/--b/--n ignores --seed",
-            ),
         ],
     )
     def test_exits_one_before_any_work(self, capsys, monkeypatch, argv, line):
@@ -616,7 +572,6 @@ class TestIgnoredFlags:
 
         for module, name in [
             (penner, "build"),
-            (penner, "homology_power_check"),
             (fg, "family_report"),
             (fg, "central_component_checks"),
         ]:
@@ -650,7 +605,7 @@ class TestUsageErrors:
             ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),
             ("fg", "central"),
             ("certify", "--start", "A B C / C B A", "--moves", "tb", "--lower-mode", "exact"),
-            ("homology-check", "--random", "5", "--dim-max", "2"),
+            ("homology-check", "--random", "1"),
             ("no-such-command",),
             (),
         ],
@@ -680,7 +635,6 @@ OPTIONS = {
     "penner": ["--genus", "--n", "--tol"],
     "penner sweep": ["--gmax", "--nmax", "--tol"],
     "penner diverge": ["--genus", "--tol"],
-    "homology-check": ["--a", "--b", "--n", "--random", "--seed"],
 }
 
 

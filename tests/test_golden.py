@@ -81,10 +81,6 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_tol_zero": ("certify", "--start", FG_START_2, "--moves", "ftbb", "--tol", "0"),
     "penner_sweep_default": ("penner", "sweep"),
     "penner_diverge_g3": ("penner", "diverge", "--genus", "3"),
-    "homology_check_single": (
-        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "5"
-    ),
-    "homology_check_random50": ("homology-check", "--random", "50", "--seed", "1"),
     # exit 1: errors raised by the program
     "perm_parse_error": ("perm", "--perm", "A B / A C"),
     "move_reducible": ("move", "--start", "A B / A B", "--kind", "t"),
@@ -117,35 +113,15 @@ CASES: dict[str, tuple[str, ...]] = {
         "--moves", "b",
     ),
     "fg_table_gmax_above_cap": ("fg", "table", "--gmax", "251"),
-    "homology_check_n_only": ("homology-check", "--n", "3"),
-    "homology_check_n_above_cap": (
-        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "10001"
-    ),
-    "homology_check_random_above_cap": ("homology-check", "--random", "100001"),
-    "homology_check_order_above_cap": (
-        "homology-check", "--a", str([[1] * 7] * 7).replace(" ", ""), "--b", str([1] * 7),
-        "--n", "2",
-    ),
-    "homology_check_entry_above_cap": (
-        "homology-check", "--a", "[[1,1],[0,11]]", "--b", "[1,0]", "--n", "2"
-    ),
-    "homology_check_n_max_above_cap": ("homology-check", "--random", "5", "--n-max", "10001"),
-    # exit 1: --a and --b must hold JSON integers, and --a a list of lists
-    "homology_check_float_entry": (
-        "homology-check", "--a", "[[1.5,2],[0,1]]", "--b", "[0.9,1]", "--n", "3"
-    ),
-    "homology_check_a_not_a_list": ("homology-check", "--a", "5", "--b", "[1]", "--n", "2"),
+    # exit 1: an empty grid, refused before any work
+    "fg_table_gmin_above_gmax": ("fg", "table", "--gmin", "5", "--gmax", "3"),
+    "penner_sweep_gmax_below_3": ("penner", "sweep", "--gmax", "2"),
+    "penner_sweep_nmax_zero": ("penner", "sweep", "--nmax", "0"),
     # exit 1: a flag that the chosen mode does not read
-    "homology_check_random_with_a_n": (
-        "homology-check", "--random", "2", "--n", "3", "--a", "[[1]]"
-    ),
     "fg_genus_with_table": ("fg", "--genus", "5", "table", "--gmax", "3"),
     "penner_sweep_with_genus_n": ("penner", "--genus", "4", "--n", "2", "sweep"),
     "penner_diverge_with_n": ("penner", "--n", "5", "diverge", "--genus", "3"),
     "fg_central_with_tol": ("fg", "--tol", "1/10", "central", "--n", "4"),
-    "homology_check_single_with_seed": (
-        "homology-check", "--a", "[[1,1],[0,1]]", "--b", "[1,0]", "--n", "5", "--seed", "7"
-    ),
 }
 
 # exit 1: argparse rejects the command line, and main returns 1
@@ -153,6 +129,8 @@ ARGPARSE_ERROR_CASES: dict[str, tuple[str, ...]] = {
     "certify_missing_moves": ("certify", "--start", "A B C / C B A"),
     "certify_bad_tol": ("certify", "--start", "A B C / C B A", "--moves", "tb", "--tol", "abc"),
     "fg_central_missing_n": ("fg", "central"),
+    # homology-check is not a command
+    "homology_check_retired": ("homology-check", "--random", "1"),
 }
 CASES.update(ARGPARSE_ERROR_CASES)
 

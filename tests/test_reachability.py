@@ -28,6 +28,11 @@ ALLOWED = {
     "diagram:RauzyDiagram.to_json_dict": "perfbench hook: tracing.METHODS patches it",
     "diagram:AllowedPath.__repr__": "library view: hypothesis prints it in a falsifying example",
     "perm:LabeledPermutation.__str__": "error path: path_matrix's not-allowed message",
+    "penner:homology_power_check": "library check of exact matrix arithmetic (acceptance"
+    " criterion 8): its identity holds for every input, so no command prints it",
+    "penner:_geometric_sum": "helper of homology_power_check, which no command runs",
+    "linalg:IntMatrix.__pow__": "library operator: homology_power_check and the tests take"
+    " matrix powers, no command does",
     "linalg:_strongly_connected": "error path: perron_bracket's guard where its loop would stall,"
     " which certify's primitive matrices never reach",
 }
