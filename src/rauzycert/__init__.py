@@ -14,7 +14,6 @@ from .diagram import (
 from .errors import (
     EnumerationCapError,
     NotAllowedError,
-    NotPrimitiveError,
     PermutationParseError,
     RauzyError,
     ReducibleError,
@@ -48,7 +47,6 @@ __all__ = [
     "LabeledPermutation",
     "Move",
     "NotAllowedError",
-    "NotPrimitiveError",
     "PACertificate",
     "PermutationParseError",
     "RauzyDiagram",

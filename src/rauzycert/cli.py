@@ -79,6 +79,25 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
         raise ValueError("%s must be <= %d, got %d" % (flag, high, value))
 
 
+# Smallest --tol of each bracket engine, in decimal digits (2-vCPU VM): the
+# bisection of fg, fg table and penner took 16 s at 1e-60 on fg table --gmax
+# 250, against a 30 s budget (26 s at 1e-80).  certify's Newton costs about
+# d^2.3 digits^1.9 on d letters, so letters x digits <= 96,000: 1e-1000 took
+# 4-6 s at the 96-letter cap against a 10 s budget (31 s at 1e-3000).
+BISECTION_TOL_DIGITS_MAX = 60
+NEWTON_TOL_LETTER_DIGITS_MAX = 96000
+
+
+def _check_tol(tol: Fraction, digits: int, engine: str) -> None:
+    """Raise before any work when ``tol`` is not positive or below the floor 10^-digits."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    # 10^digits > 8^digits, so the bit lengths clear most tol before 10^digits is built
+    if (tol.denominator.bit_length() - tol.numerator.bit_length() >= 3 * digits
+            and tol * 10**digits < 1):
+        raise ValueError("--tol must be >= 1e-%d, the floor of %s" % (digits, engine))
+
+
 def _start_permutation(args) -> LabeledPermutation:
     if getattr(args, "central", None) is not None:
         return central(args.central)
@@ -166,6 +185,8 @@ def _cmd_certify(args) -> int:
     start = parse(args.start)
     if start.n > LETTERS_MAX:
         raise ValueError("certify needs at most %d letters, got %d" % (LETTERS_MAX, start.n))
+    _check_tol(args.tol, NEWTON_TOL_LETTER_DIGITS_MAX // start.n,
+               "certify's Newton on %d letters" % start.n)
     path = diagram_mod.build_path(start, args.moves, reading=args.reading)
     cert = certify(path, tol=args.tol)
     out = certificate_to_json(cert)
@@ -193,6 +214,7 @@ def _cmd_fg(args) -> int:
         _reject_ignored("fg table", args, "genus")
         _check_range("--gmax", args.gmax, args.gmin, fg_mod.GENUS_MAX)
     tol = DEFAULT_TOL if args.tol is None else args.tol
+    _check_tol(tol, BISECTION_TOL_DIGITS_MAX, "the closed-form bisection")
     if args.fg_mode == "table":
         rows, primitive = [], True
         for g in range(args.gmin, args.gmax + 1):
@@ -231,23 +253,28 @@ def _cmd_fg(args) -> int:
 # 9-13 s at 28 MiB, and --gmax 3 --nmax 5000 takes 2.4 s (2-vCPU VM).
 SWEEP_N_MAX = 5000
 
-# The grid is bounded too.  One cell at genus g takes about
-# 390 + 14 g + 1.6 g^2 microseconds, n hardly mattering (least squares over
-# sweeps from --gmax 3 --nmax 5000 to --gmax 150 --nmax 5, 2-vCPU VM); the
-# estimate rounds that up to 400 + 15 g + 2 g^2, and a grid whose estimate
-# passes the budget exits 1 before any work.  --gmax 150 --nmax 5, estimated
-# at 12.5 s, took 8.9-13 s.
+# The grid is bounded too: a grid whose estimate passes the budget exits 1
+# before any work.  A cell at genus g is estimated at 400 + 15 g + 2 g^2
+# microseconds at the default --tol, a fit made while a primitivity search on
+# M^g still ran, so it is about 4 times over (--gmax 150 --nmax 5, estimated
+# at 12.5 s, takes 3 s on a 2-vCPU VM).  It grows with the bits --tol asks
+# for over the default's _SWEEP_CELL_BITS: at the 1e-60 floor a g = 150 cell
+# took 73 ms against 318 ms estimated.
 _SWEEP_CELL_US = (400, 15, 2)
+_SWEEP_CELL_BITS = DEFAULT_TOL.denominator.bit_length()
 _SWEEP_BUDGET_S = 30
 
 
 def _cmd_penner(args) -> int:
+    _check_tol(args.tol, BISECTION_TOL_DIGITS_MAX, "the closed-form bisection")
     if args.penner_mode == "sweep":
         _reject_ignored("penner sweep", args, "genus", "n")
         _check_range("--gmax", args.gmax, 3, penner_mod.GENUS_MAX)
         _check_range("--nmax", args.nmax, 1, SWEEP_N_MAX)
         a, b, c = _SWEEP_CELL_US
+        bits = max((args.tol.denominator // args.tol.numerator).bit_length(), _SWEEP_CELL_BITS)
         column_us = sum(a + b * g + c * g * g for g in range(3, args.gmax + 1))
+        column_us = column_us * bits // _SWEEP_CELL_BITS
         budget_us = _SWEEP_BUDGET_S * 10**6
         if args.nmax * column_us > budget_us:
             raise ValueError(

@@ -28,12 +28,6 @@ class NotAllowedError(RauzyError, ValueError):
     prefix = "path error"
 
 
-class NotPrimitiveError(RauzyError, ValueError):
-    """A matrix operation that requires primitivity got a non-primitive input."""
-
-    prefix = "matrix error"
-
-
 class EnumerationCapError(RauzyError, RuntimeError):
     """Diagram exploration exceeded the configured vertex cap."""
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, mul, or_
 
-from .errors import NotAllowedError, NotPrimitiveError
+from .errors import NotAllowedError
 
 # Width of a spectral bracket when the caller asks for none.
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -150,24 +150,17 @@ def min_positive_power(m: IntMatrix) -> int | None:
     reaches a power of two (Brent's cycle search).  If
     M^q = M^r with r < q, then M^(q+i) = M^(r+i) for every i >= 0, so every
     later power repeats one of M^r .. M^(q-1), which were already found
-    not full: no power is ever full.  So a pattern that is never full stops
-    at the first repeat of an anchor or at the bound, whichever comes
-    first; one whose powers cycle with a period above the bound, such as a
-    block of coprime cycles beside an all-ones block, steps all the way to
-    the bound.
+    not full: no power is ever full.  A pattern whose powers cycle with a
+    period above the bound, such as a block of coprime cycles beside an
+    all-ones block, steps all the way to the bound.
     """
     if not m.is_nonnegative():
         raise ValueError("primitivity is only defined for nonnegative matrices")
-    return _min_positive_power([[j for j, x in enumerate(row) if x] for row in m.rows])
-
-
-def _min_positive_power(supports) -> int | None:
-    """``min_positive_power`` of a nonnegative matrix given by the columns of
-    the nonzeros of each row (``supports``, one list per row)."""
-    full = (1 << len(supports)) - 1
+    supports = [[j for j, x in enumerate(row) if x] for row in m.rows]
+    full = (1 << m.order) - 1
     pickers = [s[0] if len(s) == 1 else itemgetter(*s) if s else None for s in supports]
     power, anchor = [sum(1 << j for j in s) for s in supports], None
-    for p in range(1, wielandt_bound(len(supports)) + 1):
+    for p in range(1, wielandt_bound(m.order) + 1):
         if min(power) == full:
             return p
         if power == anchor:
@@ -312,69 +305,57 @@ def _shift_positive(coeffs, x: Fraction) -> bool:
 
 
 def perron_witness(chi, low: Fraction, high: Fraction) -> bool:
-    """Whether chi(low) < 0 and chi(high + u) has only positive coefficients,
-    which proves low < rho < high for chi = det(xI - M) and the spectral
-    radius rho of a nonnegative M: the monic chi has a real root above low
-    and none at or above high, and rho is its largest (Perron-Frobenius)."""
-    return _poly_value(chi, low.numerator, low.denominator) < 0 and _shift_positive(chi, high)
+    """Whether chi(high + u) has only positive coefficients and chi(low + u)
+    has not, which proves low <= rho < high for chi = det(xI - M) and the
+    spectral radius rho of a nonnegative M.  Every eigenvalue has real part
+    at most rho (Perron-Frobenius), so for x > rho every root of the monic
+    chi(x + u) lies in the open left half-plane, which makes its coefficients
+    positive; for x <= rho it has the root rho - x >= 0, which they rule out."""
+    return _shift_positive(chi, high) and not _shift_positive(chi, low)
 
 
 def _float_seed(chi, top: int) -> Fraction:
-    """Float Newton on chi from ``top`` >= rho, its largest real root, up to
-    a step outside (2^-45 y, y), raised by 2^-20.  With x = y 2^bitlen(top),
-    the step is y sum c_i x^-i / sum (d - i) c_i x^-i, by Horner's rule in
-    1/y; each term is at most binomial(d, i) for x >= rho, so none overflows."""
+    """Float Newton on chi from ``top`` >= max(rho, 1), rho its largest real
+    root, up to a step outside (2^-45 y, y) or one that leaves y unchanged
+    (at rho = 0 y reaches the least subnormal), raised by 2^-20.  With
+    x = y 2^bitlen(top), the step is y sum c_i x^-i / sum (d - i) c_i x^-i by
+    Horner's rule in 1/y; no term overflows, each <= binomial(d, i) for x >= rho."""
     e = top.bit_length()
     scaled, y = [c / (1 << (e * i)) for i, c in enumerate(chi)][::-1], top / (1 << e)
-    while True:
+    last = None
+    while y != last:
         value = slope = 0.0
         for i, c in enumerate(scaled):
             value, slope = value / y + c, slope / y + i * c
         if not (slope > 0 and 2.0**-45 < value / slope < 1):
-            return Fraction(y + y * 2.0**-20) * (1 << e)
-        y -= y * value / slope
-
-
-def _strongly_connected(m: IntMatrix) -> bool:
-    """Whether m is irreducible, its support graph strongly connected: for
-    order >= 2 exactly when Id + m, with a positive diagonal, is primitive.
-    At order 1 it asks for a nonzero entry."""
-    if m.order == 1:
-        return m.rows[0][0] != 0
-    supports = [[j for j, x in enumerate(row) if x or i == j] for i, row in enumerate(m.rows)]
-    return _min_positive_power(supports) is not None
+            break
+        y, last = y - y * value / slope, y
+    return Fraction(y + y * 2.0**-20) * (1 << e)
 
 
 def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
-    """Bracket the spectral radius rho of a primitive matrix to width ``tol``.
+    """Bracket the spectral radius rho of a nonnegative matrix to width ``tol``.
 
     Newton on chi = ``charpoly(m)`` steps down to rho from above: for
     x > rho, chi'/chi(x) sums 1/(x - r) over the roots r, each of positive
     real part and modulus at most 1/(x - rho), so delta = chi/chi'(x) puts
     rho in [x - d delta, x - delta].  The steps are rounded up to a grid
     2^-b that starts 64 bits below the start point, at most tol / (2d + 2),
-    and doubles its bits when the next point is no lower.  The start is
-    ``_float_seed`` if chi(seed + u) has only positive coefficients, else
-    the least of the largest row and column sums.  A grid where chi(low) < 0
-    and the bounds are within ``tol`` ends it, as rho is a simple root, and
-    ``perron_witness`` must then prove the bracket (RuntimeError, a fault
-    here, if not).  ``iterations`` counts the Newton steps.
-
-    A root of even multiplicity never gives chi(low) < 0, so the loop can
-    stall only with the bounds within ``tol`` and chi(low) >= 0.  There a
-    matrix whose support graph is not strongly connected (the identity,
-    say) raises NotPrimitiveError; rho of an irreducible matrix is a simple
-    root (Perron-Frobenius), so for one the loop goes on and ends."""
-    tol = min(Fraction(tol), Fraction(1, 2))  # rho >= 1, so the low end stays positive
+    and doubles its bits when the next point is no lower.  The start, and so
+    every point, lies above rho: ``_float_seed`` if chi(seed + u) has only
+    positive coefficients, else 1 + the least of the largest row and column
+    sums.  Each step goes at least 1/d of the way to rho, so the first point
+    whose bounds are within ``tol`` comes for every nonnegative matrix, rho = 0
+    and a multiple rho included; ``perron_witness`` must prove the bracket
+    (RuntimeError, a fault here, if not).  ``iterations`` counts the steps."""
+    tol = min(Fraction(tol), Fraction(1, 2))  # rho is 0 or >= 1: a nonzero rho keeps low > 0
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     chi, d = charpoly(m), m.order
     slope = [c * (d - i) for i, c in enumerate(chi[:-1])]
     top = min(max(map(sum, m.rows)), max(map(sum, zip(*m.rows))))
-    if not top:  # only the zero matrix: no seed, and no Perron root to find
-        raise NotPrimitiveError("the zero matrix is not primitive")
-    seed = _float_seed(chi, top)
-    start = seed if _shift_positive(chi, seed) else Fraction(top)
+    seed = _float_seed(chi, max(top, 1))
+    start = seed if _shift_positive(chi, seed) else Fraction(top + 1)
     need = ((2 * (d + 1) * tol.denominator - 1) // tol.numerator).bit_length()
     bits = min(need, 64 - int(start).bit_length())
     high, steps = math.ceil(start * Fraction(2) ** bits), 0
@@ -384,12 +365,8 @@ def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> S
         divisor = _poly_value(slope, high << lift, den) << lift
         whole, part = divmod(value, divisor)  # delta is whole + part / divisor grid steps
         low, step_to = high - 1 - d * whole - d * part // divisor, high + 1 - whole - (part > 0)
-        wide = (step_to - low) * tol.denominator > tol.numerator * den
-        if not wide:
-            if _poly_value(chi, low, den) < 0:
-                break
-            if not _strongly_connected(m):
-                raise NotPrimitiveError("the matrix's support graph is not strongly connected")
+        if (step_to - low) * tol.denominator <= tol.numerator * den:
+            break
         if step_to < high:
             high, steps = step_to, steps + 1
         else:

@@ -15,8 +15,8 @@ M_n^g is never dense: ``stretch_bounds`` reads the nonzeros of M_n once and
 builds M_n^g from them as sparse rows by left products, which reuse the
 rows of the previous power that M_n's shift rows pick (``_power``).  The
 closed form is assembled as the same sparse rows and compared row by row,
-and the minimum row sum and the primitivity search read those rows too.
-The dense 3g x 3g matrix is built once, for ``PennerMatrices.m``.
+and the minimum row sum reads those rows too; ``build`` proves M_n
+primitive.  The dense 3g x 3g matrix is built once, for ``PennerMatrices.m``.
 
 The final helper checks that powers of [[1, b], [0, A]] keep the
 block-triangular shape with top-right row b(I + A + ... + A^(n-1)).  The
@@ -31,15 +31,12 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 
-from .errors import NotPrimitiveError
-from .linalg import DEFAULT_TOL, IntMatrix, _min_positive_power, root_above_one
+from .linalg import DEFAULT_TOL, IntMatrix, root_above_one
 
 # Largest genus that build accepts, and so ``penner --genus`` and ``penner
-# sweep --gmax``.  The dense and the printed 3g x 3g matrix and the
-# primitivity search on M^g (g/2 + 2 steps of 3g bitset rows from g = 10)
-# grow with g^2; M^g itself takes g - 1 steps of three row sums.  See the
-# README for measured times.  The cap guards runtime and output size, not
-# exactness.
+# sweep --gmax``.  The dense and the printed 3g x 3g matrix grow with g^2;
+# M^g takes g - 1 steps of three row sums.  See the README for measured
+# times.  The cap guards runtime and output size, not exactness.
 GENUS_MAX = 150
 
 
@@ -73,6 +70,16 @@ def build(g: int, n: int) -> PennerMatrices:
 
     Block row 1 has the identity in the last column; block row 2 carries
     A_n, B_n and C_n; the remaining rows shift the identity.
+
+    M_n is primitive for every g >= 3 and n >= 1.  Its zero pattern does not
+    depend on n.  Call row k of block i (from 0; block 1 carries A_n, B_n
+    and C_n) vertex 3i + k.  The shift chains 3i + k -> 3(i - 1) + k and
+    k -> 3(g - 1) + k lead every vertex to block 1, whose rows reach vertex
+    0 through A_n's full first column, and 0 -> 3(g - 1) -> ... -> 3; vertex
+    3 reaches all of block 0 through A_n's full first row, so the support
+    graph is strongly connected.  Its closed walks 3 -> 0 -> 3(g - 1) -> ...
+    -> 3 and 3 -> 2 -> 3(g - 1) + 2 -> ... -> 5 -> 3 (the last step through
+    B_n) have the coprime lengths g and g + 1, so it is aperiodic too.
     """
     if g < 3:
         raise ValueError("twist family needs g >= 3, got %d" % g)
@@ -194,17 +201,13 @@ def stretch_bounds(p: PennerMatrices, tol: Fraction | str | float = DEFAULT_TOL)
     is an eigenvalue of the nonnegative M_n (Perron-Frobenius), so a root
     of (x^g - 1) Q_n(x); it is above 1, as rho^g >= n + 1 >= 2 by the
     minimum-row-sum check, while the roots of x^g - 1 lie on the unit
-    circle; and Q_n has only one root above 1.  Non-primitive input is
-    rejected before any report.  The search runs on M^g, whose exponent is
-    about g times smaller: M^g is primitive exactly when M is, since
-    (M^g)^k = M^(gk), and if M^q is full then M has no zero row, so every
-    later power of M, M^(gq) among them, is full too.
+    circle; and Q_n has only one root above 1.  M_n is primitive by the
+    proof in ``build``, so no search runs; a ``p.m`` other than the twist
+    matrix fails the ``power_identity`` check.
     """
     rho = root_above_one(twist_polynomial(p.g, p.n), tol)
     columns = range(p.m.order)
     power = _power([{j: line[j] for j in compress(columns, line)} for line in p.m.rows], p.g)
-    if _min_positive_power([list(row) for row in power]) is None:
-        raise NotPrimitiveError("twist matrix is not primitive")
     mrs = min(map(sum, map(dict.values, power)))
     checks = {
         "power_identity": verify_power_identity(p, power),

@@ -10,7 +10,6 @@ import pytest
 
 from rauzycert import cli, diagram, fg, pa, penner
 from rauzycert.cli import main
-from rauzycert.errors import NotPrimitiveError
 from rauzycert.jsonutil import decimal_str
 from rauzycert.perm import central
 
@@ -456,6 +455,78 @@ class TestPenner:
         assert data["passed"] is True and all(data["checks"].values())
 
 
+class TestTolFloor:
+    """A --tol below the floor of the engine that would bracket it exits 1
+    before any work, naming the floor; at the floor the command runs."""
+
+    BISECTION = "error: --tol must be >= 1e-60, the floor of the closed-form bisection\n"
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for module, name in ((fg, "family_report"), (fg, "family_certificate"),
+                             (penner, "build"), (penner, "diverging_sequence"),
+                             (cli.diagram_mod, "build_path")):
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fg", "--genus", "3", "--tol", "1e-10000"),
+            ("fg", "--genus", "250", "--tol", "1e-61"),
+            ("fg", "table", "--gmax", "250", "--tol", "1e-61"),
+            ("penner", "--genus", "150", "--n", "5", "--tol", "1e-1000"),
+            ("penner", "sweep", "--gmax", "40", "--nmax", "5", "--tol", "1e-300"),
+            ("penner", "diverge", "--genus", "8", "--tol", "1e-61"),
+        ],
+    )
+    def test_bisection_floor(self, capsys, no_engine, argv):
+        assert cli.BISECTION_TOL_DIGITS_MAX == 60
+        assert run(capsys, *argv) == (1, "", self.BISECTION)
+
+    @pytest.mark.parametrize("letters, digits", [(4, 24000), (96, 1000)])
+    def test_newton_floor_shrinks_with_the_letters(self, capsys, no_engine, letters, digits):
+        rows = ["a%d" % i for i in range(1, letters + 1)]
+        start = "%s / %s" % (" ".join(rows), " ".join(rows[::-1]))
+        assert run(capsys, "certify", "--start", start, "--moves", "b",
+                   "--tol", "1e-%d" % (digits + 1)) == (
+            1, "", "error: --tol must be >= 1e-%d, the floor of certify's Newton on %d letters\n"
+            % (digits, letters)
+        )
+
+    def test_the_floors_themselves_run(self, capsys):
+        assert run(capsys, "fg", "--genus", "3", "--tol", "1e-60")[0] == 0
+        assert run(capsys, "penner", "--genus", "3", "--n", "5", "--tol", "9e-61") == (
+            1, "", self.BISECTION
+        )
+        assert run(capsys, "penner", "--genus", "3", "--n", "5", "--tol", "1e-60")[0] == 0
+        code, out, _ = run(capsys, "certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2",
+                           "--moves", "ftbb", "--tol", "1e-24000")
+        assert code == 0 and json.loads(out)["verdict"] == "pseudo-Anosov"
+
+    def test_sweep_estimate_grows_with_the_bits_asked(self, capsys, monkeypatch):
+        # 1e-60 asks for 200 bits, the default 1e-9 for 30: the estimate
+        # grows 20/3 times, so at --gmax 40 the largest --nmax falls from
+        # 418 to 62
+        class Reached(Exception):
+            pass
+
+        def reach(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(penner, "build", reach)
+        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "63",
+                           "--tol", "1e-60")
+        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 62)\n")
+        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "5000")
+        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 418)\n")
+        for tol in ("1e-60", "1/10"):
+            with pytest.raises(Reached):
+                run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "62", "--tol", tol)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -528,21 +599,6 @@ class TestErrorPrefixes:
     def test_cli_input(self, capsys, argv, line):
         assert run(capsys, *argv) == (1, "", line + "\n")
 
-    # No known command line raises this: certify brackets only primitive
-    # matrices.  It is raised from inside the command instead.
-    @pytest.mark.parametrize(
-        "exc, line",
-        [
-            (NotPrimitiveError("not primitive"), "matrix error: not primitive"),
-        ],
-    )
-    def test_raised_in_command(self, capsys, monkeypatch, exc, line):
-        def fail(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(cli, "certify", fail)
-        argv = ("certify", "--start", "a1 a2 a3 a4 / a4 a1 a3 a2", "--moves", "ftbb")
-        assert run(capsys, *argv) == (1, "", line + "\n")
 
 
 class TestIgnoredFlags:

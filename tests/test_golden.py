@@ -122,6 +122,11 @@ CASES: dict[str, tuple[str, ...]] = {
     "penner_sweep_with_genus_n": ("penner", "--genus", "4", "--n", "2", "sweep"),
     "penner_diverge_with_n": ("penner", "--n", "5", "diverge", "--genus", "3"),
     "fg_central_with_tol": ("fg", "--tol", "1/10", "central", "--n", "4"),
+    # exit 1: a --tol below its engine's floor, refused before any work
+    "fg_genus_tol_below_floor": ("fg", "--genus", "3", "--tol", "1e-10000"),
+    "certify_tol_below_floor": (
+        "certify", "--start", FG_START_2, "--moves", "ftbb", "--tol", "1e-1000000"
+    ),
 }
 
 # exit 1: argparse rejects the command line, and main returns 1

@@ -4,7 +4,6 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
 import pytest
 import sympy
@@ -12,14 +11,13 @@ from hypothesis import given, settings
 
 from rauzycert import linalg, pa
 from rauzycert.diagram import AllowedPath, build_path
-from rauzycert.errors import NotAllowedError, NotPrimitiveError
+from rauzycert.errors import NotAllowedError
 from rauzycert.fg import family_polynomial
 from rauzycert.induction import Move
 from rauzycert.linalg import (
     IntMatrix,
     SpectralBracket,
     _poly_value,
-    _strongly_connected,
     _times,
     bisect_root,
     charpoly,
@@ -358,52 +356,60 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             perron_bracket(GAMMA2_MATRIX, 0)
 
+    def test_irreducible_but_imprimitive_matrix_is_bracketed(self):
+        bracket = perron_bracket(IntMatrix.from_rows([[0, 1], [1, 0]]))
+        assert bracket.low < 1 < bracket.high
+
+    @staticmethod
+    def check_nonnegative(rows, tol):
+        # At a Perron root of even multiplicity chi(low) < 0 never holds, and
+        # a loop that waited for it never ended; at rho = 0 the float seed
+        # halved y down to the smallest subnormal and spun there.
+        def stop(signum, frame):
+            raise TimeoutError("perron_bracket still running after 1 s")
+
+        m = IntMatrix.from_rows(rows)
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            bracket = perron_bracket(m, tol)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert bracket.high - bracket.low <= tol
+        assert perron_witness(charpoly(m), bracket.low, bracket.high)
+        assert contains_perron_root(m, bracket)
+
     @pytest.mark.parametrize(
         "rows",
         [
             [[1, 0], [0, 1]],
             [[1, 1], [0, 1]],
             [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+            [[0, 1], [0, 0]],
         ],
-        ids=["identity", "Jordan block", "block diagonal"],
+        ids=["identity", "Jordan block", "block diagonal", "nilpotent"],
     )
-    def test_reducible_matrix_raises_within_a_second(self, rows):
-        # At a Perron root of even multiplicity chi(low) < 0 never holds, so
-        # without the check the grid kept doubling and the call never ended.
-        def stop(signum, frame):
-            raise TimeoutError("perron_bracket still running after 1 s")
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 1)
-        try:
-            with pytest.raises(NotPrimitiveError):
-                perron_bracket(IntMatrix.from_rows(rows))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+    def test_brackets_a_reducible_matrix(self, rows):
+        self.check_nonnegative(rows, linalg.DEFAULT_TOL)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_matrix_is_not_primitive(self, order):
-        # its row and column sums are all 0, so there is no start for Newton
-        with pytest.raises(NotPrimitiveError, match="zero matrix"):
-            perron_bracket(IntMatrix(((0,) * order,) * order))
-
-    def test_irreducible_but_imprimitive_matrix_is_bracketed(self):
-        bracket = perron_bracket(IntMatrix.from_rows([[0, 1], [1, 0]]))
-        assert bracket.low < 1 < bracket.high
+        # no power is positive, and its bracket holds rho = 0
+        rows = [[0] * order] * order
+        assert min_positive_power(IntMatrix.from_rows(rows)) is None
+        self.check_nonnegative(rows, linalg.DEFAULT_TOL)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_strong_connection_against_networkx(self, seed):
+    def test_brackets_any_nonnegative_matrix(self, seed):
         rng = random.Random(seed)
-        for _ in range(300):
+        for _ in range(150):
             n = rng.randint(1, 7)
-            rows = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(n))
-            graph.add_edges_from((i, j) for i in range(n) for j in range(n) if rows[i][j])
-            # a single vertex counts only with its loop
-            expected = nx.is_strongly_connected(graph) and (n > 1 or rows[0][0] == 1)
-            assert _strongly_connected(IntMatrix.from_rows(rows)) == expected
+            density = rng.choice((0.1, 0.3, 0.6, 1.0))
+            rows = [[rng.randint(1, 5) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)]
+            tol = rng.choice((Fraction(1, 3), Fraction(1, 10**9), Fraction(1, 10**40)))
+            self.check_nonnegative(rows, tol)
 
     def test_deterministic(self):
         a = perron_bracket(GAMMA2_MATRIX)
@@ -463,15 +469,18 @@ class TestPerronWitness:
         # the low end raised above rho, the high end lowered below it
         assert not perron_witness(chi, bracket.high, bracket.high + width)
         assert not perron_witness(chi, bracket.low - width, bracket.low)
-        # an end exactly at a root proves nothing either
-        assert not perron_witness([1, -3], Fraction(3), Fraction(4))
+        # it proves low <= rho < high: a low end at rho holds, a high end fails
+        assert perron_witness([1, -3], Fraction(3), Fraction(4))
         assert not perron_witness([1, -3], Fraction(2), Fraction(3))
 
-    def test_a_lower_real_root_inside_the_bracket_fails_it(self):
-        # (x - 3)(x - 2) is -1/4 at 5/2, so a low end below 2 sees two roots
+    def test_a_lower_real_root_inside_the_bracket_does_not_fail_it(self):
+        # (x - 3)(x - 2) has the roots 2 and 3; the witness asks only that
+        # chi(low + u) has a coefficient <= 0, which any low <= 3 gives
         chi = [1, -5, 6]
         assert perron_witness(chi, Fraction(5, 2), Fraction(7, 2))
-        assert not perron_witness(chi, Fraction(1), Fraction(7, 2))
+        assert perron_witness(chi, Fraction(1), Fraction(7, 2))
+        assert perron_witness(chi, Fraction(3), Fraction(7, 2))
+        assert not perron_witness(chi, Fraction(31, 10), Fraction(7, 2))
 
 
 class TestBisectRoot:
@@ -559,7 +568,7 @@ class TestRootAboveOne:
 def contains_perron_root(m: IntMatrix, bracket: SpectralBracket) -> bool:
     """Exact oracle: the characteristic polynomial has a root in
     [low, high] and none above high (the Perron root is the largest real
-    eigenvalue, and it is simple)."""
+    eigenvalue)."""
     x = sympy.symbols("x")
     poly = sympy.Poly(sympy.Matrix(m.rows).charpoly(x).as_expr(), x)
     low = sympy.Rational(bracket.low.numerator, bracket.low.denominator)

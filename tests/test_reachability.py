@@ -33,8 +33,6 @@ ALLOWED = {
     "penner:_geometric_sum": "helper of homology_power_check, which no command runs",
     "linalg:IntMatrix.__pow__": "library operator: homology_power_check and the tests take"
     " matrix powers, no command does",
-    "linalg:_strongly_connected": "error path: perron_bracket's guard where its loop would stall,"
-    " which certify's primitive matrices never reach",
 }
 
 
