@@ -79,12 +79,16 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
         raise ValueError("%s must be <= %d, got %d" % (flag, high, value))
 
 
-# Smallest --tol of each bracket engine, in decimal digits (2-vCPU VM): the
-# bisection of fg, fg table and penner took 16 s at 1e-60 on fg table --gmax
-# 250, against a 30 s budget (26 s at 1e-80).  certify's Newton costs about
-# d^2.3 digits^1.9 on d letters, so letters x digits <= 96,000: 1e-1000 took
-# 4-6 s at the 96-letter cap against a 10 s budget (31 s at 1e-3000).
-BISECTION_TOL_DIGITS_MAX = 60
+# Digit limits of each bracket engine (2-vCPU VM).  The closed-form
+# bisection of fg, fg table and penner halves from Cauchy's bound, n + 5 for
+# penner's twist count n, down to --tol: bits(n) + bits(1/tol) halvings, so
+# one limit bounds both, --tol >= 1e-60 and n <= 10^60.  fg table --gmax 250
+# took 16 s at 1e-60 against a 30 s budget (26 s at 1e-80), and penner
+# --genus 150 --n 10^60 --tol 1e-60 about 1 s (--n 10^1000 ran past 120 s).
+# certify's Newton costs about d^2.3 digits^1.9 on d letters, so letters x
+# digits <= 96,000: 1e-1000 took 4-6 s at the 96-letter cap against a 10 s
+# budget (31 s at 1e-3000).
+BISECTION_DIGITS_MAX = 60
 NEWTON_TOL_LETTER_DIGITS_MAX = 96000
 
 
@@ -180,8 +184,6 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.tol <= 0:
-        raise ValueError("tolerance must be positive")
     start = parse(args.start)
     if start.n > LETTERS_MAX:
         raise ValueError("certify needs at most %d letters, got %d" % (LETTERS_MAX, start.n))
@@ -212,9 +214,10 @@ def _cmd_fg(args) -> int:
         _reject_ignored("fg central", args, "genus", "tol")
     elif args.fg_mode == "table":
         _reject_ignored("fg table", args, "genus")
+        _check_range("--gmin", args.gmin, 2, fg_mod.GENUS_MAX)
         _check_range("--gmax", args.gmax, args.gmin, fg_mod.GENUS_MAX)
     tol = DEFAULT_TOL if args.tol is None else args.tol
-    _check_tol(tol, BISECTION_TOL_DIGITS_MAX, "the closed-form bisection")
+    _check_tol(tol, BISECTION_DIGITS_MAX, "the closed-form bisection")
     if args.fg_mode == "table":
         rows, primitive = [], True
         for g in range(args.gmin, args.gmax + 1):
@@ -254,19 +257,21 @@ def _cmd_fg(args) -> int:
 SWEEP_N_MAX = 5000
 
 # The grid is bounded too: a grid whose estimate passes the budget exits 1
-# before any work.  A cell at genus g is estimated at 400 + 15 g + 2 g^2
-# microseconds at the default --tol, a fit made while a primitivity search on
-# M^g still ran, so it is about 4 times over (--gmax 150 --nmax 5, estimated
-# at 12.5 s, takes 3 s on a 2-vCPU VM).  It grows with the bits --tol asks
-# for over the default's _SWEEP_CELL_BITS: at the 1e-60 floor a g = 150 cell
-# took 73 ms against 318 ms estimated.
-_SWEEP_CELL_US = (400, 15, 2)
+# before any work.  A cell at genus g is estimated at 400 + 30 g + g^2
+# microseconds at the default --tol, and it grows with the bits --tol asks
+# for over the default's _SWEEP_CELL_BITS.  The fit bounds single cells
+# measured at g = 3..150 and n = 1 and 5000, at the default --tol and at
+# 1e-60 (2-vCPU VM): a g = 150 cell took 12-15 ms against 27 ms estimated
+# (74-111 ms against 183 ms at 1e-60), and a g = 3 cell, the thinnest
+# margin, 0.41-0.43 ms against 0.50 ms.  Grids at their largest --nmax ran
+# in 12-25 s.
+_SWEEP_CELL_US = (400, 30, 1)
 _SWEEP_CELL_BITS = DEFAULT_TOL.denominator.bit_length()
 _SWEEP_BUDGET_S = 30
 
 
 def _cmd_penner(args) -> int:
-    _check_tol(args.tol, BISECTION_TOL_DIGITS_MAX, "the closed-form bisection")
+    _check_tol(args.tol, BISECTION_DIGITS_MAX, "the closed-form bisection")
     if args.penner_mode == "sweep":
         _reject_ignored("penner sweep", args, "genus", "n")
         _check_range("--gmax", args.gmax, 3, penner_mod.GENUS_MAX)
@@ -307,6 +312,10 @@ def _cmd_penner(args) -> int:
         raise ValueError("penner needs --genus and --n (or the sweep / diverge subcommand)")
     else:
         matrices = penner_mod.build(args.genus, args.n)
+    if matrices.n > 10**BISECTION_DIGITS_MAX:
+        twist = "n = g^g at --genus %d" % matrices.g if args.penner_mode else "--n"
+        raise ValueError("%s must be <= 10^%d, the limit of the closed-form bisection"
+                         % (twist, BISECTION_DIGITS_MAX))
     report = penner_mod.stretch_bounds(matrices, tol=args.tol)
     rotation = penner_mod.lc_upper_rotation(matrices.g)
     return _emit_report(

@@ -9,7 +9,10 @@ n^(1/g) while the rotation orbit of b keeps the stable curve-graph
 translation length at most 1/(g-1).  Choosing n = g^g then sends the
 stretch translation length to infinity while the curve-graph length still
 tends to zero.  The stretch factor itself is bracketed as the one root above
-1 of a closed-form polynomial Q_n of degree 2g (see ``twist_polynomial``).
+1 of a closed-form polynomial Q_n of degree 2g (see ``twist_polynomial``),
+by bisection from n + 5, so its cost grows with the digits of n as with
+those of the tolerance: the CLI refuses n above 10^60, which admits n = g^g
+up to g = 37, and the library takes any n.
 
 M_n^g is never dense: ``stretch_bounds`` reads the nonzeros of M_n once and
 builds M_n^g from them as sparse rows by left products, which reuse the
@@ -238,17 +241,6 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
     )
 
 
-# Largest power, matrix order and absolute entry (of A and of b) that
-# homology_power_check accepts.  Entries of A^n grow like rho(A)^n, so at
-# n = 10^4 the cost of one call grows with the order and the entries:
-# 1.4 ms for [[1,1],[1,1]], 0.06-0.07 s for a 4 x 4 matrix of 5s and
-# 0.56-0.63 s for the largest accepted input, a 6 x 6 matrix and a vector
-# of 10s (or of -10s), on a 2-vCPU VM.
-HOMOLOGY_N_MAX = 10**4
-HOMOLOGY_DIM_MAX = 6
-HOMOLOGY_ENTRY_MAX = 10
-
-
 def _geometric_sum(a: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
     """G_n = I + A + ... + A^(n-1) and A^n (n >= 1), by doubling on the bits
     of n from the top: G_2k = G_k + A^k G_k and G_(k+1) = G_k + A^k, so
@@ -265,19 +257,10 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     """Exact check of [[1, b], [0, A]]^n == [[1, b(I + A + ... + A^(n-1))], [0, A^n]]."""
     if n < 1:
         raise ValueError("power must be >= 1, got %d" % n)
-    if n > HOMOLOGY_N_MAX:
-        raise ValueError("power must be <= %d, got %d" % (HOMOLOGY_N_MAX, n))
     d = a.order
     b = tuple(int(x) for x in b)
     if len(b) != d:
         raise ValueError("row vector length %d != matrix order %d" % (len(b), d))
-    if d > HOMOLOGY_DIM_MAX:
-        raise ValueError("matrix order must be <= %d, got %d" % (HOMOLOGY_DIM_MAX, d))
-    largest = max(map(abs, b + sum(a.rows, ())))
-    if largest > HOMOLOGY_ENTRY_MAX:
-        raise ValueError(
-            "entries must be at most %d in absolute value, got %d" % (HOMOLOGY_ENTRY_MAX, largest)
-        )
     block = IntMatrix.from_rows(
         [[1] + list(b)] + [[0] + list(row) for row in a.rows]
     )
@@ -290,12 +273,6 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     return lhs == rhs
 
 
-# Largest genus that diverging_sequence accepts: the twist count n = g^g
-# stays <= 10^8 exactly for g <= 8 (8^8 = 16,777,216, 9^9 = 387,420,489).
-# The cap guards runtime, not exactness, and is checked before any power.
-DIVERGE_G_MAX = 8
-
-
 def diverging_sequence(g: int) -> PennerMatrices:
     """The n = g^g member, whose stretch translation length is at least log g
     while the curve-graph bound stays 1/(g-1).
@@ -304,8 +281,6 @@ def diverging_sequence(g: int) -> PennerMatrices:
     sum of M^g is n + 1 = g^g + 1, and by Collatz-Wielandt rho^g is at
     least that sum.
     """
-    if g < 3:
-        raise ValueError("sequence needs g >= 3, got %d" % g)
-    if g > DIVERGE_G_MAX:
-        raise ValueError("need g <= %d (n = g^g is capped at 10^8), got %d" % (DIVERGE_G_MAX, g))
+    if g > GENUS_MAX:  # before g^g, which has millions of digits at g = 10^6
+        raise ValueError("twist family needs g <= %d, got %d" % (GENUS_MAX, g))
     return build(g, g**g)

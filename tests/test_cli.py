@@ -76,7 +76,7 @@ class TestDiagram:
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_nonpositive_cap_rejected(self, capsys, cap):
-        # checked before the start permutation is parsed
+        # checked before the path is built
         code, out, err = run(capsys, "diagram", "--start", "A B / A B", "--cap", cap)
         assert (code, out, err) == (1, "", "error: enumeration cap must be positive\n")
 
@@ -178,7 +178,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("tol", ["0", "-1/2"])
     def test_nonpositive_tol_rejected(self, capsys, tol):
-        # checked before the start permutation is parsed
+        # checked before the path is built
         code, out, err = run(capsys, "certify", "--start", "A B / A B", "--moves", "t",
                              "--tol=" + tol)
         assert (code, out, err) == (1, "", "error: tolerance must be positive\n")
@@ -429,7 +429,7 @@ class TestPenner:
 
     def test_grid_budget_exits_before_any_work(self, capsys, monkeypatch):
         # each flag within its cap, the grid over the budget: at --gmax 150
-        # one column of n is estimated at 2.5 s, so --nmax 11 passes and 12
+        # one column of n is estimated at 1.5 s, so --nmax 19 passes and 20
         # does not
         class Reached(Exception):
             pass
@@ -438,13 +438,13 @@ class TestPenner:
             raise Reached
 
         monkeypatch.setattr(penner, "build", reach)
-        assert run(capsys, "penner", "sweep", "--gmax", "150", "--nmax", "12") == (
-            1, "", "error: --gmax 150 with --nmax 12 is a grid of about 31 s, over the 30 s"
-            " budget (at --gmax 150, --nmax must be <= 11)\n"
+        assert run(capsys, "penner", "sweep", "--gmax", "150", "--nmax", "20") == (
+            1, "", "error: --gmax 150 with --nmax 20 is a grid of about 31 s, over the 30 s"
+            " budget (at --gmax 150, --nmax must be <= 19)\n"
         )
         code, _, err = run(capsys, "penner", "sweep", "--gmax", "20", "--nmax", "5000")
-        assert code == 1 and err.endswith("(at --gmax 20, --nmax must be <= 1870)\n")
-        for gmax, nmax in ((150, 11), (20, 1870), (6, cli.SWEEP_N_MAX), (10, cli.SWEEP_N_MAX)):
+        assert code == 1 and err.endswith("(at --gmax 20, --nmax must be <= 1843)\n")
+        for gmax, nmax in ((150, 19), (20, 1843), (6, cli.SWEEP_N_MAX), (10, cli.SWEEP_N_MAX)):
             with pytest.raises(Reached):
                 run(capsys, "penner", "sweep", "--gmax", str(gmax), "--nmax", str(nmax))
 
@@ -483,7 +483,7 @@ class TestTolFloor:
         ],
     )
     def test_bisection_floor(self, capsys, no_engine, argv):
-        assert cli.BISECTION_TOL_DIGITS_MAX == 60
+        assert cli.BISECTION_DIGITS_MAX == 60
         assert run(capsys, *argv) == (1, "", self.BISECTION)
 
     @pytest.mark.parametrize("letters, digits", [(4, 24000), (96, 1000)])
@@ -506,10 +506,34 @@ class TestTolFloor:
                            "--moves", "ftbb", "--tol", "1e-24000")
         assert code == 0 and json.loads(out)["verdict"] == "pseudo-Anosov"
 
+    @pytest.mark.parametrize(
+        "argv, twist",
+        [
+            (("penner", "--genus", "3", "--n", str(10**60 + 1)), "--n"),
+            (("penner", "--genus", "150", "--n", str(10**1000)), "--n"),
+            (("penner", "diverge", "--genus", "38"), "n = g^g at --genus 38"),
+        ],
+    )
+    def test_twist_count_limit(self, capsys, monkeypatch, argv, twist):
+        # the bisection halves from n + 5, so n shares the 60-digit limit
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(penner, "stretch_bounds", fail)
+        assert run(capsys, *argv) == (
+            1, "", "error: %s must be <= 10^60, the limit of the closed-form bisection\n" % twist
+        )
+
+    def test_the_twist_count_limit_itself_runs(self, capsys):
+        code, out, _ = run(capsys, "penner", "--genus", "3", "--n", str(10**60), "--tol", "1e-60")
+        assert code == 0 and json.loads(out)["n"] == 10**60
+        code, out, _ = run(capsys, "penner", "diverge", "--genus", "37", "--tol", "1e-60")
+        assert code == 0 and json.loads(out)["n"] == 37**37
+
     def test_sweep_estimate_grows_with_the_bits_asked(self, capsys, monkeypatch):
         # 1e-60 asks for 200 bits, the default 1e-9 for 30: the estimate
         # grows 20/3 times, so at --gmax 40 the largest --nmax falls from
-        # 418 to 62
+        # 485 to 72
         class Reached(Exception):
             pass
 
@@ -517,14 +541,14 @@ class TestTolFloor:
             raise Reached
 
         monkeypatch.setattr(penner, "build", reach)
-        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "63",
+        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "73",
                            "--tol", "1e-60")
-        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 62)\n")
+        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 72)\n")
         code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "5000")
-        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 418)\n")
+        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 485)\n")
         for tol in ("1e-60", "1/10"):
             with pytest.raises(Reached):
-                run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "62", "--tol", tol)
+                run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "72", "--tol", tol)
 
 
 class TestDeterminism:
@@ -594,6 +618,7 @@ class TestErrorPrefixes:
                 ("diagram", "--central", "10000000"),
                 "parse error: central permutation needs n <= 100000, got 10000000",
             ),
+            (("fg", "table", "--gmin", "1"), "error: --gmin must be >= 2, got 1"),
         ],
     )
     def test_cli_input(self, capsys, argv, line):

@@ -292,6 +292,26 @@ class TestBuildPath:
         with pytest.raises(ValueError):
             build_path(central(3), "t", reading="rtl")
 
+    def test_letter_moves_limit_is_decided_before_any_move(self, monkeypatch):
+        # each move copies a row of 2n letters: 10^6 moves on 1,000 letters
+        # reach the limit, and one letter more passes it
+        from rauzycert import diagram
+
+        def walk(*args):
+            raise AssertionError("a move was walked")
+
+        monkeypatch.setattr(diagram, "AllowedPath", walk)
+        with pytest.raises(PermutationParseError) as info:
+            build_path(central(1001), "b^1000000")
+        assert str(info.value) == (
+            "a path may take at most 1000000000 moves x letters, got 1000000 moves on 1001 letters"
+        )
+        with pytest.raises(PermutationParseError, match="got 200001 moves on 5000 letters$"):
+            build_path(central(5000), "tb^200000", reading="ltr")
+        for start, word in ((central(1000), "b^1000000"), (central(5000), "b^200000")):
+            with pytest.raises(AssertionError, match="a move was walked"):
+                build_path(start, word)
+
     def test_path_is_self_verifying(self):
         path = build_path(fg_start(2), "ftbb")
         assert path.moves == (Move.BOTTOM, Move.BOTTOM, Move.TOP, Move.FLIP)

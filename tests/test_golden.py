@@ -24,10 +24,12 @@ from pathlib import Path
 import pytest
 
 from rauzycert.cli import build_parser, main
+from rauzycert.perm import central
 
 GOLDEN = Path(__file__).parent / "golden"
 
 FG_START_2 = "a1 a2 a3 a4 / a4 a1 a3 a2"
+CENTRAL_5000 = central(5000).display()
 LETTERS_97 = ["a%d" % i for i in range(1, 98)]
 
 CASES: dict[str, tuple[str, ...]] = {
@@ -122,6 +124,13 @@ CASES: dict[str, tuple[str, ...]] = {
     "penner_sweep_with_genus_n": ("penner", "--genus", "4", "--n", "2", "sweep"),
     "penner_diverge_with_n": ("penner", "--n", "5", "diverge", "--genus", "3"),
     "fg_central_with_tol": ("fg", "--tol", "1/10", "central", "--n", "4"),
+    # exit 1: a twist count past the bisection's 60 digits (--n 10^1000 ran
+    # past 120 s), a path of 10^6 moves on 5,000 letters (about 85 s) and a
+    # table from genus 1, refused before any work
+    "penner_n_above_limit": ("penner", "--genus", "3", "--n", str(10**60 + 1)),
+    "penner_diverge_g38": ("penner", "diverge", "--genus", "38"),
+    "path_letter_moves_above_limit": ("path", "--start", CENTRAL_5000, "--moves", "b^1000000"),
+    "fg_table_gmin_below_2": ("fg", "table", "--gmin", "1"),
     # exit 1: a --tol below its engine's floor, refused before any work
     "fg_genus_tol_below_floor": ("fg", "--genus", "3", "--tol", "1e-10000"),
     "certify_tol_below_floor": (

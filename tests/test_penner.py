@@ -9,7 +9,6 @@ from rauzycert.penner import (
     _geometric_sum,
     _power,
     build,
-    DIVERGE_G_MAX,
     diverging_sequence,
     GENUS_MAX,
     homology_power_check,
@@ -284,16 +283,6 @@ class TestHomologyPower:
         with pytest.raises(ValueError):
             homology_power_check(a, [1, 1], 0)
 
-    def test_order_and_entry_caps(self):
-        # the largest accepted input at n = 1, then one past each cap
-        assert homology_power_check(IntMatrix.from_rows([[10] * 6] * 6), [-10] * 6, 1)
-        with pytest.raises(ValueError, match="order must be <= 6"):
-            homology_power_check(IntMatrix.from_rows([[1] * 7] * 7), [1] * 7, 1)
-        with pytest.raises(ValueError, match="at most 10 in absolute value, got 11"):
-            homology_power_check(IntMatrix.from_rows([[1, -11], [0, 1]]), [0, 0], 1)
-        with pytest.raises(ValueError, match="at most 10 in absolute value, got 11"):
-            homology_power_check(IntMatrix.from_rows([[1, 1], [0, 1]]), [0, 11], 1)
-
     def test_doubled_sum_matches_explicit_sum(self):
         # every n up to 70 walks each bit pattern of its low bits; orders 1 to 6
         rng = random.Random(7)
@@ -339,14 +328,28 @@ class TestDivergingSequence:
     def test_lc_upper_reported(self):
         assert lc_upper_rotation(3).bound == Fraction(1, 2)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            diverging_sequence(9)
+    def test_size_cap(self, capsys):
+        # 37^37 <= 10^60 < 38^38: the library builds g = 38, and the CLI
+        # refuses its twist count before the bracket
+        from rauzycert.cli import main
+
+        assert diverging_sequence(38).n == 38**38 > 10**60 >= 37**37
+        assert main(["penner", "diverge", "--genus", "38"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n = g^g at --genus 38 must be <= 10^60")
 
     def test_size_cap_is_decided_before_any_power(self):
-        # 10^6 to the 10^6 has six million digits: the cap is decided on g
-        with pytest.raises(ValueError, match=r"need g <= %d .*, got 1000000$" % DIVERGE_G_MAX):
-            diverging_sequence(10**6)
+        # 10^6 to the 10^6 has six million digits: the genus cap is decided
+        # on g
+        class Genus(int):
+            def __pow__(self, other):
+                raise AssertionError("a power of g was computed")
+
+        with pytest.raises(AssertionError, match="a power of g"):
+            diverging_sequence(Genus(3))
+        for g in (GENUS_MAX + 1, 10**6):
+            with pytest.raises(ValueError, match=r"needs g <= %d, got %d$" % (GENUS_MAX, g)):
+                diverging_sequence(Genus(g))
 
     def test_rejects_small_genus(self):
         with pytest.raises(ValueError):
