@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import diagram as diagram_mod
 from . import fg as fg_mod
 from . import penner as penner_mod
-from .errors import RauzyError
+from .errors import RauzyError, check_range
 from .induction import Move
 from .jsonutil import bracket_json, decimal_str, dumps, rational_json
 from .linalg import DEFAULT_TOL, _column_product
@@ -71,14 +71,6 @@ def _reject_ignored(mode: str, args, *dests: str) -> None:
         raise ValueError("%s ignores %s" % (mode, ", ".join(given)))
 
 
-def _check_range(flag: str, value: int, low: int, high: int) -> None:
-    """Raise before any work when ``value`` lies outside low..high."""
-    if value < low:
-        raise ValueError("%s must be >= %d, got %d" % (flag, low, value))
-    if value > high:
-        raise ValueError("%s must be <= %d, got %d" % (flag, high, value))
-
-
 # Digit limits of each bracket engine (2-vCPU VM).  The closed-form
 # bisection of fg, fg table and penner halves from Cauchy's bound, n + 5 for
 # penner's twist count n, down to --tol: bits(n) + bits(1/tol) halvings, so
@@ -111,8 +103,8 @@ def _start_permutation(args) -> LabeledPermutation:
 
 
 def _cmd_perm(args) -> int:
-    stratum = stratum_of_central(args.central) if args.central is not None else None
     p = _start_permutation(args)
+    stratum = stratum_of_central(args.central) if args.central is not None else None
     if args.format == "text":
         _emit(p.display())
         return 0
@@ -148,8 +140,7 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    if args.cap <= 0:
-        raise ValueError("enumeration cap must be positive")
+    check_range("--cap", args.cap, 1)
     seed = _start_permutation(args)
     # The component of central(n) holds the hyperelliptic Rauzy class, with
     # 2^(n-1) - 1 vertices; past 128 letters explore refuses the seed itself.
@@ -185,8 +176,7 @@ def _cmd_path(args) -> int:
 
 def _cmd_certify(args) -> int:
     start = parse(args.start)
-    if start.n > LETTERS_MAX:
-        raise ValueError("certify needs at most %d letters, got %d" % (LETTERS_MAX, start.n))
+    check_range("certify's letter count", start.n, 2, LETTERS_MAX)
     _check_tol(args.tol, NEWTON_TOL_LETTER_DIGITS_MAX // start.n,
                "certify's Newton on %d letters" % start.n)
     path = diagram_mod.build_path(start, args.moves, reading=args.reading)
@@ -214,8 +204,8 @@ def _cmd_fg(args) -> int:
         _reject_ignored("fg central", args, "genus", "tol")
     elif args.fg_mode == "table":
         _reject_ignored("fg table", args, "genus")
-        _check_range("--gmin", args.gmin, 2, fg_mod.GENUS_MAX)
-        _check_range("--gmax", args.gmax, args.gmin, fg_mod.GENUS_MAX)
+        check_range("--gmin", args.gmin, 2, fg_mod.GENUS_MAX)
+        check_range("--gmax", args.gmax, args.gmin, fg_mod.GENUS_MAX)
     tol = DEFAULT_TOL if args.tol is None else args.tol
     _check_tol(tol, BISECTION_DIGITS_MAX, "the closed-form bisection")
     if args.fg_mode == "table":
@@ -256,10 +246,11 @@ def _cmd_fg(args) -> int:
 # 9-13 s at 28 MiB, and --gmax 3 --nmax 5000 takes 2.4 s (2-vCPU VM).
 SWEEP_N_MAX = 5000
 
-# The grid is bounded too: a grid whose estimate passes the budget exits 1
-# before any work.  A cell at genus g is estimated at 400 + 30 g + g^2
-# microseconds at the default --tol, and it grows with the bits --tol asks
-# for over the default's _SWEEP_CELL_BITS.  The fit bounds single cells
+# The grid is bounded too: --nmax has a second upper limit, the budget over
+# the estimate of one column of n (nmax * column > budget exactly when
+# nmax > budget // column).  A cell at genus g is estimated at 400 + 30 g +
+# g^2 microseconds at the default --tol, and it grows with the bits --tol
+# asks for over the default's _SWEEP_CELL_BITS.  The fit bounds single cells
 # measured at g = 3..150 and n = 1 and 5000, at the default --tol and at
 # 1e-60 (2-vCPU VM): a g = 150 cell took 12-15 ms against 27 ms estimated
 # (74-111 ms against 183 ms at 1e-60), and a g = 3 cell, the thinnest
@@ -274,20 +265,14 @@ def _cmd_penner(args) -> int:
     _check_tol(args.tol, BISECTION_DIGITS_MAX, "the closed-form bisection")
     if args.penner_mode == "sweep":
         _reject_ignored("penner sweep", args, "genus", "n")
-        _check_range("--gmax", args.gmax, 3, penner_mod.GENUS_MAX)
-        _check_range("--nmax", args.nmax, 1, SWEEP_N_MAX)
+        check_range("--gmax", args.gmax, 3, penner_mod.GENUS_MAX)
+        check_range("--nmax", args.nmax, 1, SWEEP_N_MAX)
         a, b, c = _SWEEP_CELL_US
         bits = max((args.tol.denominator // args.tol.numerator).bit_length(), _SWEEP_CELL_BITS)
         column_us = sum(a + b * g + c * g * g for g in range(3, args.gmax + 1))
         column_us = column_us * bits // _SWEEP_CELL_BITS
-        budget_us = _SWEEP_BUDGET_S * 10**6
-        if args.nmax * column_us > budget_us:
-            raise ValueError(
-                "--gmax %d with --nmax %d is a grid of about %d s, over the %d s budget"
-                " (at --gmax %d, --nmax must be <= %d)"
-                % (args.gmax, args.nmax, -(-args.nmax * column_us // 10**6), _SWEEP_BUDGET_S,
-                   args.gmax, budget_us // column_us)
-            )
+        check_range("--nmax under the %d s budget at --gmax %d" % (_SWEEP_BUDGET_S, args.gmax),
+                    args.nmax, 1, _SWEEP_BUDGET_S * 10**6 // column_us)
         rows, passed = [], True
         for g in range(3, args.gmax + 1):
             for n in range(1, args.nmax + 1):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one range check.
 
 ``prefix`` is what the command line prints before the message on stderr.
 """
@@ -33,3 +33,12 @@ class EnumerationCapError(RauzyError, RuntimeError):
 
     prefix = "cap error"
 
+
+def check_range(name: str, value: int, low: int, high: int | None = None,
+                error=ValueError) -> None:
+    """Raise ``error`` before any work when ``value`` lies outside low..high
+    (no upper limit when ``high`` is None)."""
+    if value < low:
+        raise error("%s must be >= %d, got %d" % (name, low, value))
+    if high is not None and value > high:
+        raise error("%s must be <= %d, got %d" % (name, high, value))

@@ -24,6 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import AllowedPath, explore, injectivity_check
+from .errors import check_range
 from .induction import MOVES, Move, _step
 from .linalg import (
     DEFAULT_TOL,
@@ -47,8 +48,7 @@ GENUS_MAX = 250
 
 def family_loop(g: int) -> AllowedPath:
     """The loop: g bottom moves, then a top move, then a flip."""
-    if g > GENUS_MAX:
-        raise ValueError("family needs g <= %d, got %d" % (GENUS_MAX, g))
+    check_range("family genus g", g, 2, GENUS_MAX)
     return AllowedPath(fg_start(g), (Move.BOTTOM,) * g + (Move.TOP, Move.FLIP))
 
 
@@ -451,22 +451,11 @@ def central_component_checks(
     bounds the length of the enumerated candidate words only: the cover
     loops that fill the closed-loop quota may be longer.
     """
-    if n < 3:
-        raise ValueError("need n >= 3, got %d" % n)
-    if n > CENTRAL_N_MAX:
-        raise ValueError(
-            "need n <= %d (the component has 2^(n-1) - 1 vertices), got %d" % (CENTRAL_N_MAX, n)
-        )
-    if samples < 0:
-        raise ValueError("need samples >= 0, got %d" % samples)
-    if samples > SAMPLES_MAX:
-        raise ValueError("need samples <= %d, got %d" % (SAMPLES_MAX, samples))
+    check_range("n", n, 3, CENTRAL_N_MAX)
+    check_range("samples", samples, 0, SAMPLES_MAX)
     if loop_len is None:
         loop_len = 2 * n
-    if loop_len < 1:
-        raise ValueError("need loop_len >= 1, got %d" % loop_len)
-    if loop_len > LOOP_LEN_MAX:
-        raise ValueError("need loop_len <= %d, got %d" % (LOOP_LEN_MAX, loop_len))
+    check_range("loop_len", loop_len, 1, LOOP_LEN_MAX)
     g = n // 2
     diagram = explore(central(n), cap=2 ** (n - 1) - 1)
     power = 4 * g + 2

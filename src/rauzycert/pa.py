@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .diagram import AllowedPath
-from .errors import NotAllowedError
+from .errors import NotAllowedError, check_range
 from .jsonutil import bracket_json, rational_json
 from .linalg import (
     DEFAULT_TOL,
@@ -150,8 +150,7 @@ def lc_upper_bound(
     """
     if not path.allowed:
         raise NotAllowedError("upper bound needs an allowed path")
-    if surface.genus < 2:
-        raise ValueError("curve-graph upper bound needs genus >= 2, got %d" % surface.genus)
+    check_range("curve-graph upper bound genus", surface.genus, 2)
 
     names = path.start.alphabet
     winners = {winner for winner, _ in path.updates}
@@ -200,8 +199,7 @@ def lc_lower_bound(genus: int, exponent: int) -> Fraction:
     """Stable translation-length lower bound 1/(6(2g-2) + p) on a
     genus-``genus`` surface, for a path matrix whose ``exponent``-th power p
     is positive."""
-    if genus < 2:
-        raise ValueError("curve-graph lower bound needs genus >= 2, got %d" % genus)
+    check_range("curve-graph lower bound genus", genus, 2)
     return Fraction(1, diagonal_extension_steps(genus) + exponent)
 
 

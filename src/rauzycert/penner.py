@@ -34,6 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 
+from .errors import check_range
 from .linalg import DEFAULT_TOL, IntMatrix, root_above_one
 
 # Largest genus that build accepts, and so ``penner --genus`` and ``penner
@@ -84,12 +85,8 @@ def build(g: int, n: int) -> PennerMatrices:
     -> 3 and 3 -> 2 -> 3(g - 1) + 2 -> ... -> 5 -> 3 (the last step through
     B_n) have the coprime lengths g and g + 1, so it is aperiodic too.
     """
-    if g < 3:
-        raise ValueError("twist family needs g >= 3, got %d" % g)
-    if g > GENUS_MAX:
-        raise ValueError("twist family needs g <= %d, got %d" % (GENUS_MAX, g))
-    if n < 1:
-        raise ValueError("twist count must be >= 1, got %d" % n)
+    check_range("twist family genus g", g, 3, GENUS_MAX)
+    check_range("twist count n", n, 1)
     a = _block_a(n)
     d = a + _BLOCK_B * _BLOCK_C
     identity = IntMatrix.identity(3)
@@ -232,8 +229,7 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
     are disjoint) are asserted inputs read off the rotor picture, not
     derived here.
     """
-    if g < 3:
-        raise ValueError("rotation orbit needs g >= 3, got %d" % g)
+    check_range("rotation orbit genus g", g, 3)
     return RotationOrbitReport(
         g=g,
         bound=Fraction(1, g - 1),
@@ -241,22 +237,9 @@ def lc_upper_rotation(g: int) -> RotationOrbitReport:
     )
 
 
-def _geometric_sum(a: IntMatrix, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """G_n = I + A + ... + A^(n-1) and A^n (n >= 1), by doubling on the bits
-    of n from the top: G_2k = G_k + A^k G_k and G_(k+1) = G_k + A^k, so
-    O(log n) products in place of n - 1."""
-    geometric, power = IntMatrix.identity(a.order), a  # G_1, A^1
-    for bit in bin(n)[3:]:
-        geometric, power = geometric + power * geometric, power * power
-        if bit == "1":
-            geometric, power = geometric + power, power * a
-    return geometric, power
-
-
 def homology_power_check(a: IntMatrix, b, n: int) -> bool:
     """Exact check of [[1, b], [0, A]]^n == [[1, b(I + A + ... + A^(n-1))], [0, A^n]]."""
-    if n < 1:
-        raise ValueError("power must be >= 1, got %d" % n)
+    check_range("power n", n, 1)
     d = a.order
     b = tuple(int(x) for x in b)
     if len(b) != d:
@@ -265,7 +248,9 @@ def homology_power_check(a: IntMatrix, b, n: int) -> bool:
         [[1] + list(b)] + [[0] + list(row) for row in a.rows]
     )
     lhs = block**n
-    geometric, a_n = _geometric_sum(a, n)
+    geometric, a_n = IntMatrix.identity(d), a  # G_1 = I, A^1
+    for _ in range(n - 1):
+        geometric, a_n = geometric + a_n, a_n * a
     top_right = [sum(b[k] * geometric.rows[k][j] for k in range(d)) for j in range(d)]
     rhs = IntMatrix.from_rows(
         [[1] + top_right] + [[0] + list(row) for row in a_n.rows]
@@ -281,6 +266,5 @@ def diverging_sequence(g: int) -> PennerMatrices:
     sum of M^g is n + 1 = g^g + 1, and by Collatz-Wielandt rho^g is at
     least that sum.
     """
-    if g > GENUS_MAX:  # before g^g, which has millions of digits at g = 10^6
-        raise ValueError("twist family needs g <= %d, got %d" % (GENUS_MAX, g))
+    check_range("twist family genus g", g, 3, GENUS_MAX)  # before g^g: millions of digits
     return build(g, g**g)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import PermutationParseError
+from .errors import PermutationParseError, check_range
 
 # Most letters ``central`` and ``fg_start`` build (10^5: about 2 s, 140 MiB).
 MAX_LETTERS = 10**5
@@ -151,8 +151,6 @@ def parse(text: str) -> LabeledPermutation:
         raise PermutationParseError(
             "row length mismatch: %d vs %d" % (len(top_row), len(bottom_row))
         )
-    if len(top_row) < 2:
-        raise PermutationParseError("need at least 2 letters, got %d" % len(top_row))
     for name, row in (("top", top_row), ("bottom", bottom_row)):
         if len(set(row)) != len(row):
             raise PermutationParseError("duplicate letter in %s row" % name)
@@ -218,10 +216,7 @@ def central(n: int) -> LabeledPermutation:
     >>> central(3).display()
     'a1 a2 a3 / a3 a2 a1'
     """
-    if n < 2:
-        raise PermutationParseError("central permutation needs n >= 2, got %d" % n)
-    if n > MAX_LETTERS:
-        raise PermutationParseError("central permutation needs n <= %d, got %d" % (MAX_LETTERS, n))
+    check_range("central permutation n", n, 2, MAX_LETTERS, PermutationParseError)
     return LabeledPermutation(default_alphabet(n), tuple(range(n)), tuple(range(n - 1, -1, -1)))
 
 
@@ -233,10 +228,7 @@ def fg_start(g: int) -> LabeledPermutation:
     >>> fg_start(2).display()
     'a1 a2 a3 a4 / a4 a1 a3 a2'
     """
-    if g < 2:
-        raise PermutationParseError("family needs g >= 2, got %d" % g)
-    if 2 * g > MAX_LETTERS:
-        raise PermutationParseError("family needs 2g <= %d letters, got g = %d" % (MAX_LETTERS, g))
+    check_range("family genus g", g, 2, MAX_LETTERS // 2, PermutationParseError)
     n = 2 * g
     bottom = (n - 1,) + tuple(range(g - 2, -1, -1)) + tuple(range(n - 2, g - 2, -1))
     return LabeledPermutation(default_alphabet(n), tuple(range(n)), bottom)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
+from .errors import check_range
 from .perm import LabeledPermutation, _cycles, is_irreducible
 
 
@@ -77,8 +78,7 @@ def stratum_of_central(n: int) -> str:
     Even n = 2g lands in H(2g-2), odd n = 2g+1 in H(g-1, g-1); n = 2 is the
     torus boundary case H(0).
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got %d" % n)
+    check_range("central permutation n", n, 2)
     g, odd = divmod(n, 2)
     if odd:
         return "H(%d,%d)" % (g - 1, g - 1)

@@ -78,7 +78,7 @@ class TestDiagram:
     def test_nonpositive_cap_rejected(self, capsys, cap):
         # checked before the path is built
         code, out, err = run(capsys, "diagram", "--start", "A B / A B", "--cap", cap)
-        assert (code, out, err) == (1, "", "error: enumeration cap must be positive\n")
+        assert (code, out, err) == (1, "", "error: --cap must be >= 1, got %s\n" % cap)
 
     def test_arbitrary_start(self, capsys):
         code, out, _ = run(capsys, "diagram", "--start", "A B C D / D A C B")
@@ -203,7 +203,7 @@ class TestCertify:
         # 97 letters: refused before any move is walked
         monkeypatch.setattr(cli.diagram_mod, "build_path", None)
         assert run(capsys, "certify", "--start", start(LETTERS_MAX + 1), "--moves", "b") == (
-            1, "", "error: certify needs at most 96 letters, got 97\n"
+            1, "", "error: certify's letter count must be <= 96, got 97\n"
         )
         monkeypatch.undo()
         # 96 letters pass the cap; b alone is not a loop there
@@ -326,7 +326,7 @@ class TestFg:
 
         monkeypatch.setattr(fg, "fg_start", fail)
         assert run(capsys, "fg", "--genus", str(top + 1)) == (
-            1, "", "error: family needs g <= %d, got %d\n" % (top, top + 1)
+            1, "", "error: family genus g must be <= %d, got %d\n" % (top, top + 1)
         )
         monkeypatch.setattr(fg, "family_loop", fail)
         assert run(capsys, "fg", "table", "--gmax", str(top + 1)) == (
@@ -396,7 +396,7 @@ class TestPenner:
     def test_genus_cap_exits_before_any_work(self, capsys, monkeypatch):
         top = penner.GENUS_MAX
         assert run(capsys, "penner", "--genus", str(top + 1), "--n", "5") == (
-            1, "", "error: twist family needs g <= %d, got %d\n" % (top, top + 1)
+            1, "", "error: twist family genus g must be <= %d, got %d\n" % (top, top + 1)
         )
 
         def fail(*args, **kwargs):
@@ -439,11 +439,11 @@ class TestPenner:
 
         monkeypatch.setattr(penner, "build", reach)
         assert run(capsys, "penner", "sweep", "--gmax", "150", "--nmax", "20") == (
-            1, "", "error: --gmax 150 with --nmax 20 is a grid of about 31 s, over the 30 s"
-            " budget (at --gmax 150, --nmax must be <= 19)\n"
+            1, "", "error: --nmax under the 30 s budget at --gmax 150 must be <= 19, got 20\n"
         )
-        code, _, err = run(capsys, "penner", "sweep", "--gmax", "20", "--nmax", "5000")
-        assert code == 1 and err.endswith("(at --gmax 20, --nmax must be <= 1843)\n")
+        assert run(capsys, "penner", "sweep", "--gmax", "20", "--nmax", "5000") == (
+            1, "", "error: --nmax under the 30 s budget at --gmax 20 must be <= 1843, got 5000\n"
+        )
         for gmax, nmax in ((150, 19), (20, 1843), (6, cli.SWEEP_N_MAX), (10, cli.SWEEP_N_MAX)):
             with pytest.raises(Reached):
                 run(capsys, "penner", "sweep", "--gmax", str(gmax), "--nmax", str(nmax))
@@ -541,11 +541,12 @@ class TestTolFloor:
             raise Reached
 
         monkeypatch.setattr(penner, "build", reach)
-        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "73",
-                           "--tol", "1e-60")
-        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 72)\n")
-        code, _, err = run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "5000")
-        assert code == 1 and err.endswith("(at --gmax 40, --nmax must be <= 485)\n")
+        budget = "error: --nmax under the 30 s budget at --gmax 40 must be <= %d, got %d\n"
+        argv = ("penner", "sweep", "--gmax", "40", "--nmax", "73", "--tol", "1e-60")
+        assert run(capsys, *argv) == (1, "", budget % (72, 73))
+        assert run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "5000") == (
+            1, "", budget % (485, 5000)
+        )
         for tol in ("1e-60", "1/10"):
             with pytest.raises(Reached):
                 run(capsys, "penner", "sweep", "--gmax", "40", "--nmax", "72", "--tol", tol)
@@ -602,23 +603,23 @@ class TestErrorPrefixes:
                 ("certify", "--start", "A B C / A C B", "--moves", "bf"),
                 "reducible error: bottom move undefined on reducible permutation B C A / C B A",
             ),
-            (
-                ("fg", "central", "--n", "23"),
-                "error: need n <= 22 (the component has 2^(n-1) - 1 vertices), got 23",
-            ),
+            (("fg", "central", "--n", "23"), "error: n must be <= 22, got 23"),
             (
                 ("diagram", "--central", "257"),
                 "cap error: diagrams hold at most 128 letters, got 257",
             ),
             (
                 ("perm", "--central", "100001"),
-                "parse error: central permutation needs n <= 100000, got 100001",
+                "parse error: central permutation n must be <= 100000, got 100001",
             ),
             (
                 ("diagram", "--central", "10000000"),
-                "parse error: central permutation needs n <= 100000, got 10000000",
+                "parse error: central permutation n must be <= 100000, got 10000000",
             ),
             (("fg", "table", "--gmin", "1"), "error: --gmin must be >= 2, got 1"),
+            # the permutation is built before its stratum, so perm refuses
+            # n = 1 as diagram does
+            (("perm", "--central", "1"), "parse error: central permutation n must be >= 2, got 1"),
         ],
     )
     def test_cli_input(self, capsys, argv, line):

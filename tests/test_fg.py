@@ -443,7 +443,8 @@ class TestTheorem11:
         assert report.certificate.orbit.steps == 18
 
     def test_genus_cap(self):
-        with pytest.raises(ValueError, match="family needs g <= %d" % GENUS_MAX):
+        line = "^family genus g must be <= %d, got %d$" % (GENUS_MAX, GENUS_MAX + 1)
+        with pytest.raises(ValueError, match=line):
             family_loop(GENUS_MAX + 1)
 
     def test_orbit_trajectory_visits_all_non_winners(self):
@@ -517,11 +518,12 @@ class TestTheorem12:
             raise AssertionError("explore ran")
 
         monkeypatch.setattr("rauzycert.fg.explore", fail)
-        with pytest.raises(ValueError, match="need n <= %d" % CENTRAL_N_MAX):
+        line = "^n must be <= %d, got %d$" % (CENTRAL_N_MAX, CENTRAL_N_MAX + 1)
+        with pytest.raises(ValueError, match=line):
             central_component_checks(CENTRAL_N_MAX + 1)
 
     def test_rejects_negative_samples(self):
-        with pytest.raises(ValueError, match="samples >= 0"):
+        with pytest.raises(ValueError, match="^samples must be >= 0, got -1$"):
             central_component_checks(4, loop_len=14, samples=-1)
 
     def test_rejects_loop_len_below_one(self, monkeypatch):
@@ -530,7 +532,7 @@ class TestTheorem12:
 
         monkeypatch.setattr("rauzycert.fg.explore", fail)
         for loop_len in (0, -3):
-            with pytest.raises(ValueError, match="loop_len >= 1"):
+            with pytest.raises(ValueError, match="^loop_len must be >= 1, got %d$" % loop_len):
                 central_component_checks(5, loop_len=loop_len)
 
     def test_rejects_samples_and_loop_len_above_caps_before_exploring(self, monkeypatch):
@@ -538,9 +540,10 @@ class TestTheorem12:
             raise AssertionError("explore ran")
 
         monkeypatch.setattr("rauzycert.fg.explore", fail)
-        with pytest.raises(ValueError, match="need samples <= %d" % SAMPLES_MAX):
+        line = "^%s must be <= %d, got %d$"
+        with pytest.raises(ValueError, match=line % ("samples", SAMPLES_MAX, SAMPLES_MAX + 1)):
             central_component_checks(4, samples=SAMPLES_MAX + 1)
-        with pytest.raises(ValueError, match="need loop_len <= %d" % LOOP_LEN_MAX):
+        with pytest.raises(ValueError, match=line % ("loop_len", LOOP_LEN_MAX, LOOP_LEN_MAX + 1)):
             central_component_checks(4, loop_len=LOOP_LEN_MAX + 1)
 
     def test_default_loop_len_is_within_its_cap(self):

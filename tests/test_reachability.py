@@ -30,7 +30,6 @@ ALLOWED = {
     "perm:LabeledPermutation.__str__": "error path: path_matrix's not-allowed message",
     "penner:homology_power_check": "library check of exact matrix arithmetic (acceptance"
     " criterion 8): its identity holds for every input, so no command prints it",
-    "penner:_geometric_sum": "helper of homology_power_check, which no command runs",
     "linalg:IntMatrix.__pow__": "library operator: homology_power_check and the tests take"
     " matrix powers, no command does",
 }
