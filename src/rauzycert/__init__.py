@@ -18,7 +18,6 @@ from .errors import (
     RauzyError,
     ReducibleError,
 )
-from .induction import Move
 from .linalg import (
     IntMatrix,
     SpectralBracket,
@@ -45,7 +44,6 @@ __all__ = [
     "GluedSurface",
     "IntMatrix",
     "LabeledPermutation",
-    "Move",
     "NotAllowedError",
     "PACertificate",
     "PermutationParseError",

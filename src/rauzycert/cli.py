@@ -21,7 +21,6 @@ from . import diagram as diagram_mod
 from . import fg as fg_mod
 from . import penner as penner_mod
 from .errors import RauzyError, check_range
-from .induction import Move
 from .jsonutil import bracket_json, decimal_str, dumps, rational_json
 from .linalg import DEFAULT_TOL, _column_product
 from .pa import LETTERS_MAX, certificate_to_json, certify
@@ -123,7 +122,7 @@ def _cmd_move(args) -> int:
     """The one-move path from the start: its end, its (winner, loser) and
     its matrix Id + E(winner, loser), the identity for a flip."""
     p = parse(args.start)
-    path = diagram_mod.AllowedPath(p, (Move(args.kind),))
+    path = diagram_mod.AllowedPath(p, args.kind)
     winner, loser = [p.alphabet[i] for i in path.updates[0]] if path.updates else (None, None)
     _emit_json(
         {
@@ -163,7 +162,7 @@ def _cmd_path(args) -> int:
             "allowed": path.allowed,
             "input_word": args.moves,
             "reading": args.reading,
-            "execution_word": path.word,
+            "execution_word": path.moves,
             "start": start.to_json_dict(),
             "end": path.end.to_json_dict(),
             "end_display": path.end.display(),
@@ -192,7 +191,7 @@ def _fg_report_json(report: fg_mod.FamilyReport) -> dict:
     cert = report.certificate
     return {
         "g": report.g,
-        "execution_word": cert.path.word,
+        "execution_word": cert.path.moves,
         "upper_bound": rational_json(report.upper_bound),
         "lower_bound": rational_json(report.lower_bound),
         "certificate": certificate_to_json(cert),

@@ -12,10 +12,10 @@ winner and loser.
 ``to_json`` and ``to_dot`` write a component to a text stream, ``BLOCK``
 vertices at a time, so no whole document is held.
 
-A path is a start permutation plus a sequence of moves in execution order.
-It is *allowed* when its endpoints define the same unlabeled permutation;
-only allowed paths induce a mapping class and a path matrix.  Move words
-are written over {t, b, f} with an optional ^k repeat, expand to at most
+A path is a start permutation plus its moves in execution order, a word
+over {t, b, f}.  It is *allowed* when its endpoints define the same
+unlabeled permutation; only allowed paths induce a mapping class and a path
+matrix.  Input words take an optional ^k repeat, expand to at most
 ``MAX_MOVES`` moves, and are read right-to-left by default ("ftb" applies
 b, then t, then f); pass ``reading="ltr"`` for left-to-right.  Each move
 copies a row of 2n letters, so ``build_path`` refuses a word whose moves
@@ -32,7 +32,7 @@ from itertools import chain, cycle
 from operator import itemgetter
 
 from .errors import EnumerationCapError, PermutationParseError, ReducibleError
-from .induction import MOVES, Move, _duel, _position_tables, _step
+from .induction import MOVES, _duel, _position_tables, _step
 from .jsonutil import dumps
 from .perm import LabeledPermutation, _images, _irreducible, _relabel, is_irreducible
 
@@ -75,11 +75,11 @@ class RauzyDiagram:
     def vertices(self) -> tuple[LabeledPermutation, ...]:
         return tuple(LabeledPermutation(self.alphabet, *self.pair(v)) for v in range(len(self)))
 
-    def successor(self, index: int, move: Move) -> int:
-        """Index of the target of the given move from vertex ``index``."""
+    def successor(self, index: int, move: str) -> int:
+        """Index of the target of the move with letter ``move`` from vertex ``index``."""
         table = MOVES.index(move)
         if table >= len(self.succ):
-            raise KeyError("vertex %d has no %s edge" % (index, move.value))
+            raise KeyError("vertex %d has no %s edge" % (index, move))
         return self.succ[table][index]
 
     def to_json_dict(self) -> dict:
@@ -181,12 +181,13 @@ def injectivity_check(d: RauzyDiagram) -> bool:
 # A run of letters that no ^ follows, one letter with an optional ^k, or
 # any other non-space character; whitespace between tokens is skipped.
 _TOKEN_RE = re.compile(r"([tbf]+)(?!\^)|([tbf])(?:\^(\d+))?|(\S)")
-_MOVE_OF = {move.value: move for move in Move}
 
 
-def parse_move_word(word: str) -> tuple[Move, ...]:
-    """Parse a move word like ``"ftb^3"`` into moves in written order."""
-    moves: list[Move] = []
+def parse_move_word(word: str) -> str:
+    """Expand a move word like ``"ftb^3"`` into its moves in written order,
+    ``"ftbbb"``."""
+    moves: list[str] = []
+    size = 0
     for match in _TOKEN_RE.finditer(word):
         run, letter, repeat, bad = match.groups()
         if bad is not None:
@@ -198,14 +199,15 @@ def parse_move_word(word: str) -> tuple[Move, ...]:
                 raise PermutationParseError("repeat must be >= 1 in move word %r" % word)
             # more digits than MAX_MOVES is past the cap (int() refuses > 4,300)
             count = int(repeat) if len(repeat) <= len(str(MAX_MOVES)) else MAX_MOVES + 1
-        if len(moves) + count > MAX_MOVES:
+        if size + count > MAX_MOVES:
             raise PermutationParseError("move word expands past %d moves" % MAX_MOVES)
-        moves.extend(map(_MOVE_OF.__getitem__, run) if run else [_MOVE_OF[letter]] * count)
-    return tuple(moves)
+        size += count
+        moves.append(run or letter * count)
+    return "".join(moves)
 
 
 class AllowedPath:
-    """A start permutation plus moves in execution order.
+    """A start permutation plus ``moves``, its execution word over {t, b, f}.
 
     The endpoint, the allowed/not-allowed verdict, ``updates``, the
     (winner, loser) letter indices of the t and b moves in order, and, for
@@ -214,22 +216,21 @@ class AllowedPath:
     object is self-checking from birth.
     """
 
-    def __init__(self, start: LabeledPermutation, moves):
+    def __init__(self, start: LabeledPermutation, moves: str):
         self.start = start
-        self.moves: tuple[Move, ...] = tuple(moves)
+        self.moves = moves
         # Every move keeps a permutation irreducible or reducible (see
         # explore), so the start decides for every station.
         irreducible = _irreducible(start.top, start.bottom)
         n = start.n
         row = start.top + start.bottom
         updates = []
-        for move in self.moves:
-            index = MOVES.index(move)
+        for index in map(MOVES.index, moves):
             if index < 2:
                 if not irreducible:
                     station = LabeledPermutation(start.alphabet, row[:n], row[n:]).display()
                     text = "%s move undefined on reducible permutation %s"
-                    raise ReducibleError(text % (move.name.lower(), station))
+                    raise ReducibleError(text % (("top", "bottom")[index], station))
                 updates.append(_duel(row[n - 1], row[-1], index))
             row = _step(row, index)
         self.updates: tuple[tuple[int, int], ...] = tuple(updates)
@@ -238,13 +239,8 @@ class AllowedPath:
         self.allowed: bool = _images(start.top, start.bottom) == _images(top, bottom)
         self.relabel = _relabel(start.top, top) if self.allowed else None
 
-    @property
-    def word(self) -> str:
-        """The move word in execution order (left-to-right)."""
-        return "".join(move.value for move in self.moves)
-
     def __repr__(self) -> str:
-        return "AllowedPath(%s, %r, allowed=%s)" % (self.start.display(), self.word, self.allowed)
+        return "AllowedPath(%s, %r, allowed=%s)" % (self.start.display(), self.moves, self.allowed)
 
 
 def build_path(
@@ -261,7 +257,7 @@ def build_path(
         raise PermutationParseError("a path may take at most %d moves x letters, got %d moves"
                                     " on %d letters" % (MAX_LETTER_MOVES, len(written), start.n))
     if reading == "paper":
-        execution = tuple(reversed(written))
+        execution = written[::-1]
     elif reading == "ltr":
         execution = written
     else:
@@ -287,13 +283,14 @@ def _letters(d: RauzyDiagram, lo: int, hi: int, plain, top_last, bottom_last) ->
 def to_dot(d: RauzyDiagram, out) -> None:
     """Write the deterministic DOT rendering to the text stream ``out``, one
     block of ``BLOCK`` vertices per write: vertices by BFS index, then the
-    edges labeled t/b/f in (vertex, move) order."""
-    names = [name.replace("%", "%%") for name in d.alphabet]
+    edges labeled t/b/f in (vertex, move) order.  Letters are escaped for
+    DOT's quoted labels, then for the ``%`` format."""
+    names = [x.replace("\\", "\\\\").replace('"', '\\"').replace("%", "%%") for x in d.alphabet]
     head = '  v%d [label="'
     plain, top_last = [x + " " for x in names], [x + "\\n" for x in names]
     bottom_last = [x + '"];\n' + head for x in names]
     edge = '  v%%d -> v%%d [label="%s"];\n'
-    edges = "".join([edge % move.value for move in MOVES[: len(d.succ)]])
+    edges = "".join([edge % move for move in MOVES[: len(d.succ)]])
     out.write('digraph rauzy {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n')
     for lo, hi in _blocks(d):
         text = head + _letters(d, lo, hi, plain, top_last, bottom_last)
@@ -324,8 +321,8 @@ def to_json(d: RauzyDiagram, out) -> None:
         '    {\n      "src": %%d,\n      "dst": %%d,\n      "kind": "%s",\n'
         '      "winner": %s,\n      "loser": %s\n    },\n'
     )
-    edges = edge % ("t", "%s", "%s") + edge % ("b", "%s", "%s")
-    edges += edge % ("f", "null", "null") if d.augmented else ""
+    edges = edge % (MOVES[0], "%s", "%s") + edge % (MOVES[1], "%s", "%s")
+    edges += edge % (MOVES[2], "null", "null") if d.augmented else ""
     out.write('\n  ],\n  "edges": [\n')
     for lo, hi in _blocks(d):
         columns = []

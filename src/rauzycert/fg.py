@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .diagram import AllowedPath, explore, injectivity_check
 from .errors import check_range
-from .induction import MOVES, Move, _step
+from .induction import MOVES, _step
 from .linalg import (
     DEFAULT_TOL,
     IntMatrix,
@@ -49,7 +49,7 @@ GENUS_MAX = 250
 def family_loop(g: int) -> AllowedPath:
     """The loop: g bottom moves, then a top move, then a flip."""
     check_range("family genus g", g, 2, GENUS_MAX)
-    return AllowedPath(fg_start(g), (Move.BOTTOM,) * g + (Move.TOP, Move.FLIP))
+    return AllowedPath(fg_start(g), "b" * g + "tf")
 
 
 # A (top, bottom) pair of letter-index rows.
@@ -67,8 +67,8 @@ def _stations(path: AllowedPath) -> list[_Rows]:
     n = path.start.n
     row = path.start.top + path.start.bottom
     rows = []
-    for move in path.moves:
-        row = _step(row, MOVES.index(move))
+    for index in map(MOVES.index, path.moves):
+        row = _step(row, index)
         rows.append((row[:n], row[n:]))
     return rows
 
@@ -361,7 +361,7 @@ def _closed_words(diagram, back, start: int, end: int, max_len: int, cycles):
 
 
 def _word_text(word) -> str:
-    return "".join("tb"[move] for move in word)
+    return "".join(map(MOVES.__getitem__, word))
 
 
 def _nearest(step, back, src: int, is_target) -> tuple[int, list[int]]:

@@ -21,17 +21,8 @@ search uses it; paths, which may run to 10^5 letters, use ``_step``.
 
 from __future__ import annotations
 
-import enum
-
-
-class Move(enum.Enum):
-    TOP = "t"
-    BOTTOM = "b"
-    FLIP = "f"
-
-
-# The moves by their index in ``_step`` and in the diagram tables.
-MOVES = (Move.TOP, Move.BOTTOM, Move.FLIP)
+# The letter of each move by its index in ``_step`` and in the diagram tables.
+MOVES = "tbf"
 
 _BYTES = bytes(range(256))
 

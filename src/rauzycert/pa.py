@@ -96,7 +96,7 @@ def certificate_to_json(cert: PACertificate) -> dict:
     """The documented certificate schema."""
     return {
         "start": cert.path.start.to_json_dict(),
-        "word": cert.path.word,
+        "word": cert.path.moves,
         "allowed": cert.path.allowed,
         "matrix": cert.matrix.to_json(),
         "primitive": cert.primitive,

@@ -18,11 +18,10 @@ closed side is nontrivial in homology, because the face's boundary is zero
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 
 from .errors import check_range
-from .perm import LabeledPermutation, _cycles, is_irreducible
+from .perm import LabeledPermutation, _cycles
 
 
 class GluedSurface(namedtuple("GluedSurface", "vertex_count euler_char genus side_closed")):
@@ -44,13 +43,8 @@ class GluedSurface(namedtuple("GluedSurface", "vertex_count euler_char genus sid
 
 
 def glue(p: LabeledPermutation) -> GluedSurface:
-    """Glue the 2n-gon of ``p`` and report its genus and side flags.
-
-    The gluing is defined for reducible permutations too; those only emit a
-    warning since the downstream certification steps assume irreducibility.
-    """
-    if not is_irreducible(p):
-        warnings.warn("gluing a reducible permutation: %s" % p.display(), stacklevel=2)
+    """Glue the 2n-gon of ``p`` and report its genus and side flags; the
+    gluing is defined for reducible permutations too."""
     n = p.n
     top_pos = p.top_positions()
     bottom_pos = p.bottom_positions()

@@ -11,7 +11,7 @@ from hypothesis import assume, strategies as st
 
 from rauzycert.diagram import AllowedPath, RauzyDiagram
 from rauzycert.errors import EnumerationCapError, NotAllowedError, ReducibleError
-from rauzycert.induction import Move, _step
+from rauzycert.induction import _step
 from rauzycert.linalg import IntMatrix, wielandt_bound
 from rauzycert.perm import (
     LabeledPermutation,
@@ -148,23 +148,23 @@ class OracleEdge(NamedTuple):
     """One move with both endpoints and its winner and loser letter names,
     both None exactly for a flip."""
 
-    kind: Move
+    kind: str
     source: LabeledPermutation
     target: LabeledPermutation
     winner: str | None
     loser: str | None
 
 
-def oracle_move(p: LabeledPermutation, move: Move) -> OracleEdge:
+def oracle_move(p: LabeledPermutation, move: str) -> OracleEdge:
     """One move on permutation objects, written apart from the index-row
     kernel: t takes the bottom-last letter (the loser) out of the bottom row
     and puts it back right of the top-last letter (the winner), b does the
     same with the rows exchanged, and f reverses both rows and swaps them.
     ``p`` must be irreducible for t and b."""
-    if move is Move.FLIP:
+    if move == "f":
         target = LabeledPermutation(p.alphabet, tuple(reversed(p.bottom)), tuple(reversed(p.top)))
         return OracleEdge(move, p, target, None, None)
-    if move is Move.TOP:
+    if move == "t":
         winner, loser = p.top[-1], p.bottom[-1]
         target = LabeledPermutation(p.alphabet, p.top, _reinsert_after(p.bottom, loser, winner))
     else:
@@ -207,7 +207,7 @@ def oracle_explore(seed: LabeledPermutation, augmented: bool = False, cap: int =
     in BFS order and the out-edges of each vertex in t, b(, f) order."""
     if not is_irreducible(seed):
         raise ReducibleError("cannot explore from reducible seed %s" % seed.display())
-    moves = (Move.TOP, Move.BOTTOM, Move.FLIP) if augmented else (Move.TOP, Move.BOTTOM)
+    moves = "tbf" if augmented else "tb"
     vertices: list[LabeledPermutation] = [seed]
     index: dict[str, int] = {seed.display(): 0}
     out_edges: list[tuple[OracleEdge, ...]] = []
@@ -261,7 +261,7 @@ def oracle_diagram_doc(seed: LabeledPermutation, augmented: bool = False) -> dic
             {
                 "src": i,
                 "dst": index[edge.target.display()],
-                "kind": edge.kind.value,
+                "kind": edge.kind,
                 "winner": edge.winner,
                 "loser": edge.loser,
             }
@@ -274,18 +274,25 @@ def oracle_diagram_doc(seed: LabeledPermutation, augmented: bool = False) -> dic
     }
 
 
+def dot_escape(name: str) -> str:
+    """A letter inside a DOT quoted string: a backslash before each
+    backslash and each double quote."""
+    return "".join("\\" + c if c in '"\\' else c for c in name)
+
+
 def oracle_dot(seed: LabeledPermutation, augmented: bool = False) -> str:
     """The DOT rendering, one formatted line per vertex and per edge."""
     vertices, out_edges = oracle_explore(seed, augmented)
     index = {v.display(): i for i, v in enumerate(vertices)}
     lines = ["digraph rauzy {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
     for i, v in enumerate(vertices):
-        label = " ".join(v.top_letters()) + "\\n" + " ".join(v.bottom_letters())
+        label = " ".join(map(dot_escape, v.top_letters())) + "\\n"
+        label += " ".join(map(dot_escape, v.bottom_letters()))
         lines.append('  v%d [label="%s"];' % (i, label))
     for i, out in enumerate(out_edges):
         for edge in out:
             lines.append(
-                '  v%d -> v%d [label="%s"];' % (i, index[edge.target.display()], edge.kind.value)
+                '  v%d -> v%d [label="%s"];' % (i, index[edge.target.display()], edge.kind)
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -489,17 +496,17 @@ def random_allowed_paths(
     paths: list[AllowedPath] = []
     while len(paths) < count:
         start = random_irreducible(rng, rng.randint(min_n, max_n))
-        moves: list[Move] = []
+        moves = ""
         current = start
         for _ in range(max_walk):
             roll = rng.random()
             if augmented and roll < 0.1:
-                move = Move.FLIP
+                move = "f"
             elif roll < 0.55:
-                move = Move.TOP
+                move = "t"
             else:
-                move = Move.BOTTOM
-            moves.append(move)
+                move = "b"
+            moves += move
             current = oracle_move(current, move).target
             if unlabeled(start) == unlabeled(current):
                 paths.append(AllowedPath(start, moves))
@@ -516,11 +523,11 @@ def allowed_paths(draw, max_n: int = 6, max_moves: int = 400) -> AllowedPath:
     bottom = draw(st.permutations(range(n)))
     start = LabeledPermutation(default_alphabet(n), tuple(top), tuple(bottom))
     assume(is_irreducible(start))
-    moves: list[Move] = []
+    moves = ""
     current = start
     while len(moves) < max_moves:
-        move = draw(st.sampled_from((Move.TOP, Move.BOTTOM, Move.FLIP)))
-        moves.append(move)
+        move = draw(st.sampled_from("tbf"))
+        moves += move
         current = oracle_move(current, move).target
         if unlabeled(start) == unlabeled(current):
             return AllowedPath(start, moves)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from helpers import (
     all_standard_permutations,
+    dot_escape,
     oracle_diagram_doc,
     oracle_dot,
     oracle_explore,
@@ -26,7 +28,7 @@ from rauzycert.diagram import (
     to_json,
 )
 from rauzycert.errors import EnumerationCapError, PermutationParseError, ReducibleError
-from rauzycert.induction import MOVES, Move
+from rauzycert.induction import MOVES
 from rauzycert.perm import (
     LabeledPermutation,
     _images,
@@ -53,7 +55,7 @@ class TestExplore:
         displays = [v.display() for v in component.vertices]
         assert set(displays) == {"A C B / C B A", "A B C / C B A", "A B C / C A B"}
         edges = {
-            (displays[v], MOVES[move].value, displays[table[v]])
+            (displays[v], MOVES[move], displays[table[v]])
             for move, table in enumerate(component.succ)
             for v in range(len(component))
         }
@@ -195,13 +197,7 @@ class TestInjectivity:
 
 class TestMoveWords:
     def test_parse_with_exponent(self):
-        assert parse_move_word("ftb^3") == (
-            Move.FLIP,
-            Move.TOP,
-            Move.BOTTOM,
-            Move.BOTTOM,
-            Move.BOTTOM,
-        )
+        assert parse_move_word("ftb^3") == "ftbbb"
 
     def test_parse_rejects_unknown_letters(self):
         with pytest.raises(PermutationParseError):
@@ -222,8 +218,8 @@ class TestMoveWords:
         # more digits than int() converts by default (4,300)
         with pytest.raises(PermutationParseError, match="expands past"):
             parse_move_word("b^" + "9" * 5000)
-        assert parse_move_word("b^" + "0" * 5000 + "1") == (Move.BOTTOM,)
-        assert parse_move_word("t^0002") == (Move.TOP, Move.TOP)
+        assert parse_move_word("b^" + "0" * 5000 + "1") == "b"
+        assert parse_move_word("t^0002") == "tt"
         with pytest.raises(PermutationParseError, match="repeat must be >= 1"):
             parse_move_word("t^000")
 
@@ -247,12 +243,11 @@ class TestMoveWords:
         assert str(info.value) == message
 
     def test_parse_reads_runs_and_skips_whitespace(self):
-        t, b, f = Move.TOP, Move.BOTTOM, Move.FLIP
-        assert parse_move_word("t^01") == (t,)
-        assert parse_move_word("tbf") == parse_move_word(" t b\tf\n") == (t, b, f)
+        assert parse_move_word("t^01") == "t"
+        assert parse_move_word("tbf") == parse_move_word(" t b\tf\n") == "tbf"
         # ^k repeats the last letter of a run only
-        assert parse_move_word("ftb^2 bt") == (f, t, b, b, b, t)
-        assert parse_move_word("ftbb" * 3) == (f, t, b, b) * 3
+        assert parse_move_word("ftb^2 bt") == "ftbbbt"
+        assert parse_move_word("ftbb" * 3) == "ftbb" * 3
 
     def test_parse_caps_runs_of_plain_letters(self):
         assert len(parse_move_word("t" * 10**6)) == 10**6
@@ -284,8 +279,8 @@ class TestBuildPath:
     def test_reading_directions_differ(self):
         paper = build_path(central(3), "tb")
         ltr = build_path(central(3), "tb", reading="ltr")
-        assert paper.moves == (Move.BOTTOM, Move.TOP)
-        assert ltr.moves == (Move.TOP, Move.BOTTOM)
+        assert paper.moves == "bt"
+        assert ltr.moves == "tb"
         assert paper.end != ltr.end
 
     def test_rejects_unknown_reading(self):
@@ -314,10 +309,9 @@ class TestBuildPath:
 
     def test_path_is_self_verifying(self):
         path = build_path(fg_start(2), "ftbb")
-        assert path.moves == (Move.BOTTOM, Move.BOTTOM, Move.TOP, Move.FLIP)
-        assert path.end == AllowedPath(AllowedPath(fg_start(2), path.moves[:3]).end, (Move.FLIP,)).end
+        assert path.moves == "bbtf"
+        assert path.end == AllowedPath(AllowedPath(fg_start(2), path.moves[:3]).end, "f").end
         assert len(path.updates) == 3
-        assert path.word == "bbtf"
 
 
 class TestDot:
@@ -336,6 +330,18 @@ class TestDot:
         first = _text(to_dot, explore(central(4)))
         second = _text(to_dot, explore(central(4)))
         assert first == second
+
+    def test_labels_read_back_as_the_rows(self):
+        # a DOT quoted string ends at the first " not escaped by a backslash;
+        # \n inside it ends a line of the label, and \c stands for c
+        component = explore(parse('A" B\\ \\n %s / %s \\n B\\ A"'))
+        lines = _text(to_dot, component).splitlines()[3 : 3 + len(component)]
+        for v, line in enumerate(lines):
+            raw = re.fullmatch(r'  v%d \[label="((?:[^"\\]|\\.)*)"\];' % v, line).group(1)
+            tokens = re.findall(r"\\(.)|([^\\])", raw)
+            label = "".join("\n" if escaped == "n" else escaped or plain for escaped, plain in tokens)
+            rows = component.vertices[v]
+            assert label == " ".join(rows.top_letters()) + "\n" + " ".join(rows.bottom_letters())
 
 
 # Letter names that JSON escapes, that a %-format would read, that are
@@ -414,7 +420,7 @@ def _table_json(d: RauzyDiagram) -> str:
     for v in range(len(d)):
         for move, table in enumerate(d.succ):
             duel = [names[x[move][v]] for x in (d.winner, d.loser)] if move < 2 else [None, None]
-            edge = {"src": v, "dst": table[v], "kind": MOVES[move].value}
+            edge = {"src": v, "dst": table[v], "kind": MOVES[move]}
             edges.append(dict(edge, winner=duel[0], loser=duel[1]))
     doc = {
         "augmented": d.augmented,
@@ -434,11 +440,11 @@ def _table_dot(d: RauzyDiagram) -> str:
     """Oracle for ``to_dot``: one formatted line per vertex and per edge."""
     lines = ["digraph rauzy {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
     for v in range(len(d)):
-        top, bottom = (" ".join(d.alphabet[i] for i in row) for row in d.pair(v))
+        top, bottom = (" ".join(dot_escape(d.alphabet[i]) for i in row) for row in d.pair(v))
         lines.append('  v%d [label="%s\\n%s"];' % (v, top, bottom))
     for v in range(len(d)):
         for move, table in enumerate(d.succ):
-            lines.append('  v%d -> v%d [label="%s"];' % (v, table[v], MOVES[move].value))
+            lines.append('  v%d -> v%d [label="%s"];' % (v, table[v], MOVES[move]))
     return "\n".join(lines + ["}"]) + "\n"
 
 
@@ -490,12 +496,12 @@ class TestTables:
     def test_successor_reads_the_tables(self):
         component = explore(central(5), augmented=True)
         for v in range(len(component)):
-            for index, move in enumerate((Move.TOP, Move.BOTTOM, Move.FLIP)):
+            for index, move in enumerate(MOVES):
                 assert component.successor(v, move) == component.succ[index][v]
 
     def test_no_flip_edge_unaugmented(self):
         with pytest.raises(KeyError):
-            explore(central(4)).successor(0, Move.FLIP)
+            explore(central(4)).successor(0, "f")
 
     def test_cap_counts_vertices(self):
         # the component has 31 vertices: every cap below that raises

@@ -50,11 +50,21 @@ CASES: dict[str, tuple[str, ...]] = {
     "certify_inconclusive": ("certify", "--start", FG_START_2, "--moves", "bb"),
     "path_readme_allowed": ("path", "--start", FG_START_2, "--moves", "ftb^2"),
     "path_readme_not_allowed": ("path", "--start", "A B C / C B A", "--moves", "b"),
+    # the written word read left to right: the execution word of ftbb
+    "path_readme_ltr": ("path", "--start", FG_START_2, "--moves", "bbtf", "--reading", "ltr"),
+    "certify_readme_ltr": (
+        "certify", "--start", FG_START_2, "--moves", "bbtf", "--reading", "ltr"
+    ),
+    # a torus: the certificate carries its torus and genus-1 warnings
+    "certify_torus": ("certify", "--start", "A B / B A", "--moves", "tb"),
+    # exit 2: an allowed loop whose matrix is not primitive
+    "certify_not_primitive": ("certify", "--start", "a1 a2 a3 / a3 a2 a1", "--moves", "tt"),
     "penner_g3_n5": ("penner", "--genus", "3", "--n", "5"),
     "penner_g3_n10e12": ("penner", "--genus", "3", "--n", "1000000000000"),
     "perm_readme_literal": ("perm", "--perm", "A B C / C B A"),
     "perm_readme_central5": ("perm", "--central", "5"),
     "perm_readme_fg_start2_text": ("perm", "--fg-start", "2", "--format", "text"),
+    "perm_reducible": ("perm", "--perm", "A B / A B"),
     "move_readme_top": ("move", "--start", "A B C D / D C B A", "--kind", "t"),
     "move_bottom": ("move", "--start", "A B C D / D C B A", "--kind", "b"),
     "move_flip": ("move", "--start", "A C B / B A C", "--kind", "f"),
@@ -77,6 +87,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "diagram_start_augmented_json": (
         "diagram", "--start", "W X Y Z / Z X W Y", "--augmented"
     ),
+    # letters that DOT's quoted labels escape
+    "diagram_escaped_letters_dot": ("diagram", "--start", 'A" B\\ / B\\ A"', "--format", "dot"),
     "diagram_reducible": ("diagram", "--start", "A B / A B"),
     "diagram_cap_exceeded": ("diagram", "--central", "6", "--cap", "10"),
     "diagram_cap_zero": ("diagram", "--central", "3", "--cap", "0"),
@@ -91,6 +103,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "path_reducible_start": ("path", "--start", "A B / A B", "--moves", "tf"),
     "path_reducible_flip_not_allowed": ("path", "--start", "A B C / A C B", "--moves", "f"),
     "path_moves_above_cap": ("path", "--start", "A B C / C B A", "--moves", "b^1000001"),
+    "path_repeat_zero": ("path", "--start", "A B C / C B A", "--moves", "b^0"),
     "fg_bare": ("fg",),
     "fg_central_negative_samples": (
         "fg", "central", "--n", "4", "--samples", "-1", "--loop-len", "14"

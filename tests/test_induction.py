@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from rauzycert.diagram import AllowedPath
 from rauzycert.errors import ReducibleError
-from rauzycert.induction import MOVES, Move, _duel, _position_tables, _step
+from rauzycert.induction import MOVES, _duel, _position_tables, _step
 from rauzycert.linalg import IntMatrix, _column_product
 from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, is_irreducible, parse
 
@@ -20,70 +20,70 @@ def labeled_permutations(draw, min_n=2, max_n=6):
     return LabeledPermutation(default_alphabet(n), top, bottom)
 
 
-def target(p: LabeledPermutation, move: Move) -> LabeledPermutation:
+def target(p: LabeledPermutation, move: str) -> LabeledPermutation:
     """The end of the one-move path."""
-    return AllowedPath(p, (move,)).end
+    return AllowedPath(p, move).end
 
 
-def duel(p: LabeledPermutation, move: Move):
+def duel(p: LabeledPermutation, move: str):
     """The (winner, loser) letter names of the one-move path, None for f."""
-    updates = AllowedPath(p, (move,)).updates
+    updates = AllowedPath(p, move).updates
     return tuple(p.alphabet[i] for i in updates[0]) if updates else None
 
 
-def move_matrix(p: LabeledPermutation, move: Move) -> IntMatrix:
+def move_matrix(p: LabeledPermutation, move: str) -> IntMatrix:
     """The matrix of the one-move path, as ``rauzycert move`` prints it."""
-    return _column_product(p.n, AllowedPath(p, (move,)).updates, tuple(range(p.n)))
+    return _column_product(p.n, AllowedPath(p, move).updates, tuple(range(p.n)))
 
 
 class TestTopMove:
     def test_worked_example(self):
         p = parse("A B C D / D C B A")
-        assert target(p, Move.TOP).display() == "A B C D / D A C B"
-        assert duel(p, Move.TOP) == ("D", "A")
+        assert target(p, "t").display() == "A B C D / D A C B"
+        assert duel(p, "t") == ("D", "A")
 
     def test_on_three_letter_component(self):
-        assert target(parse("A B C / C B A"), Move.TOP).display() == "A B C / C A B"
+        assert target(parse("A B C / C B A"), "t").display() == "A B C / C A B"
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleError, match="top move undefined on reducible"):
-            target(parse("A B / A B"), Move.TOP)
+            target(parse("A B / A B"), "t")
 
 
 class TestBottomMove:
     def test_worked_example(self):
         p = parse("A B C D / D C B A")
-        assert target(p, Move.BOTTOM).display() == "A D B C / D C B A"
-        assert duel(p, Move.BOTTOM) == ("A", "D")
+        assert target(p, "b").display() == "A D B C / D C B A"
+        assert duel(p, "b") == ("A", "D")
 
     def test_on_three_letter_component(self):
-        assert target(parse("A B C / C B A"), Move.BOTTOM).display() == "A C B / C B A"
+        assert target(parse("A B C / C B A"), "b").display() == "A C B / C B A"
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_bottom_power_fixes_family_start(self, g):
-        assert AllowedPath(fg_start(g), (Move.BOTTOM,) * g).end == fg_start(g)
+        assert AllowedPath(fg_start(g), "b" * g).end == fg_start(g)
 
     def test_rejects_reducible(self):
         with pytest.raises(ReducibleError, match="bottom move undefined on reducible"):
-            target(parse("A B / A B"), Move.BOTTOM)
+            target(parse("A B / A B"), "b")
 
 
 class TestFlip:
     def test_worked_example(self):
-        assert target(parse("A C B / B A C"), Move.FLIP).display() == "C A B / B C A"
+        assert target(parse("A C B / B A C"), "f").display() == "C A B / B C A"
 
     def test_second_worked_example(self):
-        assert target(parse("A B C / C A B"), Move.FLIP).display() == "B A C / C B A"
+        assert target(parse("A B C / C A B"), "f").display() == "B A C / C B A"
 
     def test_no_winner_or_loser(self):
-        assert duel(central(3), Move.FLIP) is None
+        assert duel(central(3), "f") is None
 
     @given(labeled_permutations())
     def test_involution(self, p):
-        assert AllowedPath(p, (Move.FLIP, Move.FLIP)).end == p
+        assert AllowedPath(p, "ff").end == p
 
     def test_defined_on_reducible(self):
-        assert target(parse("A B / A B"), Move.FLIP).display() == "B A / B A"
+        assert target(parse("A B / A B"), "f").display() == "B A / B A"
 
 
 class TestEdgeMatrix:
@@ -91,17 +91,17 @@ class TestEdgeMatrix:
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
         )
-        assert move_matrix(parse("A B C D / D C B A"), Move.TOP) == expected
+        assert move_matrix(parse("A B C D / D C B A"), "t") == expected
 
     def test_flip_is_identity(self):
-        assert move_matrix(parse("A B C / C A B"), Move.FLIP) == IntMatrix.identity(3)
+        assert move_matrix(parse("A B C / C A B"), "f") == IntMatrix.identity(3)
 
     def test_first_bottom_edge_of_family_start(self):
-        assert duel(fg_start(2), Move.BOTTOM) == ("a2", "a4")
+        assert duel(fg_start(2), "b") == ("a2", "a4")
         expected = IntMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert move_matrix(fg_start(2), Move.BOTTOM) == expected
+        assert move_matrix(fg_start(2), "b") == expected
 
     def test_unimodular(self):
         for move in MOVES:
@@ -115,8 +115,8 @@ def test_moves_preserve_irreducibility_exhaustively():
         for p in all_standard_permutations(n):
             if not is_irreducible(p):
                 continue
-            assert is_irreducible(target(p, Move.TOP))
-            assert is_irreducible(target(p, Move.BOTTOM))
+            assert is_irreducible(target(p, "t"))
+            assert is_irreducible(target(p, "b"))
 
 
 def _kernel_cases():

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rauzycert.diagram import AllowedPath, build_path
 from rauzycert.errors import NotAllowedError
-from rauzycert.induction import Move
 from rauzycert.linalg import IntMatrix, min_positive_power, path_matrix
 from rauzycert.pa import (
     certificate_to_json,
@@ -80,10 +79,7 @@ def arbitrary_paths(draw):
     bottom = tuple(draw(st.permutations(list(range(n)))))
     start = LabeledPermutation(default_alphabet(n), top, bottom)
     assume(is_irreducible(start))
-    moves = draw(
-        st.lists(st.sampled_from([Move.TOP, Move.BOTTOM, Move.FLIP]), max_size=12)
-    )
-    return AllowedPath(start, moves)
+    return AllowedPath(start, draw(st.text("tbf", max_size=12)))
 
 
 @given(arbitrary_paths())
@@ -127,7 +123,7 @@ class TestCertify:
         assert cert.matrix * cert.matrix == IntMatrix.identity(3)
 
     def test_empty_path_inconclusive(self):
-        cert = certify(AllowedPath(central(3), ()))
+        cert = certify(AllowedPath(central(3), ""))
         assert cert.verdict == "inconclusive"
         assert cert.lam is None and cert.lc_lower is None and cert.lc_lower_exact is None
 
@@ -136,7 +132,7 @@ class TestCertify:
             certify(build_path(central(3), "b"))
 
     def test_torus_case_flagged(self):
-        cert = certify(AllowedPath(central(2), (Move.TOP, Move.TOP)))
+        cert = certify(AllowedPath(central(2), "tt"))
         assert cert.genus == 1
         assert cert.lc_upper is None and cert.lc_lower is None and cert.lc_lower_exact is None
         assert any("torus" in w or "genus" in w for w in cert.warnings)
@@ -184,7 +180,7 @@ class TestUpperBound:
         assert lc_upper_bound(path, glue(path.start)) is None
 
     def test_genus_below_two_refused(self):
-        path = AllowedPath(central(2), (Move.TOP, Move.TOP))
+        path = AllowedPath(central(2), "tt")
         with pytest.raises(ValueError):
             lc_upper_bound(path, glue(path.start))
 
@@ -315,7 +311,7 @@ class TestLowerBound:
             assert min_positive_power(matrix) <= 2 * matrix.order
 
     def test_non_primitive_gives_none(self):
-        cert = certify(AllowedPath(central(4), ()))
+        cert = certify(AllowedPath(central(4), ""))
         assert cert.genus == 2 and not cert.primitive
         assert cert.lc_lower is None and cert.lc_lower_exact is None
 
@@ -334,7 +330,7 @@ class TestLowerBound:
             assert cert.lc_lower <= cert.lc_lower_exact <= cert.lc_upper
 
     def test_genus_below_two_refused(self):
-        path = AllowedPath(central(2), (Move.TOP, Move.BOTTOM))
+        path = AllowedPath(central(2), "tb")
         power = min_positive_power(path_matrix(path))
         assert power is not None
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 import itertools
 import random
-import warnings
 
 import networkx
 import pytest
 
+from rauzycert.cli import main
 from rauzycert.diagram import explore
-from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start, parse
+from rauzycert.perm import LabeledPermutation, central, default_alphabet, fg_start
 from rauzycert.surface import glue, stratum_of_central
 
 from helpers import (
@@ -69,15 +69,20 @@ class TestGlue:
         assert s.genus == g
 
     def test_euler_char_always_even(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # reducible inputs are included
-            for n in range(2, 7):
-                for p in all_standard_permutations(n):
-                    assert glue(p).euler_char % 2 == 0
+        for n in range(2, 7):
+            for p in all_standard_permutations(n):
+                assert glue(p).euler_char % 2 == 0
 
-    def test_reducible_input_warns(self):
-        with pytest.warns(UserWarning):
-            glue(parse("A B / A B"))
+    def test_reducible_input_prints_nothing_on_stderr(self, capsys):
+        # perm states irreducibility in its JSON; stderr stays empty on
+        # every call in a process, not only after the first
+        outputs = []
+        for _ in range(2):
+            assert main(["perm", "--perm", "A B / A B"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and '"irreducible": false' in outputs[0]
 
     def test_genus_matches_homology_rank_on_central_components(self):
         # H_1 has rank (#sides) - vertex_count + 1 = 2 * genus; the vertex
@@ -93,15 +98,13 @@ class TestGlue:
 class TestGlueAgainstUnionFind:
     """``glue`` walks the cycles of one permutation of the n + 1 top
     corners; ``union_find_glue`` joins all 2n corners by the gluing.
-    Reducible permutations are included, so the warning is silenced."""
+    Reducible permutations are included."""
 
     @staticmethod
     def check(perms):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for p in perms:
-                s = glue(p)
-                assert (s.vertex_count, s.side_closed) == union_find_glue(p)
+        for p in perms:
+            s = glue(p)
+            assert (s.vertex_count, s.side_closed) == union_find_glue(p)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_standard_permutation(self, n):
@@ -143,19 +146,17 @@ class TestSideHomology:
         # exhaustive search over n <= 6 confirms none exists, and that
         # side_closed, which therefore also states nontriviality, matches the
         # corner-graph oracle.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for n in range(2, 7):
-                for p in all_standard_permutations(n):
-                    assert face_boundary_relation(p) == [0] * n
-                    graph = reference_corner_graph(p)
-                    top_pos = p.top_positions()
-                    assert glue(p).side_closed == {
-                        name: networkx.has_path(
-                            graph, "T%d" % top_pos[letter], "T%d" % (top_pos[letter] + 1)
-                        )
-                        for letter, name in enumerate(p.alphabet)
-                    }
+        for n in range(2, 7):
+            for p in all_standard_permutations(n):
+                assert face_boundary_relation(p) == [0] * n
+                graph = reference_corner_graph(p)
+                top_pos = p.top_positions()
+                assert glue(p).side_closed == {
+                    name: networkx.has_path(
+                        graph, "T%d" % top_pos[letter], "T%d" % (top_pos[letter] + 1)
+                    )
+                    for letter, name in enumerate(p.alphabet)
+                }
 
     def test_face_relation_is_zero(self):
         # Each letter occurs once in each row, so the relation cancels and
