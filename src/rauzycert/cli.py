@@ -22,7 +22,7 @@ from . import fg as fg_mod
 from . import penner as penner_mod
 from .errors import RauzyError, check_range
 from .jsonutil import bracket_json, decimal_str, dumps, rational_json
-from .linalg import DEFAULT_TOL, _column_product
+from .linalg import DEFAULT_TOL, _column_product, _positive_tol
 from .pa import LETTERS_MAX, certificate_to_json, certify
 from .perm import LabeledPermutation, central, fg_start, is_irreducible, parse, unlabeled
 from .surface import glue, stratum_of_central
@@ -85,8 +85,7 @@ NEWTON_TOL_LETTER_DIGITS_MAX = 96000
 
 def _check_tol(tol: Fraction, digits: int, engine: str) -> None:
     """Raise before any work when ``tol`` is not positive or below the floor 10^-digits."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _positive_tol(tol)
     # 10^digits > 8^digits, so the bit lengths clear most tol before 10^digits is built
     if (tol.denominator.bit_length() - tol.numerator.bit_length() >= 3 * digits
             and tol * 10**digits < 1):
@@ -94,11 +93,11 @@ def _check_tol(tol: Fraction, digits: int, engine: str) -> None:
 
 
 def _start_permutation(args) -> LabeledPermutation:
-    if getattr(args, "central", None) is not None:
+    if args.central is not None:
         return central(args.central)
-    if getattr(args, "fg_start", None) is not None:
+    if args.fg_start is not None:
         return fg_start(args.fg_start)
-    return parse(args.start if hasattr(args, "start") else args.perm)
+    return parse(args.start)
 
 
 def _cmd_perm(args) -> int:
@@ -242,7 +241,7 @@ def _cmd_fg(args) -> int:
 
 
 # Largest penner sweep --nmax: with the default --gmax 6, --nmax 5000 takes
-# 9-13 s at 28 MiB, and --gmax 3 --nmax 5000 takes 2.4 s (2-vCPU VM).
+# 5.3 s at 27 MiB, and --gmax 3 --nmax 5000 takes 1.2 s (2-vCPU VM).
 SWEEP_N_MAX = 5000
 
 # The grid is bounded too: --nmax has a second upper limit, the budget over
@@ -342,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm", help="parse or construct a labeled permutation")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--perm", help='two-row literal, e.g. "A B C / C B A"')
+    source.add_argument("--perm", dest="start", metavar="PERM",
+                        help='two-row literal, e.g. "A B C / C B A"')
     source.add_argument("--central", type=int, help="central permutation on N letters")
     source.add_argument("--fg-start", dest="fg_start", type=int, help="family start at genus G")
     p.add_argument("--format", choices=["json", "text"], default="json")

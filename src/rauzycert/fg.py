@@ -421,8 +421,8 @@ def _cover_loop(step, back, winner, base: int, letter_order) -> tuple[int, ...]:
 
 
 # Largest n that central_component_checks accepts: on a 2-vCPU VM n = 20
-# (524,287 vertices) takes 3-4 s at 170 MiB, and each further letter about
-# doubles both, to 10-17 s at 585 MiB for n = 22 (2,097,151 vertices).
+# (524,287 vertices) takes 1.5 s at 164 MiB, and each further letter about
+# doubles both, to 7.2 s at 580 MiB for n = 22 (2,097,151 vertices).
 CENTRAL_N_MAX = 22
 
 # Largest loop_len and samples that central_component_checks accepts, timed

@@ -5,8 +5,8 @@ matrix entries grow like a power of the stretch factor and overflow any
 fixed width quickly), and spectral radii are reported as rational brackets
 rather than as floats, each proven by exact signs of a polynomial: by a
 witness on the characteristic polynomial (``perron_bracket``), or by
-bisection on a polynomial whose root the caller has shown to be the
-spectral radius (``bisect_root``).
+bisection on a polynomial whose one root above 1 the caller has shown to
+be the spectral radius (``root_above_one``).
 """
 
 from __future__ import annotations
@@ -221,25 +221,35 @@ def _poly_value(coeffs, num: int, den: int) -> int:
     return acc * num ** (len(coeffs) - 1 - last)
 
 
-def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
-    """Bracket a root of the integer polynomial ``coeffs`` (highest power
-    first) in [low, high], halving until the width is at most ``tol``.
-
-    Every sign is exact: the polynomial is evaluated at num/den as the
-    integer den^d * p(num/den).  It must be at most 0 at ``low`` and at
-    least 0 at ``high``; each halving keeps that, so the bracket holds a
-    root.  A midpoint that is a root returns the bracket [root, root].
-    ``iterations`` counts the halvings.
-    """
+def _positive_tol(tol: Fraction | str | float) -> Fraction:
+    """``tol`` as a Fraction; ValueError unless it is positive."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    low, high = Fraction(low), Fraction(high)
-    den = low.denominator * high.denominator
-    lo, hi = low.numerator * high.denominator, high.numerator * low.denominator
-    if lo > hi or _poly_value(coeffs, lo, den) > 0 or _poly_value(coeffs, hi, den) < 0:
-        raise ValueError("the polynomial does not change sign from <= 0 to >= 0 on [%s, %s]"
-                         % (low, high))
+    return tol
+
+
+def root_above_one(coeffs, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
+    """Bracket the root above 1 of the integer polynomial ``coeffs``
+    (highest power first), halving [1, 1 + max|c|] until the width is at
+    most ``tol``.
+
+    The caller shows that the polynomial has only one root above 1.  The
+    interval holds it: every root is below Cauchy's bound
+    1 + max|c_i| / |c_0| <= 1 + max|c|, and past that bound the sign is
+    the sign of c_0.  So the polynomial must be at most 0 at 1 and have a
+    positive leading coefficient; ValueError otherwise.
+
+    Every sign is exact: the polynomial is evaluated at num/den as the
+    integer den^d * p(num/den).  Each halving keeps it at most 0 at the
+    low end and at least 0 at the high end, so the bracket holds the root;
+    a midpoint that is a root returns the bracket [root, root].
+    ``iterations`` counts the halvings.
+    """
+    tol = _positive_tol(tol)
+    lo, hi, den = 1, 1 + max(abs(c) for c in coeffs), 1
+    if _poly_value(coeffs, lo, den) > 0 or _poly_value(coeffs, hi, den) < 0:
+        raise ValueError("the polynomial does not change sign from <= 0 to >= 0 on [1, %d]" % hi)
     halvings = 0
     while (hi - lo) * tol.denominator > tol.numerator * den:
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
@@ -253,20 +263,6 @@ def bisect_root(coeffs, low, high, tol: Fraction | str | float = DEFAULT_TOL) ->
         else:
             hi = mid
     return SpectralBracket(Fraction(lo, den), Fraction(hi, den), halvings)
-
-
-def root_above_one(coeffs, tol: Fraction | str | float = DEFAULT_TOL) -> SpectralBracket:
-    """Bracket the root above 1 of the integer polynomial ``coeffs``
-    (highest power first) by ``bisect_root`` on [1, 1 + max|c|].
-
-    The caller shows that the polynomial has only one root above 1.  The
-    interval holds it: every root is below Cauchy's bound
-    1 + max|c_i| / |c_0| <= 1 + max|c|, and past that bound the sign is
-    the sign of c_0.  So the polynomial must be at most 0 at 1 and have a
-    positive leading coefficient; ``bisect_root`` raises ValueError
-    otherwise.
-    """
-    return bisect_root(coeffs, 1, 1 + max(abs(c) for c in coeffs), tol)
 
 
 def charpoly(m: IntMatrix) -> list[int]:
@@ -348,9 +344,7 @@ def perron_bracket(m: IntMatrix, tol: Fraction | str | float = DEFAULT_TOL) -> S
     whose bounds are within ``tol`` comes for every nonnegative matrix, rho = 0
     and a multiple rho included; ``perron_witness`` must prove the bracket
     (RuntimeError, a fault here, if not).  ``iterations`` counts the steps."""
-    tol = min(Fraction(tol), Fraction(1, 2))  # rho is 0 or >= 1: a nonzero rho keeps low > 0
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = min(_positive_tol(tol), Fraction(1, 2))  # rho is 0 or >= 1: a nonzero rho keeps low > 0
     chi, d = charpoly(m), m.order
     slope = [c * (d - i) for i, c in enumerate(chi[:-1])]
     top = min(max(map(sum, m.rows)), max(map(sum, zip(*m.rows))))

@@ -45,7 +45,8 @@ from .surface import GluedSurface, glue
 
 
 # Largest alphabet of the certify command: chi costs about n^4 / 4 growing
-# products; certify took 21 s on (b^48 t f)^188 (2-vCPU VM), chi 43 s at 112.
+# products; certify took 9.5 s on (b^48 t f)^188 (2-vCPU VM), and chi alone
+# 20 s on (b^56 t f)^188, at 112 letters.
 LETTERS_MAX = 96
 
 

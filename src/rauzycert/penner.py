@@ -72,31 +72,28 @@ def _assemble(g: int, blocks: list[tuple[tuple[int, int], IntMatrix]]) -> list[d
 def build(g: int, n: int) -> PennerMatrices:
     """Blocks and companion matrix of the n-fold twist family at genus g.
 
-    Block row 1 has the identity in the last column; block row 2 carries
-    A_n, B_n and C_n; the remaining rows shift the identity.
+    M_n is laid out from rows of the 3g x 3g identity: block row 0 is
+    identity rows 3g-3..3g-1 (the identity in the last block column),
+    block row 1 couples A_n | B_n | 0 ... 0 | C_n, and block rows 2..g-1
+    are identity rows 3..3g-4, the shift (i, i-1).
 
     M_n is primitive for every g >= 3 and n >= 1.  Its zero pattern does not
-    depend on n.  Call row k of block i (from 0; block 1 carries A_n, B_n
-    and C_n) vertex 3i + k.  The shift chains 3i + k -> 3(i - 1) + k and
-    k -> 3(g - 1) + k lead every vertex to block 1, whose rows reach vertex
-    0 through A_n's full first column, and 0 -> 3(g - 1) -> ... -> 3; vertex
-    3 reaches all of block 0 through A_n's full first row, so the support
-    graph is strongly connected.  Its closed walks 3 -> 0 -> 3(g - 1) -> ...
-    -> 3 and 3 -> 2 -> 3(g - 1) + 2 -> ... -> 5 -> 3 (the last step through
-    B_n) have the coprime lengths g and g + 1, so it is aperiodic too.
+    depend on n.  Call row k of block row i vertex 3i + k.  The shift chains
+    3i + k -> 3(i - 1) + k and k -> 3(g - 1) + k lead every vertex to block
+    row 1, whose rows reach vertex 0 through A_n's full first column, and
+    0 -> 3(g - 1) -> ... -> 3; vertex 3 reaches all of block 0 through A_n's
+    full first row, so the support graph is strongly connected.  Its closed
+    walks 3 -> 0 -> 3(g - 1) -> ... -> 3 and 3 -> 2 -> 3(g - 1) + 2 -> ...
+    -> 5 -> 3 (the last step through B_n) have the coprime lengths g and
+    g + 1, so it is aperiodic too.
     """
     check_range("twist family genus g", g, 3, GENUS_MAX)
     check_range("twist count n", n, 1)
     a = _block_a(n)
     d = a + _BLOCK_B * _BLOCK_C
-    identity = IntMatrix.identity(3)
-    blocks = [((0, g - 1), identity), ((1, 0), a), ((1, 1), _BLOCK_B), ((1, g - 1), _BLOCK_C)]
-    blocks += [((i, i - 1), identity) for i in range(2, g)]
-    dense = [[0] * (3 * g) for _ in range(3 * g)]
-    for line, row in zip(dense, _assemble(g, blocks)):
-        for j, x in row.items():
-            line[j] = x
-    m = IntMatrix(tuple(map(tuple, dense)))
+    unit, gap = IntMatrix.identity(3 * g).rows, (0,) * (3 * g - 9)
+    coupling = tuple(x + y + gap + z for x, y, z in zip(a.rows, _BLOCK_B.rows, _BLOCK_C.rows))
+    m = IntMatrix(unit[3 * g - 3:] + coupling + unit[3:3 * g - 3])
     return PennerMatrices(g=g, n=n, a=a, b=_BLOCK_B, c=_BLOCK_C, d=d, m=m)
 
 

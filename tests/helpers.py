@@ -117,6 +117,24 @@ def sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
 
+def twist_matrix(g: int, n: int) -> IntMatrix:
+    """M_n of the twist family, its 3x3 blocks placed entry by entry: I at
+    block (0, g-1); A_n, B and C at (1, 0), (1, 1) and (1, g-1); I at
+    (i, i-1) for 2 <= i < g."""
+    a = [[n + 1, 1, 1], [n, 1, 0], [n + 1, 1, 2]]
+    b = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    c = [[0, 0, 1], [0, 0, 0], [0, 0, 1]]
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    blocks = [((0, g - 1), unit), ((1, 0), a), ((1, 1), b), ((1, g - 1), c)]
+    blocks += [((i, i - 1), unit) for i in range(2, g)]
+    rows = [[0] * (3 * g) for _ in range(3 * g)]
+    for (bi, bj), block in blocks:
+        for k in range(3):
+            for l in range(3):
+                rows[3 * bi + k][3 * bj + l] = block[k][l]
+    return IntMatrix.from_rows(rows)
+
+
 def relabel_matrix(start: LabeledPermutation, end: LabeledPermutation) -> IntMatrix:
     """Permutation matrix of the relabeling between two unlabeled-equal
     vertices, by letter name: a letter b goes to the letter occupying, in

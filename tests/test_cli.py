@@ -418,6 +418,7 @@ class TestPenner:
             (("--nmax", "0"), "error: --nmax must be >= 1, got 0"),
             (("--nmax", "-1"), "error: --nmax must be >= 1, got -1"),
         ],
+        ids=["--gmax 2", "--nmax 0", "--nmax -1"],
     )
     def test_empty_grid_exits_before_any_work(self, capsys, monkeypatch, argv, line):
         # an empty grid is an error, not a bare CSV header

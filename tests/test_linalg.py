@@ -18,7 +18,6 @@ from rauzycert.linalg import (
     SpectralBracket,
     _poly_value,
     _times,
-    bisect_root,
     charpoly,
     min_positive_power,
     path_matrix,
@@ -483,50 +482,54 @@ class TestPerronWitness:
 
 
 class TestBisectRoot:
+    """``root_above_one`` halves [1, 1 + max|c|]."""
+
     def test_square_root_of_two(self):
-        bracket = bisect_root([1, 0, -2], 1, 2, Fraction(1, 10**12))
+        bracket = root_above_one([1, 0, -2], Fraction(1, 10**12))
         assert bracket.low**2 < 2 < bracket.high**2
         assert bracket.high - bracket.low <= Fraction(1, 10**12)
-        assert bracket.iterations == 40  # 2^-40 <= 10^-12 < 2^-39
+        assert bracket.iterations == 41  # [1, 3]: 2 * 2^-41 <= 10^-12 < 2 * 2^-40
 
     def test_agrees_with_the_fraction_oracle(self):
         rng = random.Random(15)
         for _ in range(50):
-            roots = sorted(Fraction(rng.randint(1, 400), rng.randint(1, 9)) for _ in range(3))
-            # (x - r1)(x - r2)(x - r3) scaled to integers, largest root bracketed
+            # one root above 1, the others at most 0, so p(1) < 0 and the lead is positive
+            root = 1 + Fraction(rng.randint(1, 400), rng.randint(1, 9))
+            others = [Fraction(-rng.randint(0, 400), rng.randint(1, 9)) for _ in range(2)]
+            # the product of (den x - num) over the roots
             coeffs = [1]
-            for r in roots:
+            for r in [root] + others:
                 coeffs = [a * r.denominator - b * r.numerator
                           for a, b in zip(coeffs + [0], [0] + coeffs)]
-            low, high = roots[-1] - Fraction(1, 3), roots[-1] + 1
-            if any(low < r for r in roots[:-1]):
-                continue
-            bracket = bisect_root(coeffs, low, high, Fraction(1, 10**6))
-            assert bracket.low <= roots[-1] <= bracket.high
-            oracle = bisect_largest_root(coeffs, low, high, Fraction(1, 10**6))
-            assert bracket.low <= oracle[1] and oracle[0] <= bracket.high
+            bracket = root_above_one(coeffs, Fraction(1, 10**6))
+            assert bracket.low <= root <= bracket.high
+            # the same halvings of the same interval, on Fractions
+            oracle = bisect_largest_root(coeffs, 1, 1 + max(map(abs, coeffs)), Fraction(1, 10**6))
+            assert (bracket.low, bracket.high) == oracle
 
     def test_midpoint_root_is_returned_exactly(self):
-        # x - 3/2 on [1, 2]: the first midpoint is the root
-        assert bisect_root([2, -3], 1, 2) == SpectralBracket(Fraction(3, 2), Fraction(3, 2), 1)
+        # x - 2 on [1, 3]: the first midpoint is the root
+        assert root_above_one([1, -2]) == SpectralBracket(Fraction(2), Fraction(2), 1)
 
     def test_endpoint_root_and_point_bracket(self):
-        assert bisect_root([1, -1], 1, 1) == SpectralBracket(Fraction(1), Fraction(1), 0)
-        bracket = bisect_root([1, -2], 1, 2, Fraction(1, 4))
-        assert bracket == SpectralBracket(Fraction(7, 4), Fraction(2), 2)
+        # p(1) = 0 keeps 1 as the low end; a dyadic root ends in [root, root]
+        bracket = root_above_one([1, -1], Fraction(1, 4))
+        assert bracket == SpectralBracket(Fraction(1), Fraction(5, 4), 2)
+        bracket = root_above_one([1, -2], Fraction(1, 4))
+        assert bracket == SpectralBracket(Fraction(2), Fraction(2), 1)
 
     def test_rejects_a_bracket_without_a_sign_change(self):
+        with pytest.raises(ValueError, match=r"does not change sign .* on \[1, 2\]$"):
+            root_above_one([1, 0, 1])  # p(1) > 0
         with pytest.raises(ValueError, match="does not change sign"):
-            bisect_root([1, 0, -2], 2, 3)
-        with pytest.raises(ValueError, match="does not change sign"):
-            bisect_root([-1, 0, 2], 1, 2)
-        with pytest.raises(ValueError, match="does not change sign"):
-            bisect_root([1, 0, -2], 2, 1)
+            root_above_one([-1, 0, 0])  # p(1) < 0, but p(2) < 0 too: a negative lead
 
     @pytest.mark.parametrize("tol", [0, -1, "-1/10"])
     def test_rejects_non_positive_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            bisect_root([1, 0, -2], 1, 2, tol)
+            root_above_one([1, 0, -2], tol)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            perron_bracket(IntMatrix.identity(2), tol)
 
     def test_sign_skips_zero_coefficients(self):
         rng = random.Random(20)
@@ -542,7 +545,9 @@ class TestRootAboveOne:
     def test_is_bisection_from_one_to_cauchys_bound(self):
         for coeffs in ([1, 0, -2], [1, -1, -1, -1, 1], [2, -3, 0, -5]):
             bound = 1 + max(abs(c) for c in coeffs)
-            assert root_above_one(coeffs) == bisect_root(coeffs, 1, bound)
+            bracket = root_above_one(coeffs)
+            oracle = bisect_largest_root(coeffs, 1, bound, linalg.DEFAULT_TOL)
+            assert (bracket.low, bracket.high) == oracle
 
     @pytest.mark.parametrize(
         "coeffs",

@@ -18,7 +18,14 @@ from rauzycert.penner import (
     verify_power_identity,
 )
 
-from helpers import berkowitz_charpoly, bisect_largest_root, min_row_sum, poly_mul, sparse_rows
+from helpers import (
+    berkowitz_charpoly,
+    bisect_largest_root,
+    min_row_sum,
+    poly_mul,
+    sparse_rows,
+    twist_matrix,
+)
 from test_linalg import block_cyclic, contains_perron_root
 
 
@@ -37,6 +44,11 @@ class TestBuild:
         assert m.order == 12
         top_right = tuple(tuple(row[9:]) for row in m.rows[:3])
         assert top_right == IntMatrix.identity(3).rows
+
+    @pytest.mark.parametrize("n", [1, 7, 10**12])
+    @pytest.mark.parametrize("g", [*range(3, 13), 40, GENUS_MAX])
+    def test_layout_places_every_block(self, g, n):
+        assert build(g, n).m == twist_matrix(g, n)
 
     def test_b_and_c_blocks_independent_of_n(self):
         assert build(3, 1).b == build(5, 99).b
